@@ -75,8 +75,9 @@ def _load_graph(args):
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None, choices=backend_names(),
-                        help="execution backend (default: compiled when the "
-                             "plan supports it, interpreter otherwise)")
+                        help="execution backend (default: the first of "
+                             "vectorised, compiled, interpreter that supports "
+                             "the plan)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="worker processes for --backend parallel")
     parser.add_argument("--nodes", default=None, metavar="N[,N...]",
@@ -270,8 +271,8 @@ def cmd_count(args) -> int:
         print("semantics: vertex-induced (AutoMine/GraphZero definition)")
 
     # The backend preference rides on the query (not the call) so the
-    # session plans for its capabilities — e.g. an IEP-free plan when
-    # --backend vectorised is asked for.
+    # session plans for its capabilities — e.g. a pre-generated kernel
+    # only when --backend compiled is asked for.
     query = MatchQuery(
         pattern=pattern,
         mode=args.mode,

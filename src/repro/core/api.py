@@ -67,17 +67,18 @@ class PatternMatcher:
         (halves-to-quarters the model's work without changing the
         optimum; see ``repro.core.schedule.dedup_schedules``).
     use_codegen:
-        Execute via generated specialised code (the paper's approach)
-        instead of the interpreter.  ``use_codegen=False`` also makes
+        Generate specialised code (the paper's approach) for the plan
+        reports :meth:`plan` returns.  ``use_codegen=False`` also makes
         the *default* backend selection interpret (an explicit
         ``backend=`` still wins).
     backend:
         Default execution backend for :meth:`count`/:meth:`match` — a
         registered name (``"interpreter"``, ``"preslice"``,
-        ``"compiled"``, ``"parallel"``), an
+        ``"compiled"``, ``"parallel"``, ``"vectorised"``, ...), an
         :class:`~repro.core.backend.ExecutionBackend` instance, or
-        ``None`` for the compiled-first policy (generated code when the
-        plan supports it, interpreter otherwise).
+        ``None`` for the default order (the vectorised frontier engine
+        when it supports the plan, then generated code, then the
+        interpreter).
     """
 
     DEFAULT_MAX_RESTRICTION_SETS = 64
@@ -112,7 +113,7 @@ class PatternMatcher:
 
         The effective backend preference (call-level wins over the
         matcher default) is part of the query so planning can consult
-        its capabilities — e.g. an IEP-free plan for ``vectorised``.
+        its capabilities — e.g. whether to pre-generate a kernel.
         """
         return MatchQuery(
             pattern=self.pattern,
@@ -156,15 +157,15 @@ class PatternMatcher:
         the resulting plan is cached there) or precomputed ``stats``
         (planned directly, no cache).  ``use_iep`` asks the model to
         score configurations with the innermost independent loops
-        replaced by IEP.
+        replaced by IEP.  With codegen on, the report carries the
+        generated kernel even when the session's default execution
+        (the vectorised backend) planned without one.
         """
         if stats is None:
             if graph is None:
                 raise ValueError("plan() needs a graph or precomputed GraphStats")
-            entry = get_session(graph).plan_for(
-                self._query(use_iep=use_iep, codegen=codegen)
-            )
-            return entry.report
+            query = self._query(use_iep=use_iep, codegen=codegen)
+            return get_session(graph).plan_for(query, kernel=query.use_codegen).report
         do_codegen = self.use_codegen if codegen is None else codegen
         return plan_plain(
             self.pattern,
@@ -211,8 +212,8 @@ class PatternMatcher:
         registered backends return identical counts (the equivalence
         tests pin this), they only differ in how the loop nest runs.
         ``use_iep=None`` (the default) resolves per backend capability:
-        IEP on, unless the preferred backend cannot execute IEP-suffix
-        plans (``vectorised``); an explicit bool forces it.  An explicit
+        IEP on, unless the preferred backend declares it cannot execute
+        IEP-suffix plans; an explicit bool forces it.  An explicit
         ``report`` executes that exact plan; otherwise the graph's
         session plans once and replays the cached plan on every
         identical call.

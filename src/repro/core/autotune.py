@@ -24,7 +24,7 @@ The pieces:
   options + IEP knob).  Versioned JSON on disk; loading is defensive —
   a corrupt file, an old schema version or a changed backend registry
   is *ignored with a warning* (:class:`ProfileWarning`), never a crash,
-  and selection falls back to the static compiled-first policy.
+  and selection falls back to the static default order.
 * :class:`AutoBackend` — registered as ``"auto"``: a delegating
   pseudo-backend that looks its context up in the active profile
   (exact bucket first, then nearest same-pattern bucket) and executes
@@ -448,7 +448,7 @@ class AutotuneReport:
     chosen: str
     options: tuple[tuple[str, Any], ...] = ()
     #: "profile" (exact bucket), "profile-nearest" (bucket distance > 0)
-    #: or "static" (no applicable entry; compiled-first fallback).
+    #: or "static" (no applicable entry; the default-order fallback).
     source: str = "static"
     predicted_seconds: float | None = None
     actual_seconds: float | None = None
@@ -478,7 +478,7 @@ class AutoBackend(ExecutionBackend):
     # its default behaviour (IEP-suffix plans stay available, kernels
     # are pre-generated for a compiled delegate); the session folds the
     # profile's *measured* IEP preference in before planning, which is
-    # where an IEP-free plan for a vectorised winner comes from.
+    # where an IEP-free plan for an IEP-free winner comes from.
     capabilities = BackendCapabilities(
         modes=frozenset(MODES),
         iep=True,
@@ -674,6 +674,7 @@ def default_choice_grid(*, heavy: bool = False) -> list[ProfileChoice]:
         ProfileChoice.make("preslice", use_iep=True),
         ProfileChoice.make("compiled", use_iep=True),
         ProfileChoice.make("compiled", use_iep=False),
+        ProfileChoice.make("vectorised", {"aux": "auto"}, use_iep=True),
         ProfileChoice.make("vectorised", {"aux": "auto"}, use_iep=False),
         ProfileChoice.make("vectorised", {"aux": False}, use_iep=False),
     ]
@@ -749,8 +750,8 @@ def measure_workload(
             executed = result.backend
             best = min(best, result.seconds_execute)
         if executed != choice.backend:
-            # the registry silently fell back (e.g. vectorised on a
-            # 1-loop or IEP plan): not a measurement of this choice.
+            # the registry fell back (e.g. distributed on a 1-loop
+            # plan): not a measurement of this choice.
             continue
         counts[choice] = int(result)
         seconds.append((choice, best))

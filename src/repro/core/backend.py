@@ -1,4 +1,4 @@
-"""The pluggable execution-backend layer: one compiled-first matching core.
+"""The pluggable execution-backend layer: one matching core, many executors.
 
 GraphPi's headline speedup comes from *generating* specialised code per
 (schedule, restriction-set) configuration instead of interpreting it
@@ -12,9 +12,11 @@ so this module gives the system a single execution seam:
 * :class:`ExecutionBackend` — the strategy interface: ``count`` a
   context, optionally ``enumerate_embeddings`` from it.
 * a registry — backends register under a name; ``get_backend`` builds
-  them, ``select_backend`` implements the compiled-first default with
-  automatic interpreter fallback for cases code generation does not
-  cover (enumeration, IEP-suffix plans outside plain mode).
+  them, ``select_backend`` implements the no-preference default (the
+  first of :data:`DEFAULT_ORDER` — vectorised, compiled, interpreter —
+  that supports the call) and the interpreter fallback for explicit
+  preferences that cannot serve it, counted by
+  ``repro_backend_fallbacks_total``.
 
 Every consumer — :mod:`repro.core.api`, the CLI, the parallel runtime,
 the scenario layers and the mining workloads — dispatches through this
@@ -52,6 +54,7 @@ from repro.core.config import Configuration, ExecutionPlan
 from repro.core.directed import DirectedPlan
 from repro.core.engine import Engine
 from repro.core.engine_variants import PreSliceEngine
+from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 
 #: matching semantics a context can carry; backends opt into each.
@@ -120,9 +123,8 @@ def make_prefix_counter(
     """Build a worker-side ``prefix -> raw count`` callable via the registry.
 
     ``worker_backend="compiled"`` gets a generated kernel when the
-    context supports one (plain mode, valid split) and silently falls
-    back to the interpreter engine otherwise — the same compiled-first
-    policy the top-level API applies.  Returns ``(counter, effective)``
+    context supports one (plain mode, valid split) and falls back to
+    the interpreter engine otherwise.  Returns ``(counter, effective)``
     where ``effective`` names what the counter actually is (post-
     fallback), so callers report it rather than re-deriving the policy.
     """
@@ -333,27 +335,52 @@ def resolve_backend(spec: "str | ExecutionBackend | None") -> ExecutionBackend |
     )
 
 
+#: the no-preference selection order: the first backend that supports
+#: the call runs it.  Counts land on the bulk frontier engine, then on
+#: generated kernels, then on the interpreter; enumeration skips the
+#: counting-only ``compiled``.
+DEFAULT_ORDER = ("vectorised", "compiled", "interpreter")
+
+
+def _serves(
+    backend: ExecutionBackend, ctx: MatchContext, for_enumeration: bool
+) -> bool:
+    return backend.supports(ctx) and (
+        not for_enumeration or backend.supports_enumeration
+    )
+
+
 def select_backend(
     ctx: MatchContext,
     requested: "str | ExecutionBackend | None" = None,
     *,
     for_enumeration: bool = False,
 ) -> ExecutionBackend:
-    """Pick the backend for a context — the compiled-first policy.
+    """Pick the backend for a context.
 
+    * no request: the first backend of :data:`DEFAULT_ORDER` that
+      supports the call (the interpreter serves every mode, so the walk
+      always ends);
     * explicit request: honoured, except that a backend that cannot
-      serve the request (wrong mode, or enumeration from a
-      counting-only backend) falls back to the interpreter — the
-      automatic fallback that keeps ``backend="compiled"`` usable as a
-      blanket default across enumerate/induced/labeled/directed calls;
-    * no request: the ``compiled`` backend whenever it supports the
-      context (and the call is a count), else the interpreter.
+      serve the call (wrong mode or plan, or enumeration from a
+      counting-only backend) is replaced by the interpreter — the
+      fallback that keeps ``backend="compiled"`` usable as a blanket
+      preference across enumerate/induced/labeled/directed calls.  Each
+      replacement increments ``repro_backend_fallbacks_total``.
     """
     backend = resolve_backend(requested)
     if backend is None:
-        backend = get_backend("compiled")
-    if not backend.supports(ctx) or (for_enumeration and not backend.supports_enumeration):
-        backend = get_backend("interpreter")
+        for name in DEFAULT_ORDER:
+            backend = get_backend(name)
+            if _serves(backend, ctx, for_enumeration):
+                return backend
+        return backend
+    if not _serves(backend, ctx, for_enumeration):
+        ran = get_backend("interpreter")
+        obs_metrics.BACKEND_FALLBACKS.labels(
+            requested=backend.name, ran=ran.name
+        ).inc()
+        return ran
     return backend
 
 

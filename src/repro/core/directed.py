@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.config import Configuration
-from repro.core.iep import IEPCounter, set_partitions
+from repro.core.iep import IEPCounter, apply_overcount, set_partitions
 from repro.core.perf_model import PerformanceModel
 from repro.core.restrictions import (
     Restriction,
@@ -361,15 +361,7 @@ class DirectedEngine:
 
     def finalize_count(self, raw_total: int) -> int:
         """Apply the IEP overcount divisor to a sum of task results."""
-        if self.plan.iep_k > 0 and self.plan.iep_overcount != 1:
-            q, r = divmod(raw_total, self.plan.iep_overcount)
-            if r:
-                raise AssertionError(
-                    "IEP overcount correction must divide evenly: "
-                    f"{raw_total} / {self.plan.iep_overcount}"
-                )
-            return q
-        return raw_total
+        return apply_overcount(self.plan, raw_total)
 
     def enumerate_embeddings(
         self, limit: int | None = None
@@ -550,8 +542,9 @@ class DirectedMatcher:
         """Count distinct directed embeddings.
 
         Dispatches through the unified session facade and its backend
-        registry (:mod:`repro.core.backend`); directed plans are served
-        by the compiled and vectorised fast paths (IEP-free plans), with
+        registry (:mod:`repro.core.backend`); IEP-free directed plans
+        run on the vectorised frontier engine by default (or the
+        compiled kernels when asked for), with
         ``backend="parallel"`` distributing prefix tasks over worker
         processes.  An explicit ``report`` executes that exact plan;
         otherwise plans are cached on the graph's shared session.

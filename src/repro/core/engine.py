@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.config import Configuration, ExecutionPlan
-from repro.core.iep import IEPCounter
+from repro.core.iep import IEPCounter, apply_overcount
 from repro.graph.csr import Graph
 from repro.graph.intersection import (
     VERTEX_DTYPE,
@@ -102,16 +102,7 @@ class Engine:
         """
         if self.plan.n > self.graph.n_vertices:
             return 0
-        raw = self._count_rec(0, [])
-        if self.plan.iep_k > 0 and self.plan.iep_overcount != 1:
-            q, r = divmod(raw, self.plan.iep_overcount)
-            if r:
-                raise AssertionError(
-                    "IEP overcount correction must divide evenly: "
-                    f"{raw} / {self.plan.iep_overcount}"
-                )
-            return q
-        return raw
+        return self.finalize_count(self._count_rec(0, []))
 
     def _count_rec(self, depth: int, assigned: list[int]) -> int:
         plan = self.plan
@@ -232,15 +223,7 @@ class Engine:
 
     def finalize_count(self, raw_total: int) -> int:
         """Apply the IEP overcount divisor to a sum of task results."""
-        if self.plan.iep_k > 0 and self.plan.iep_overcount != 1:
-            q, r = divmod(raw_total, self.plan.iep_overcount)
-            if r:
-                raise AssertionError(
-                    f"IEP overcount must divide the total: {raw_total} / "
-                    f"{self.plan.iep_overcount}"
-                )
-            return q
-        return raw_total
+        return apply_overcount(self.plan, raw_total)
 
 
 # ---------------------------------------------------------------------------

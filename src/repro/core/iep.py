@@ -78,6 +78,24 @@ def partition_coefficient(partition: Sequence[Sequence[int]]) -> int:
     return coeff
 
 
+def apply_overcount(plan, raw_total: int) -> int:
+    """Divide a raw (summed) count by the plan's IEP overcount ``x``.
+
+    Every executor returns raw counts from its per-task entry points so
+    that partial sums add; this is the single final division, and it
+    must be exact — a remainder means the plan or the count is wrong.
+    """
+    if plan.iep_k == 0 or plan.iep_overcount == 1:
+        return raw_total
+    q, r = divmod(raw_total, plan.iep_overcount)
+    if r:
+        raise AssertionError(
+            f"IEP overcount must divide the total: {raw_total} / "
+            f"{plan.iep_overcount}"
+        )
+    return q
+
+
 def count_distinct_tuples(sets: Sequence[np.ndarray]) -> int:
     """|{(e_1..e_k) ∈ S_1×…×S_k : all distinct}| via the partition formula.
 

@@ -96,10 +96,10 @@ class InducedEngine(Engine):
 def induced_count_engine(graph: Graph, config: Configuration, *, backend=None) -> int:
     """Vertex-induced embedding count under one configuration.
 
-    Dispatches through the execution-backend registry: anti-edge
-    filtering lives in the interpreter engine family, so the
-    compiled-first default resolves to the interpreter, and
-    ``backend="parallel"`` runs the same engine under prefix tasks.
+    Dispatches through the execution-backend registry: with no
+    preference the vectorised frontier engine applies the anti-edge
+    masks in bulk, and ``backend="parallel"`` runs the interpreter
+    engine under prefix tasks.
     """
     from repro.core.backend import MatchContext, select_backend
 

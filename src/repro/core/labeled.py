@@ -244,9 +244,10 @@ class LabeledMatcher:
     def count(self, lgraph: LabeledGraph, *, use_iep: bool = False, backend=None) -> int:
         """Count labeled embeddings through the unified session facade.
 
-        Label filtering lives in the interpreter engine family, so the
-        compiled-first default resolves to the interpreter;
-        ``backend="parallel"`` fans prefix tasks out to workers (which
+        With no preference the vectorised frontier engine applies the
+        label masks in bulk (an explicit ``use_iep=True`` plan falls
+        back to the interpreter); ``backend="parallel"`` fans prefix
+        tasks out to workers (which
         rebuild the labeled engine via the registry).  Plans are cached
         on the graph's shared session, so repeat calls skip planning.
         """

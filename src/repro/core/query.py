@@ -26,9 +26,9 @@ canonical tuple of every plan-affecting field.  The ``backend``
 preference itself is deliberately excluded from the fingerprint: it
 changes how a plan *runs*, not which plan is chosen.  What *is*
 fingerprinted is the resolved IEP choice, which consults the preferred
-backend's declared capabilities (a backend that cannot execute
-IEP-suffix plans, e.g. ``vectorised``, defaults to an IEP-free plan),
-so capability-driven planning still caches correctly.
+backend's declared capabilities (a backend that declares it cannot
+execute IEP-suffix plans defaults to an IEP-free plan), so
+capability-driven planning still caches correctly.
 
 Execution returns a :class:`MatchResult` — a structured record (count,
 backend used, plan provenance, cache hit/miss, timings) that still
@@ -91,7 +91,8 @@ class MatchQuery:
     backend:
         Execution preference — a registered backend name, an
         :class:`~repro.core.backend.ExecutionBackend` instance, or
-        ``None`` for the compiled-first default.  Not part of the plan
+        ``None`` for the default order (vectorised, compiled,
+        interpreter — the first that supports the call).  Not part of the plan
         fingerprint: backends change how a plan runs, not which plan the
         planner picks.
     max_restriction_sets / dedup_schedules / use_codegen:
@@ -154,9 +155,9 @@ class MatchQuery:
 
         The mode default (IEP on for plain edge-semantics counting) is
         additionally gated on the backend preference's declared
-        capabilities: a backend that cannot execute IEP-suffix plans
-        (e.g. ``vectorised``) gets an IEP-free plan rather than a plan
-        it would have to bounce to the interpreter.  An explicit
+        capabilities: a backend that declares it cannot execute
+        IEP-suffix plans gets an IEP-free plan rather than a plan it
+        would have to bounce to the interpreter.  An explicit
         ``use_iep=True`` still wins — and then the fallback applies.
         """
         if self.use_iep is not None:

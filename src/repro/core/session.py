@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple
 
 from repro.core.backend import (
+    DEFAULT_ORDER,
     ExecutionBackend,
     MatchContext,
     capabilities_of,
@@ -246,6 +247,19 @@ def stats_signature(graph: Any, stats: GraphStats) -> tuple:
     return ("graph",) + base
 
 
+def _wants_kernel(query: MatchQuery) -> bool:
+    """Whether planning should generate a kernel for the query's backend.
+
+    Only preferences whose declared capabilities consume generated
+    kernels get one (an unknown name keeps the old eager behaviour).
+    No preference plans for the head of the default order — the
+    vectorised backend, which never runs a kernel.
+    """
+    spec = query.backend if query.backend is not None else DEFAULT_ORDER[0]
+    caps = capabilities_of(spec)
+    return caps is None or caps.generated_kernels
+
+
 def resolve_execution_backend(
     ctx: MatchContext,
     requested: "str | ExecutionBackend | None",
@@ -256,9 +270,10 @@ def resolve_execution_backend(
     """The one backend-selection policy (shared by session and shims).
 
     With no explicit request and ``use_codegen=False`` on a context that
-    carries no pre-generated kernel, default to the interpreter rather
-    than compiling behind the caller's back; otherwise apply the
-    registry's compiled-first :func:`~repro.core.backend.select_backend`.
+    carries no pre-generated kernel, run the interpreter — the
+    historical meaning of ``use_codegen=False``; otherwise apply the
+    registry's :func:`~repro.core.backend.select_backend` (no request:
+    vectorised, then compiled, then interpreter).
     """
     if requested is None and not use_codegen and ctx.generated is None:
         return get_backend("interpreter")
@@ -282,7 +297,8 @@ class MatchSession:
         directed queries.
     backend:
         Session-default execution backend (name, instance or ``None``
-        for compiled-first).  Per-query and per-call preferences win.
+        for the default order: vectorised, compiled, interpreter).
+        Per-query and per-call preferences win.
     max_plans:
         Plan-cache capacity (LRU).  Workloads that stream *distinct*
         queries (e.g. FSM candidate generation) would otherwise grow
@@ -375,12 +391,21 @@ class MatchSession:
         return g.graph if isinstance(g, LabeledGraph) else g
 
     # -- planning -------------------------------------------------------
-    def plan_for(self, query: MatchQuery | Any) -> PlanEntry:
-        """The cached plan for a query, planning on first sight."""
+    def plan_for(self, query: MatchQuery | Any, *, kernel: bool = False) -> PlanEntry:
+        """The cached plan for a query, planning on first sight.
+
+        ``kernel=True`` also guarantees the entry carries its generated
+        kernel: compiled once and memoised on the cached entry (and on
+        a plain report) when planning skipped it — no preference plans
+        for the vectorised backend, which never runs one.
+        """
         query = as_query(query)
-        self._execution_graph(query)  # validate mode/graph pairing early
+        graph = self._execution_graph(query)  # validates mode/graph pairing
         query = self._apply_autotune(query)
-        return self._lookup_or_plan(query)[0]
+        entry = self._lookup_or_plan(query)[0]
+        if kernel and entry.generated is None:
+            entry = self._memoise_kernel(entry, entry.context(graph))
+        return entry
 
     def _apply_autotune(self, query: MatchQuery) -> MatchQuery:
         """Fold the calibration profile's plan-level knob into an auto query.
@@ -455,11 +480,11 @@ class MatchSession:
         # induced entries get their anti-edge kernel compiled right
         # after, from the same chosen plan.  Backend preferences whose
         # declared capabilities say they never consume generated kernels
-        # (e.g. vectorised) skip the wasted generation — a later
-        # explicit backend="compiled" call still gets a kernel on demand
-        # via _ensure_kernel.
-        caps = capabilities_of(query.backend)
-        wants_kernel = caps is None or caps.generated_kernels
+        # (vectorised, and so no preference at all) skip the wasted
+        # generation — a later explicit backend="compiled" call, or a
+        # fallback onto compiled, still gets a kernel on demand via
+        # _ensure_kernel.
+        wants_kernel = _wants_kernel(query)
         report = plan_plain(
             query.pattern,
             self.stats,
@@ -498,8 +523,7 @@ class MatchSession:
         report = matcher.plan(
             self.graph, use_iep=query.resolved_use_iep, stats=self.stats
         )
-        caps = capabilities_of(query.backend)
-        wants_kernel = caps is None or caps.generated_kernels
+        wants_kernel = _wants_kernel(query)
         generated = None
         if (
             query.use_codegen
@@ -530,8 +554,7 @@ class MatchSession:
         report = matcher.plan(
             self.graph, use_iep=query.resolved_use_iep, stats=self.stats
         )
-        caps = capabilities_of(query.backend)
-        wants_kernel = caps is None or caps.generated_kernels
+        wants_kernel = _wants_kernel(query)
         generated = None
         if query.use_codegen and wants_kernel and report.plan.iep_k == 0:
             generated = compile_directed_function(report.plan)
@@ -593,25 +616,33 @@ class MatchSession:
                        ctx: MatchContext) -> MatchContext:
         """Memoise a kernel compiled at execution time onto the entry.
 
-        An entry planned without codegen (``use_codegen=False``) but
-        executed with an explicit ``backend="compiled"`` would otherwise
-        re-generate the kernel on every cache-hit call — exactly the
-        cost the cache exists to amortise.
+        An entry planned without codegen (``use_codegen=False``, or no
+        backend preference) but executed on the compiled backend would
+        otherwise re-generate the kernel on every cache-hit call —
+        exactly the cost the cache exists to amortise.
         """
         if (
             chosen.name == "compiled"
             and ctx.generated is None
             and chosen.supports(ctx)
         ):
-            with span("compile", mode=ctx.mode):
-                generated = compile_for_context(ctx)
-            obs_metrics.KERNELS_COMPILED.inc()
-            updated = dataclasses.replace(entry, generated=generated)
-            with self._lock:
-                if entry.key in self._cache:
-                    self._cache[entry.key] = updated
+            generated = self._memoise_kernel(entry, ctx).generated
             return dataclasses.replace(ctx, generated=generated)
         return ctx
+
+    def _memoise_kernel(self, entry: PlanEntry, ctx: MatchContext) -> PlanEntry:
+        """Compile the context's kernel and store it on the cached entry."""
+        with span("compile", mode=ctx.mode):
+            generated = compile_for_context(ctx)
+        obs_metrics.KERNELS_COMPILED.inc()
+        report = entry.report
+        if isinstance(report, PlanReport) and entry.semantics == "edge":
+            report = dataclasses.replace(report, generated=generated)
+        updated = dataclasses.replace(entry, generated=generated, report=report)
+        with self._lock:
+            if entry.key in self._cache:
+                self._cache[entry.key] = updated
+        return updated
 
     def count(
         self,

@@ -24,6 +24,23 @@ schedules and restrictions:
   candidates are simply counted, the bulk form of the interpreter's
   last-loop shortcut.
 
+IEP suffix (§IV-D)
+------------------
+A plain edge-semantics plan with an IEP suffix (``iep_k > 0``) extends
+the frontier only to depth ``n - iep_k``.  The innermost ``k`` pattern
+vertices are pairwise non-adjacent, so every block ``B`` of the
+partition-lattice formula (:mod:`repro.core.iep`) needs one per-row
+cardinality ``|∩_{i∈B} S_i − bound|``, and that depends only on the
+block's *signature*: the union of its dependency columns, its lower
+columns (window ``> max``) and its upper columns (window ``< min``).
+Each distinct signature is one call of the same per-row counter the
+innermost loop uses (:meth:`FrontierEngine._row_counts`); the
+partitions then combine those columns with their Möbius weights.  The
+arithmetic is exact: a chunk whose row maxima could push a term or a
+partial sum past ``2**62`` is evaluated in Python ints, never in
+wrapping int64.  ``count_roots`` returns raw sums (so distributed
+partial sums add) and ``count`` divides by ``plan.iep_overcount`` once.
+
 Auxiliary-graph pruning (GraphMini)
 -----------------------------------
 The direct path re-gathers and re-intersects the same hub rows for
@@ -72,13 +89,12 @@ engine — each CSR carries its own sorted ``u * n + v`` key array, so
 "is ``c`` a successor/predecessor of ``x``" is the same ``x * n + c``
 probe against the matching key array.
 
-What the backend deliberately does **not** cover (the automatic
-interpreter fallback in :func:`~repro.core.backend.select_backend`
-handles these): plans compiled with an IEP suffix (``iep_k > 0``) —
-IEP evaluates per-prefix counting formulas that do not vectorise
-across a frontier (the session layer plans IEP-free when this backend
-is preferred) — and schedules with a disconnected prefix (the phase-1
-generator never emits these).
+What the backend deliberately does **not** cover (the fallback chain
+in :func:`~repro.core.backend.select_backend` handles these): IEP
+suffixes outside plain edge semantics (labeled, induced and directed
+plans run IEP-free; the planners only build such plans on an explicit
+``use_iep=True``) and schedules with a disconnected prefix (the
+phase-1 generator never emits these).
 
 Frontiers grow multiplicatively with depth, so :class:`FrontierEngine`
 bounds peak memory by processing the root vertices in chunks
@@ -98,6 +114,7 @@ import numpy as np
 
 from repro.core.config import ExecutionPlan
 from repro.core.directed import DirectedPlan
+from repro.core.iep import apply_overcount, partition_coefficient, set_partitions
 from repro.graph.csr import Graph
 from repro.graph.digraph import DiGraph
 from repro.graph.intersection import (
@@ -154,6 +171,88 @@ def _graph_edge_keys(graph: Graph) -> np.ndarray:
         keys = sorted_edge_keys(graph.indptr, graph.indices)
         _EDGE_KEY_CACHE[graph] = keys
     return keys
+
+
+#: a chunk's IEP terms and partial sums stay in int64 only while the
+#: bound derived from its row maxima is at most this; otherwise the
+#: chunk is evaluated in Python ints.
+IEP_INT64_LIMIT = 2**62
+
+
+def _window(
+    front: np.ndarray, lower: Sequence[int], upper: Sequence[int]
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Per-row restriction window ``(lo, hi)`` for a new vertex.
+
+    A candidate must exceed every ``lower`` column's value and stay
+    below every ``upper`` column's — for integers that collapses to the
+    open interval ``(max lowers, min uppers)`` per frontier row, exactly
+    what the interpreter's ``bounded_slice`` resolves.
+    """
+    lo = front[:, lower].max(axis=1) if lower else None
+    hi = front[:, upper].min(axis=1) if upper else None
+    return lo, hi
+
+
+def _iep_layout(plan: ExecutionPlan) -> tuple[tuple, tuple]:
+    """The IEP suffix as ``(signatures, terms)``.
+
+    ``signatures`` are the distinct ``(deps, lower, upper)`` column sets
+    of the partition blocks (a block's candidate set is the intersection
+    of its members' sets, so it depends on the unions only); ``terms``
+    are ``(coefficient, signature indices)`` pairs, one per distinct
+    multiset of block signatures with the partitions' Möbius weights
+    summed — a star's Bell(k) partitions collapse to k terms.
+    """
+    k, base = plan.iep_k, plan.n - plan.iep_k
+    signatures: dict[tuple, int] = {}
+    weights: dict[tuple[int, ...], int] = {}
+    for partition in set_partitions(k):
+        idx = []
+        for block in partition:
+            positions = [base + i for i in block]
+            sig = tuple(
+                tuple(sorted({j for p in positions for j in cols[p]}))
+                for cols in (plan.deps, plan.lower, plan.upper)
+            )
+            idx.append(signatures.setdefault(sig, len(signatures)))
+        key = tuple(sorted(idx))
+        weights[key] = weights.get(key, 0) + partition_coefficient(partition)
+    terms = tuple((c, key) for key, c in weights.items() if c)
+    return tuple(signatures), terms
+
+
+def _term_sum(cards: list[np.ndarray], terms) -> np.ndarray:
+    """Per-row ``Σ_terms coeff · Π cards`` (dtype follows ``cards``)."""
+    total = None
+    for coeff, idx in terms:
+        term = cards[idx[0]] * coeff
+        for i in idx[1:]:
+            term = term * cards[i]
+        total = term if total is None else total + term
+    return total
+
+
+def _iep_combine(cards: list[np.ndarray], terms) -> int:
+    """Exact ``Σ_rows Σ_terms coeff · Π cards`` over one chunk.
+
+    Cardinalities are non-negative, so ``Σ |coeff| · Π max(card)`` bounds
+    every partial product and every per-row partial sum.  Within
+    :data:`IEP_INT64_LIMIT` the rows are evaluated in int64 and summed
+    in slices whose totals cannot pass the limit either; beyond it the
+    whole chunk runs on Python ints (object arrays).
+    """
+    maxima = [int(c.max()) for c in cards]
+    bound = sum(abs(c) * math.prod(maxima[i] for i in idx) for c, idx in terms)
+    if bound == 0:
+        return 0
+    if bound > IEP_INT64_LIMIT:
+        return int(_term_sum([c.astype(object) for c in cards], terms).sum())
+    per_row = _term_sum(cards, terms)
+    step = IEP_INT64_LIMIT // bound
+    return sum(
+        int(per_row[i : i + step].sum()) for i in range(0, len(per_row), step)
+    )
 
 
 def restriction_mask(
@@ -238,13 +337,15 @@ class _CandidateSource:
 
 
 class FrontierEngine:
-    """Executes one IEP-free plan against one graph, breadth-first.
+    """Executes one plan against one graph, breadth-first.
 
     The vectorised counterpart of :class:`repro.core.engine.Engine`
     (and, via ``lpattern``/``induced``, of the labeled and induced
     engines): same plan, same counts, but each loop depth is one bulk
     array operation over the whole frontier instead of a recursive call
-    per partial embedding.
+    per partial embedding.  Plain edge-semantics plans may carry an IEP
+    suffix (``iep_k > 0``), counted in bulk per block signature (see
+    the module docstring); labeled and induced plans must be IEP-free.
 
     Parameters
     ----------
@@ -276,10 +377,11 @@ class FrontierEngine:
         lpattern=None,
         induced: bool = False,
     ):
-        if plan.iep_k > 0:
+        if plan.iep_k > 0 and (lpattern is not None or induced):
             raise ValueError(
-                "the frontier engine requires an IEP-free plan (iep_k=0); "
-                "plan with use_iep=False or fall back to the interpreter"
+                "the frontier engine runs IEP suffixes under plain edge "
+                "semantics only; plan labeled/induced queries with "
+                "use_iep=False or fall back to the interpreter"
             )
         if any(not plan.deps[d] for d in range(1, plan.n)):
             raise ValueError(
@@ -323,26 +425,12 @@ class FrontierEngine:
             )
         else:
             self._antideps = None
+        if plan.iep_k > 0:
+            self._iep_signatures, self._iep_terms = _iep_layout(plan)
 
     # ------------------------------------------------------------------
     # bounded candidate ranges (the bulk form of ``bounded_slice``)
     # ------------------------------------------------------------------
-    def _bounds(
-        self, front: np.ndarray, depth: int
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Per-row restriction window ``(lo, hi)`` for the new vertex.
-
-        A candidate must exceed every ``lower`` column's value and stay
-        below every ``upper`` column's — for integers that collapses to
-        the open interval ``(max lowers, min uppers)`` per frontier row,
-        exactly what the interpreter's ``bounded_slice`` resolves.
-        """
-        plan = self.plan
-        lower, upper = plan.lower[depth], plan.upper[depth]
-        lo = front[:, lower].max(axis=1) if lower else None
-        hi = front[:, upper].min(axis=1) if upper else None
-        return lo, hi
-
     def _ranges(
         self, values: np.ndarray, lo: np.ndarray | None, hi: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -406,12 +494,13 @@ class FrontierEngine:
     # auxiliary candidate sources (GraphMini-style pruning)
     # ------------------------------------------------------------------
     def _chain_source(
-        self, front: np.ndarray, depth: int, prev: _CandidateSource | None
+        self, front: np.ndarray, deps: Sequence[int], prev: _CandidateSource | None
     ) -> _CandidateSource | None:
-        """Chain a previously materialised pool into this depth.
+        """Chain a previously materialised pool into a candidate set
+        over the dependency columns ``deps``.
 
-        Applicable when the pool's ``covers`` is a subset of this
-        depth's dependencies: the new candidate rows are the old pool
+        Applicable when the pool's ``covers`` is a subset of ``deps``:
+        the new candidate rows are the old pool
         rows intersected with the residual neighbourhoods — never the
         full CSR rows.  With no residual the pool is reused as-is
         (free); otherwise distinct ``(pool row, residual values)``
@@ -419,7 +508,6 @@ class FrontierEngine:
         """
         if prev is None or self.aux is False:
             return None
-        deps = self.plan.deps[depth]
         if len(deps) < 2 or not set(prev.covers) <= set(deps):
             return None
         resid = tuple(j for j in deps if j not in prev.covers)
@@ -456,7 +544,7 @@ class FrontierEngine:
         return pool_mean * (1 + len(resid)) <= pivot_mean * len(deps)
 
     def _group_source(
-        self, front: np.ndarray, depth: int
+        self, front: np.ndarray, deps: Sequence[int], store_wanted: bool
     ) -> _CandidateSource | None:
         """Materialise one pruned row per distinct dependency-value group.
 
@@ -466,11 +554,13 @@ class FrontierEngine:
         time).  Duplicates are generally *not* consecutive — e.g. a
         depth depending on columns {1, 2} repeats across every value of
         column 0 — so groups are found with ``np.unique`` over the
-        packed dependency values, not run detection.
+        packed dependency values, not run detection.  ``store_wanted``
+        says a later candidate set could chain from the pool (its
+        dependencies are a superset of ``deps``), which earns the pool
+        a relaxed gate.
         """
         if self.aux is False:
             return None
-        deps = self.plan.deps[depth]
         if len(deps) < 2:
             return None
         if self.aux == "auto" and len(front) < AUX_MIN_ROWS:
@@ -480,9 +570,6 @@ class FrontierEngine:
             return None
         _, reps, inverse = np.unique(key, return_index=True, return_inverse=True)
         n_groups, n_rows = len(reps), len(front)
-        store_wanted = depth + 1 < self.plan.n and set(deps) <= set(
-            self.plan.deps[depth + 1]
-        )
         if self.aux == "auto":
             # A pool the next depth can chain from earns a relaxed gate,
             # but only when the dedup itself removes real duplicates —
@@ -525,11 +612,13 @@ class FrontierEngine:
         self, front: np.ndarray, depth: int, prev: _CandidateSource | None
     ) -> tuple[_CandidateSource, np.ndarray, np.ndarray]:
         """Choose this depth's candidate source and window it per row."""
-        deps = self.plan.deps[depth]
-        lo, hi = self._bounds(front, depth)
-        src = self._chain_source(front, depth, prev)
+        plan = self.plan
+        deps = plan.deps[depth]
+        lo, hi = _window(front, plan.lower[depth], plan.upper[depth])
+        src = self._chain_source(front, deps, prev)
         if src is None:
-            src = self._group_source(front, depth)
+            store_wanted = depth + 1 < plan.n and set(deps) <= set(plan.deps[depth + 1])
+            src = self._group_source(front, deps, store_wanted)
         if src is not None:
             starts, counts = self._window_ranges(src, lo, hi)
             return src, starts, counts
@@ -609,7 +698,7 @@ class FrontierEngine:
         return owner[mask], cand[mask], src
 
     # ------------------------------------------------------------------
-    # the innermost loop: count without materialising
+    # per-row candidate counts: the innermost loop and the IEP blocks
     # ------------------------------------------------------------------
     def _count_last(
         self, front: np.ndarray, depth: int, prev: _CandidateSource | None
@@ -618,99 +707,133 @@ class FrontierEngine:
         if len(front) == 0:
             return 0
         if self._labels is None and not self._induced:
-            src = self._chain_source(front, depth, prev)
-            if src is not None and not src.post_deps:
-                return self._count_last_pooled(front, depth, src)
-            return self._count_last_direct(front, depth)
+            plan = self.plan
+            deps = plan.deps[depth]
+            src = self._chain_source(front, deps, prev)
+            obs_metrics.FRONTIER_INTERSECTIONS.labels(
+                kernel="direct" if src is None else "pooled"
+            ).inc()
+            counts = self._row_counts(
+                front, deps, plan.lower[depth], plan.upper[depth], src
+            )
+            return int(counts.sum())
         # Labeled/induced masks need the candidates materialised; the
         # arrays are small (label/anti filters prune hard) and the
         # extension pipeline already applies every mask.
         _, cand, _ = self._extend(front, depth, prev)
         return len(cand)
 
-    def _count_last_pooled(
-        self, front: np.ndarray, depth: int, src: _CandidateSource
-    ) -> int:
-        """Innermost count off a pool covering every dependency: the
-        windowed counts come straight from the keyed binary search —
-        no gather at all — minus the already-used corrections."""
-        obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="pooled").inc()
-        plan = self.plan
-        lo, hi = self._bounds(front, depth)
-        _, counts = self._window_ranges(src, lo, hi)
-        total = int(counts.sum())
-        rows = np.arange(len(front))
-        deps = plan.deps[depth]
-        for k in range(depth):
-            if k in deps:
-                continue
-            used = front[:, k]
-            hit = bulk_contains_sorted(src.keys, src.row_map * self._n + used)
-            hit &= restriction_mask(
-                front, rows, used, plan.lower[depth], plan.upper[depth]
-            )
-            total -= int(hit.sum())
-        return total
+    def _row_counts(
+        self,
+        front: np.ndarray,
+        deps: Sequence[int],
+        lower: Sequence[int],
+        upper: Sequence[int],
+        src: _CandidateSource | None = None,
+    ) -> np.ndarray:
+        """Per-row ``|∩_{j∈deps} N(row[j]) ∩ window − row|`` (int64).
 
-    def _count_last_direct(self, front: np.ndarray, depth: int) -> int:
-        """The direct-path innermost count, with one amortisation:
-        consecutive frontier rows that agree on the dependency and bound
-        columns (the frontier is DFS-sorted, so the innermost-varying
-        column produces long such runs) share one candidate-set
-        evaluation — count once, multiply by the run length, then
-        subtract the per-row already-used corrections."""
-        obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="direct").inc()
-        plan = self.plan
-        deps = plan.deps[depth]
+        The window is ``(max lower columns, min upper columns)``; every
+        bound vertex of the row that falls inside the windowed set is
+        subtracted (dependency columns cannot, there are no self-loops).
+        With ``src`` — a pool covering every dependency — the windowed
+        sizes come straight from the keyed binary search, no gather at
+        all.  Without it, rows that agree on the dependency values and
+        the window share one candidate-set evaluation: when those
+        depend on a column prefix the DFS-sorted frontier keeps equal
+        keys adjacent (run detection suffices), otherwise the keys are
+        sorted together first.
+        """
         n = self._n
-        lo, hi = self._bounds(front, depth)
+        lo, hi = _window(front, lower, upper)
+        if src is not None:
+            _, counts = self._window_ranges(src, lo, hi)
 
-        key_cols = [front[:, j] for j in deps]
-        if lo is not None:
-            key_cols.append(lo)
-        if hi is not None:
-            key_cols.append(hi)
-        keys = np.column_stack(key_cols)
-        change = np.empty(len(front), dtype=bool)
-        change[0] = True
-        np.any(keys[1:] != keys[:-1], axis=1, out=change[1:])
-        reps = np.flatnonzero(change)
-        run_len = np.diff(np.append(reps, len(front)))
+            def inside(used):
+                return bulk_contains_sorted(src.keys, src.row_map * n + used)
 
-        rep_front = front[reps]
-        rep_lo = lo[reps] if lo is not None else None
-        rep_hi = hi[reps] if hi is not None else None
-        pivot, starts, counts = self._pivot_ranges(rep_front, deps, rep_lo, rep_hi)
-        if len(deps) == 1:
-            base = counts
         else:
-            owner, cand = gather_ranges(self.graph.indices, starts, counts)
-            mask = np.ones(len(cand), dtype=bool)
-            for j in deps:
-                if j != pivot:
-                    mask &= bulk_contains_sorted(
-                        self._edge_keys, rep_front[owner, j] * n + cand
-                    )
-            base = np.bincount(owner[mask], minlength=len(reps))
-        total = int((base * run_len).sum())
+            key_cols = [front[:, j] for j in deps]
+            if lo is not None:
+                key_cols.append(lo)
+            if hi is not None:
+                key_cols.append(hi)
+            keys = np.column_stack(key_cols)
+            order = None
+            cols = set(deps) | set(lower) | set(upper)
+            if cols != set(range(len(cols))):
+                # The key skips an earlier column, so equal keys are
+                # scattered across the DFS order: sort them together.
+                order = np.lexsort(keys.T)
+                keys = keys[order]
+            change = np.empty(len(front), dtype=bool)
+            change[0] = True
+            np.any(keys[1:] != keys[:-1], axis=1, out=change[1:])
+            reps = np.flatnonzero(change)
+            group = np.cumsum(change) - 1
+            if order is not None:
+                reps = order[reps]
+                group[order] = group.copy()
 
-        # Already-used vertices inside the candidate window would be
-        # over-counted; dependency columns cannot occur (no self-loops).
+            rep_front = front[reps]
+            rep_lo = lo[reps] if lo is not None else None
+            rep_hi = hi[reps] if hi is not None else None
+            pivot, starts, base = self._pivot_ranges(rep_front, deps, rep_lo, rep_hi)
+            if len(deps) > 1:
+                owner, cand = gather_ranges(self.graph.indices, starts, base)
+                mask = np.ones(len(cand), dtype=bool)
+                for j in deps:
+                    if j != pivot:
+                        mask &= bulk_contains_sorted(
+                            self._edge_keys, rep_front[owner, j] * n + cand
+                        )
+                base = np.bincount(owner[mask], minlength=len(reps))
+            counts = base[group]
+
+            def inside(used):
+                hit = np.ones(len(front), dtype=bool)
+                for j in deps:
+                    hit &= bulk_contains_sorted(self._edge_keys, front[:, j] * n + used)
+                return hit
+
         rows = np.arange(len(front))
-        for k in range(depth):
+        for k in range(front.shape[1]):
             if k in deps:
                 continue
             used = front[:, k]
-            hit = np.ones(len(front), dtype=bool)
-            for j in deps:
-                hit &= bulk_contains_sorted(
-                    self._edge_keys, front[:, j] * n + used
-                )
-            hit &= restriction_mask(
-                front, rows, used, plan.lower[depth], plan.upper[depth]
-            )
-            total -= int(hit.sum())
-        return total
+            hit = inside(used) & restriction_mask(front, rows, used, lower, upper)
+            counts = counts - hit
+        return counts
+
+    def _count_iep(self, front: np.ndarray, prev: _CandidateSource | None) -> int:
+        """The raw IEP suffix over a frontier of outer assignments.
+
+        One :meth:`_row_counts` column per distinct block signature,
+        combined exactly by the partition-lattice formula; the
+        ``iep_overcount`` division is left to :meth:`count`.  Signatures
+        run smallest dependency set first, so a pool materialised for a
+        block (``N(a) ∩ N(b)`` per distinct ``(a, b)``) is chained into
+        every larger block over the same columns, exactly as the loop
+        depths chain theirs.
+        """
+        signatures = self._iep_signatures
+        pools = [prev] if prev is not None else []
+        cards: list = [None] * len(signatures)
+        for i in sorted(range(len(signatures)), key=lambda i: len(signatures[i][0])):
+            deps, lower, upper = signatures[i]
+            src = None
+            for pool in pools:
+                src = self._chain_source(front, deps, pool)
+                if src is not None:
+                    break
+            if src is None:
+                store_wanted = any(set(deps) < set(d) for d, _, _ in signatures)
+                src = self._group_source(front, deps, store_wanted)
+                if src is not None:
+                    pools.append(src)
+            cards[i] = self._row_counts(front, deps, lower, upper, src)
+        obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="iep").inc(len(cards))
+        return _iep_combine(cards, self._iep_terms)
 
     def _roots(self) -> np.ndarray:
         roots = self.graph.vertices()
@@ -737,16 +860,18 @@ class FrontierEngine:
     # ------------------------------------------------------------------
     def count(self) -> int:
         """Total number of embeddings under this plan (cf. ``Engine.count``)."""
-        return self.count_roots(self.graph.vertices())
+        return apply_overcount(self.plan, self.count_roots(self.graph.vertices()))
 
     def count_roots(self, roots) -> int:
-        """Embeddings whose root (outermost loop) vertex lies in ``roots``.
+        """Raw embeddings whose root (outermost loop) vertex lies in ``roots``.
 
         The per-task entry point of the distributed backend: a root-range
         task is one bulk frontier sweep, and summing ``count_roots`` over
-        a partition of the vertex set equals :meth:`count` exactly.
-        ``roots`` may be any 1-D sequence of vertex ids; it is swept in
-        ``root_chunk``-sized batches like the full count.
+        a partition of the vertex set, then dividing by
+        ``plan.iep_overcount`` (:func:`~repro.core.iep.apply_overcount`),
+        equals :meth:`count` exactly.  ``roots`` may be any 1-D sequence
+        of vertex ids; it is swept in ``root_chunk``-sized batches like
+        the full count.
         """
         plan = self.plan
         if plan.n > self._n:
@@ -760,7 +885,7 @@ class FrontierEngine:
         for start in range(0, len(roots), self.root_chunk):
             front = roots[start : start + self.root_chunk, None]
             prev: _CandidateSource | None = None
-            for depth in range(1, plan.n):
+            for depth in range(1, plan.n_loops):
                 if depth == plan.n - 1:
                     with span("depth", depth=depth, last=True) as sp:
                         c = self._count_last(front, depth, prev)
@@ -775,9 +900,19 @@ class FrontierEngine:
                         source="pool" if src.materialised else "csr",
                     )
                 if len(cand) == 0:
+                    front = front[:0]
                     break
                 front = np.concatenate([front[owner], cand[:, None]], axis=1)
                 prev = src.aligned(owner) if src.materialised else None
+            if plan.iep_k and len(front):
+                with span("depth", depth=plan.n_loops, iep=plan.iep_k) as sp:
+                    c = self._count_iep(front, prev)
+                    sp.set(
+                        rows=len(front),
+                        blocks=len(self._iep_signatures),
+                        count=c,
+                    )
+                total += c
         return total
 
     # ------------------------------------------------------------------
@@ -792,6 +927,8 @@ class FrontierEngine:
         ``limit=5`` call touches a handful of roots, not the graph.
         """
         plan = self.plan
+        if plan.iep_k > 0:
+            raise ValueError("enumeration requires a plan compiled with iep_k=0")
         if plan.n > self._n:
             return
         schedule = plan.config.schedule
@@ -823,10 +960,11 @@ class FrontierEngine:
         ``d`` — the raw material of skeleton-sharing reduction
         (:mod:`repro.core.reduction`), which classifies whole blocks
         against directed arc constraints without ever materialising
-        per-embedding tuples.  Requires an IEP-free plan (enforced at
-        construction).
+        per-embedding tuples.  Requires an IEP-free plan.
         """
         plan = self.plan
+        if plan.iep_k > 0:
+            raise ValueError("frontier blocks require a plan compiled with iep_k=0")
         if plan.n > self._n:
             return
         for roots in self._root_chunks():
@@ -943,16 +1081,6 @@ class DirectedFrontierEngine:
         self._refs = tuple(refs)
         self._dep_cols = tuple(dep_cols)
 
-    def _bounds(
-        self, front: np.ndarray, depth: int
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Per-row restriction window, exactly :meth:`FrontierEngine._bounds`."""
-        plan = self.plan
-        lower, upper = plan.lower[depth], plan.upper[depth]
-        lo = front[:, lower].max(axis=1) if lower else None
-        hi = front[:, upper].min(axis=1) if upper else None
-        return lo, hi
-
     def _ref_ranges(
         self,
         ref: _DepRef,
@@ -988,7 +1116,7 @@ class DirectedFrontierEngine:
         """
         n = self._n
         refs = self._refs[depth]
-        lo, hi = self._bounds(front, depth)
+        lo, hi = _window(front, self.plan.lower[depth], self.plan.upper[depth])
         best = None
         for i, ref in enumerate(refs):
             starts, counts = self._ref_ranges(ref, front[:, ref.col], lo, hi)
@@ -1123,7 +1251,7 @@ def frontier_engine_for(
 
 @register_backend
 class VectorisedBackend(ExecutionBackend):
-    """Bulk frontier execution over numpy arrays (IEP-free plans).
+    """Bulk frontier execution over numpy arrays (bulk IEP in plain mode).
 
     Constructor options: ``root_chunk`` — root vertices per frontier
     sweep (peak-memory bound; default ``DEFAULT_ROOT_CHUNK``); ``aux``
@@ -1135,7 +1263,7 @@ class VectorisedBackend(ExecutionBackend):
     supports_enumeration = True
     capabilities = BackendCapabilities(
         modes=frozenset(_FRONTIER_MODES | {"directed"}),
-        iep=False,
+        iep=True,
         enumeration=True,
         traced=True,
     )
@@ -1159,7 +1287,7 @@ class VectorisedBackend(ExecutionBackend):
         return (
             ctx.mode in _FRONTIER_MODES
             and isinstance(ctx.plan, ExecutionPlan)
-            and ctx.plan.iep_k == 0
+            and (ctx.plan.iep_k == 0 or ctx.mode == "plain")
             and all(ctx.plan.deps[d] for d in range(1, ctx.plan.n))
         )
 

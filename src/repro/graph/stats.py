@@ -12,8 +12,9 @@ embeddings* (ordered, as an unrestricted matcher would count them), i.e.
 6x the number of distinct triangles; ``GraphStats`` stores the distinct
 count and exposes the paper's quantities as properties.
 
-Triangle counting uses ``A @ A ∘ A`` over ``scipy.sparse`` when available
-(fast, vectorised) and falls back to per-edge sorted intersections.
+Triangle counting uses ``U @ U ∘ U`` over ``scipy.sparse`` when available
+(``U`` the degree-oriented adjacency; fast, vectorised, no hub blow-up)
+and falls back to per-edge sorted intersections.
 """
 
 from __future__ import annotations
@@ -36,13 +37,20 @@ def triangle_count(graph: Graph) -> int:
     if graph.n_edges == 0:
         return 0
     if _sp is not None:
-        adj = _sp.csr_matrix(
-            (np.ones(len(graph.indices), dtype=np.int64), graph.indices, graph.indptr),
-            shape=(graph.n_vertices, graph.n_vertices),
+        # Orient every edge from lower to higher (degree, id) rank: each
+        # triangle then closes exactly one oriented 2-path, and a hub's
+        # quadratic wedge fan (a 20 000-leaf star: 4e8 entries in the
+        # unoriented ``A @ A``) never materialises.
+        n, degrees = graph.n_vertices, graph.degrees
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(degrees, kind="stable")] = np.arange(n)
+        src = np.repeat(np.arange(n), degrees)
+        keep = rank[src] < rank[graph.indices]
+        up = _sp.csr_matrix(
+            (np.ones(int(keep.sum()), dtype=np.int64), (src[keep], graph.indices[keep])),
+            shape=(n, n),
         )
-        paths2 = adj @ adj
-        closed = paths2.multiply(adj).sum()
-        return int(closed) // 6
+        return int((up @ up).multiply(up).sum())
     return _triangle_count_merge(graph)
 
 

@@ -26,7 +26,7 @@ def clique_count(graph: Graph, k: int, *, use_iep: bool | None = None, backend=N
     """Count k-cliques via the full GraphPi pipeline.
 
     ``backend`` picks the execution backend from the registry
-    (compiled-first by default; ``"parallel"`` fans the ordered
+    (the vectorised frontier engine by default; ``"parallel"`` fans the ordered
     enumeration out over worker processes).  Queries go through the
     graph's shared session, so repeated clique counts replay the
     cached plan.

@@ -36,7 +36,7 @@ def motif_census(
     Returns counts ordered by edge count then canonical form (stable
     across runs).  k ≤ 5 keeps the pattern set small (3, 6, 21 motifs
     for k = 3, 4, 5).  ``backend`` selects the execution backend for
-    every per-pattern count (default: compiled-first).
+    every per-pattern count (default: the registry's default order).
 
     The census is a batch of :class:`~repro.core.query.MatchQuery`
     objects against one :class:`~repro.core.session.MatchSession`

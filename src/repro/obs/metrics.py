@@ -346,6 +346,12 @@ BACKEND_COUNTS = REGISTRY.counter(
     "Session count executions, by the backend that ran them.",
     labels=("backend",),
 )
+BACKEND_FALLBACKS = REGISTRY.counter(
+    "repro_backend_fallbacks_total",
+    "Explicit backend preferences replaced because the backend could not "
+    "serve the call, by requested and substitute backend.",
+    labels=("requested", "ran"),
+)
 FRONTIER_ROWS = REGISTRY.counter(
     "repro_frontier_rows_total",
     "Candidate rows gathered by the frontier engines before masking.",
@@ -353,7 +359,8 @@ FRONTIER_ROWS = REGISTRY.counter(
 FRONTIER_INTERSECTIONS = REGISTRY.counter(
     "repro_frontier_intersections_total",
     "Bulk intersection/membership passes, by kernel "
-    "(membership, pooled, direct, directed).",
+    "(membership, pooled, direct, directed, iep = one per IEP block "
+    "signature).",
     labels=("kernel",),
 )
 FRONTIER_SOURCES = REGISTRY.counter(

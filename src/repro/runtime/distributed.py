@@ -36,7 +36,6 @@ faithful, absolute kernel speed is not.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -48,7 +47,6 @@ from repro.core.backend import (
     BackendCapabilities,
     ExecutionBackend,
     MatchContext,
-    capabilities_of,
     make_engine,
     make_prefix_counter,
     register_backend,
@@ -148,12 +146,13 @@ def make_task_counter(
     The distributed analogue of :func:`~repro.core.backend.
     make_prefix_counter`: ``inner`` (one of :data:`INNER_BACKENDS`)
     names the executor that should do the real counting inside each
-    root-range task, with the compiled-first fallback chain applied
-    where the preferred strategy cannot serve the context:
+    root-range task, with a fallback chain applied where the preferred
+    strategy cannot serve the context:
 
-    * ``"vectorised"`` — one bulk frontier sweep per range (plain,
-      labeled, induced or directed IEP-free, connected-prefix plans);
-      otherwise falls through to
+    * ``"vectorised"`` — one bulk frontier sweep per range (plain plans
+      with or without an IEP suffix; labeled, induced or directed
+      IEP-free plans; connected-prefix schedules); otherwise falls
+      through to
     * ``"compiled"`` — the generated depth-1 prefix kernel, summed per
       root (plain :class:`~repro.core.config.ExecutionPlan` with at
       least two loops); otherwise
@@ -283,21 +282,15 @@ class DistributedBackend(ExecutionBackend):
     on every entry point — for callers that only want exact counts
     through the distributed partitioning).
 
-    Capabilities are honest per instance: the class-level default
-    declares ``iep=False`` because the default inner executor is the
-    vectorised frontier engine (so a name-channel
-    ``backend="distributed"`` preference plans IEP-free, the regime the
-    bulk path covers); an instance configured with an IEP-capable inner
-    (``inner="compiled"`` or ``"interpreter"``) advertises ``iep=True``
-    and gets IEP plans, executed via per-root prefix counting with the
-    single final overcount division — the paper's distributed
-    aggregation.
+    Every inner executor runs IEP-suffix plans: each root-range task
+    returns a raw partial sum and the master applies the single final
+    overcount division — the paper's distributed aggregation.
     """
 
     name = "distributed"
     supports_enumeration = False
     capabilities = BackendCapabilities(
-        modes=frozenset(MODES), iep=False, traced=True
+        modes=frozenset(MODES), iep=True, traced=True
     )
 
     def __init__(
@@ -338,13 +331,6 @@ class DistributedBackend(ExecutionBackend):
         self.seed = seed
         self.record_tasks = record_tasks
         self.simulate = simulate
-        inner_caps = capabilities_of(inner)
-        if inner_caps is not None and inner_caps.iep:
-            # Per-instance honesty: with an IEP-capable inner executor,
-            # capability-aware planning may keep the IEP suffix.
-            self.capabilities = dataclasses.replace(
-                type(self).capabilities, iep=True
-            )
 
     def supports(self, ctx: MatchContext) -> bool:
         # Root tasks split the outermost loop, so the plan needs a

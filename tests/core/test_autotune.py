@@ -287,7 +287,8 @@ class TestSweep:
         assert choice_applicable(iep_choice, plain)
         assert not choice_applicable(ProfileChoice.make("ghost"), plain)
         vect_iep = ProfileChoice.make("vectorised", use_iep=True)
-        assert not choice_applicable(vect_iep, plain)  # caps.iep is False
+        assert choice_applicable(vect_iep, plain)  # bulk IEP: caps.iep
+        assert not choice_applicable(vect_iep, induced)
 
     def test_default_grid_heavy_superset(self):
         light = default_choice_grid()

@@ -1,7 +1,7 @@
 """The pluggable execution-backend layer.
 
-Two halves: registry mechanics (registration, lookup, the
-compiled-first selection policy) and the cross-backend equivalence
+Two halves: registry mechanics (registration, lookup, the default
+selection order and the counted fallbacks) and the cross-backend equivalence
 catalog — every registered backend must return counts identical to the
 brute-force oracle for every pattern in the catalog, on plain,
 induced, labeled and directed workloads where the backend supports
@@ -17,6 +17,7 @@ from repro.baselines.bruteforce import (
 )
 from repro.core.api import PatternMatcher, count_pattern
 from repro.core.backend import (
+    DEFAULT_ORDER,
     BackendUnsupportedError,
     ExecutionBackend,
     MatchContext,
@@ -37,6 +38,7 @@ from repro.core.schedule import generate_schedules
 from repro.graph.digraph import random_digraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.labeled import assign_random_labels
+from repro.obs import metrics as obs_metrics
 from repro.pattern.catalog import clique, house, pentagon, rectangle, triangle
 from repro.pattern.directed import directed_cycle, transitive_triangle
 from repro.pattern.labeled import LabeledPattern
@@ -74,7 +76,7 @@ class TestRegistry:
         assert infos["compiled"].capabilities.supports_mode("directed")
         assert infos["vectorised"].capabilities.supports_mode("directed")
         assert infos["compiled"].capabilities.generated_kernels
-        assert not infos["vectorised"].capabilities.iep
+        assert infos["vectorised"].capabilities.iep  # bulk IEP suffix
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -123,9 +125,47 @@ class TestRegistry:
 
 
 class TestSelection:
-    def test_default_is_compiled_for_plain_counts(self, er_small):
-        ctx = plain_context(er_small, make_plan(house()))
+    def test_default_is_vectorised_for_plain_counts(self, er_small):
+        # With and without an IEP suffix: the frontier engine counts
+        # both, so no preference lands on it first.
+        for iep_k in (0, 1):
+            ctx = plain_context(er_small, make_plan(house(), iep_k=iep_k))
+            assert select_backend(ctx, None).name == "vectorised"
+            assert get_backend("vectorised").count(ctx) == get_backend(
+                "interpreter"
+            ).count(ctx)
+
+    def test_default_order_falls_through_to_compiled(self, er_small):
+        # A disconnected-prefix schedule has no pivot for the frontier
+        # engine; the generated kernel is next in the default order.
+        plan = Configuration(rectangle(), (0, 2, 1, 3), frozenset()).compile()
+        ctx = plain_context(er_small, plan)
+        assert not get_backend("vectorised").supports(ctx)
         assert select_backend(ctx, None).name == "compiled"
+        assert DEFAULT_ORDER == ("vectorised", "compiled", "interpreter")
+
+    def test_default_enumeration_is_vectorised(self, er_small):
+        ctx = plain_context(er_small, make_plan(house()))
+        assert select_backend(ctx, None, for_enumeration=True).name == "vectorised"
+
+    def test_fallbacks_are_counted(self, er_small):
+        registry = obs_metrics.REGISTRY
+        sample = (
+            'repro_backend_fallbacks_total{requested="compiled",ran="interpreter"}'
+        )
+        ctx = plain_context(er_small, make_plan(house()))
+        before = registry.snapshot()
+        assert select_backend(ctx, "compiled", for_enumeration=True).name == "interpreter"
+        assert registry.delta(before) == {sample: 1.0}
+        # honoured preferences and the no-preference walk count nothing
+        before = registry.snapshot()
+        select_backend(ctx, "compiled")
+        select_backend(ctx, None)
+        select_backend(ctx, None, for_enumeration=True)
+        assert not any(
+            name.startswith("repro_backend_fallbacks_total")
+            for name in registry.delta(before)
+        )
 
     def test_enumeration_falls_back_to_interpreter(self, er_small):
         ctx = plain_context(er_small, make_plan(house()))

@@ -172,6 +172,10 @@ class TestDirectedKernels:
         assert first.count == second.count
         assert first.backend == second.backend == "compiled"
         assert second.cache_hit
+        # the same cached plan with no preference runs on the frontier
+        default = session.count(query)
+        assert default.backend == "vectorised"
+        assert default.count == first.count
 
 
 # ---------------------------------------------------------------------------

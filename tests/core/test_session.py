@@ -126,7 +126,9 @@ class TestMatchResult:
 
     def test_records_provenance_and_backend(self, er_small):
         res = MatchSession(er_small).count(MatchQuery(house()))
-        assert res.backend == "compiled"
+        # no preference: the frontier engine runs the IEP plan itself
+        assert res.backend == "vectorised"
+        assert res.count == bruteforce_count(er_small, house())
         assert res.mode == "plain" and res.semantics == "edge"
         assert "schedule" in res.provenance
         assert res.seconds_total >= res.seconds_execute >= 0

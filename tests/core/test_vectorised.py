@@ -10,10 +10,10 @@ Four layers of coverage:
 * cross-backend equivalence: every registered backend — vectorised
   included — over the fig2/catalog pattern set on generated *and*
   dataset graphs;
-* the fallback rules: IEP-suffix and directed contexts bounce to the
-  interpreter (labeled and induced are first-class now — anti-edge and
-  label masks run on the frontier), and capability-aware planning gives
-  the vectorised preference an IEP-free plan it can execute;
+* the fallback rules: plain IEP-suffix plans run on the frontier (bulk
+  IEP), labeled/induced IEP-suffix contexts bounce to the interpreter,
+  and labeled and induced IEP-free plans are first-class (anti-edge and
+  label masks run on the frontier);
 * auxiliary-graph pruning: forced-on/off/auto engines agree with brute
   force across the catalog, the scratch-CSR primitives match their
   per-row reference intersections, and the weak-keyed edge-key cache
@@ -168,7 +168,7 @@ class TestCrossBackendEquivalence:
         assert caps.supports_mode("labeled")
         assert caps.supports_mode("induced")
         assert caps.supports_mode("directed")
-        assert not caps.iep
+        assert caps.iep
         assert caps.enumeration
 
     @pytest.mark.parametrize("pattern", FIG2_PATTERNS, ids=lambda p: p.name)
@@ -238,16 +238,24 @@ class TestCrossBackendEquivalence:
 # fallback rules
 # ---------------------------------------------------------------------------
 class TestFallbacks:
-    def test_iep_plan_falls_back_to_interpreter(self, er_small):
+    def test_iep_plan_runs_vectorised(self, er_small):
         session = MatchSession(er_small)
-        result = session.count(
-            MatchQuery(house(), use_iep=True, backend="vectorised")
-        )
-        assert result.backend == "interpreter"
+        query = MatchQuery(house(), use_iep=True, backend="vectorised")
+        assert session.plan_for(query).plan.iep_k > 0
+        result = session.count(query)
+        assert result.backend == "vectorised"
         assert result.count == bruteforce_count(er_small, house())
+        ctx = plain_context(er_small, make_plan(pentagon(), iep_k=1))
+        assert get_backend("vectorised").supports(ctx)
+        assert select_backend(ctx, "vectorised").name == "vectorised"
+        assert select_backend(ctx, None).name == "vectorised"
 
     def test_iep_context_not_supported(self, er_small):
-        ctx = plain_context(er_small, make_plan(pentagon(), iep_k=1))
+        # Bulk IEP assumes plain edge semantics: an induced context
+        # carrying an IEP-suffix plan still bounces to the interpreter.
+        ctx = MatchContext(
+            graph=er_small, plan=make_plan(pentagon(), iep_k=1), mode="induced"
+        )
         backend = get_backend("vectorised")
         assert not backend.supports(ctx)
         with pytest.raises(BackendUnsupportedError):
@@ -270,16 +278,22 @@ class TestFallbacks:
         assert backend.count(ctx) == bruteforce_induced_count(er_small, rectangle())
 
     def test_frontier_engine_rejects_iep_plans(self, er_small):
-        with pytest.raises(ValueError, match="IEP-free"):
-            FrontierEngine(er_small, make_plan(pentagon(), iep_k=1))
+        # ... outside plain edge semantics; plain IEP plans are counted.
+        plan = make_plan(pentagon(), iep_k=1)
+        with pytest.raises(ValueError, match="plain edge semantics"):
+            FrontierEngine(er_small, plan, induced=True)
+        assert FrontierEngine(er_small, plan).count() == bruteforce_count(
+            er_small, pentagon()
+        )
 
     def test_pattern_larger_than_graph_counts_zero(self):
         tiny = erdos_renyi(4, 0.9, seed=1)
         assert FrontierEngine(tiny, make_plan(clique(5))).count() == 0
 
     def test_capability_gated_iep_resolution(self):
+        # vectorised runs IEP plans now, so its preference keeps them.
         q = MatchQuery(house(), backend="vectorised")
-        assert q.resolved_use_iep is False
+        assert q.resolved_use_iep is True
         assert MatchQuery(house()).resolved_use_iep is True
         assert MatchQuery(house(), backend="compiled").resolved_use_iep is True
         # explicit use_iep always wins over the capability default
@@ -290,7 +304,7 @@ class TestFallbacks:
         assert capabilities_of("no-such-backend") is None
         inst = get_backend("vectorised")
         assert capabilities_of(inst) is inst.capabilities
-        assert capabilities_of("vectorised").iep is False
+        assert capabilities_of("vectorised").iep is True
 
 
 # ---------------------------------------------------------------------------

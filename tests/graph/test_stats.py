@@ -39,6 +39,14 @@ class TestTriangleCount:
         g = erdos_renyi(80, 0.15, seed=21)
         assert triangle_count(g) == _triangle_count_merge(g)
 
+    def test_hub_graph_agrees_with_merge(self):
+        # A hub adjacent to everything plus a sparse rim: the degree
+        # orientation must still close every triangle exactly once.
+        rim = erdos_renyi(300, 0.02, seed=5)
+        g = graph_from_edges(list(rim.edges()) + [(300, v) for v in range(300)])
+        expected = rim.n_edges + _triangle_count_merge(rim)  # hub + rim triangles
+        assert triangle_count(g) == _triangle_count_merge(g) == expected
+
 
 class TestWedgesAndClustering:
     def test_wedges_of_star(self):

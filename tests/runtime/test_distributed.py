@@ -22,10 +22,18 @@ from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import bruteforce_count
 from repro.core.api import count_pattern, match_query
-from repro.core.backend import BackendUnsupportedError, get_backend
+from repro.core.backend import (
+    BackendUnsupportedError,
+    MatchContext,
+    get_backend,
+    make_engine,
+)
+from repro.core.config import Configuration
 from repro.core.query import MatchQuery
 from repro.core.session import MatchSession, get_session
-from repro.pattern.catalog import get_pattern, house, triangle
+from repro.pattern.automorphism import automorphisms
+from repro.pattern.catalog import get_pattern, house, rectangle, triangle
+from repro.pattern.pattern import Pattern
 from repro.runtime.cluster import scaling_curve
 from repro.runtime.distributed import (
     DEFAULT_NODE_COUNTS,
@@ -94,11 +102,11 @@ class TestCountInvariance:
         assert report.count == 153  # pinned in the conformance goldens
 
     def test_iep_plan_counts_exactly(self, er_small):
-        """IEP-capable inner: raw partial sums + one final division."""
+        """Every inner executor: raw partial sums + one final division."""
         ctx = plan_ctx(er_small, house(), use_iep=True)
         assert ctx.plan.iep_k > 0
         expected = bruteforce_count(er_small, house())
-        for inner in ("compiled", "interpreter"):
+        for inner in ("vectorised", "compiled", "interpreter"):
             report = distributed_count_ctx(ctx, node_counts=(1,), inner=inner)
             assert report.count == expected, inner
             assert report.inner_backend == inner
@@ -199,10 +207,27 @@ class TestTaskCounter:
         total = counter(list(range(er_small.n_vertices)))
         assert total == bruteforce_count(er_small, house())
 
-    def test_iep_plan_falls_back_to_prefix_kernel(self, er_small):
+    def test_iep_plan_stays_on_the_bulk_path(self, er_small):
         ctx = plan_ctx(er_small, house(), use_iep=True)
-        _, effective = make_task_counter(ctx, "vectorised")
+        assert ctx.plan.iep_k > 0
+        counter, effective = make_task_counter(ctx, "vectorised")
+        assert effective == "vectorised"
+        raw = counter(list(range(er_small.n_vertices)))
+        assert make_engine(ctx).finalize_count(raw) == bruteforce_count(
+            er_small, house()
+        )
+
+    def test_iep_plan_falls_back_to_prefix_kernel(self, er_small):
+        # Only a plan the frontier engine cannot pivot (a disconnected
+        # prefix) drops to the generated prefix kernel.
+        plan = Configuration(rectangle(), (0, 2, 1, 3), frozenset()).compile(iep_k=2)
+        ctx = MatchContext(graph=er_small, plan=plan)
+        counter, effective = make_task_counter(ctx, "vectorised")
         assert effective == "compiled"
+        raw = counter(list(range(er_small.n_vertices)))
+        assert make_engine(ctx).finalize_count(raw) == bruteforce_count(
+            er_small, rectangle()
+        ) * len(automorphisms(rectangle()))
 
     def test_induced_mode_stays_vectorised_with_induced_counts(self, er_small):
         # The frontier engine serves induced contexts directly now; the
@@ -327,13 +352,29 @@ class TestCapabilityFallbacks:
         assert result.count == session.count(query, backend="interpreter").count
 
     def test_capability_aware_iep_resolution(self):
-        """Name channel plans IEP-free (vectorised inner); an IEP-capable
-        inner flips the instance's declared capability."""
-        assert MatchQuery(house(), backend="distributed").resolved_use_iep is False
-        iep_capable = DistributedBackend(inner="compiled")
-        assert iep_capable.capabilities.iep is True
-        assert MatchQuery(house(), backend=iep_capable).resolved_use_iep is True
-        assert DistributedBackend().capabilities.iep is False
+        """Every inner executor runs IEP plans, so every channel keeps
+        the IEP suffix."""
+        assert DistributedBackend.capabilities.iep is True
+        assert MatchQuery(house(), backend="distributed").resolved_use_iep is True
+        for inner in ("vectorised", "compiled", "interpreter"):
+            backend = DistributedBackend(inner=inner)
+            assert backend.capabilities.iep is True
+            assert MatchQuery(house(), backend=backend).resolved_use_iep is True
+
+    def test_session_iep_plan_divides_once(self, er_small):
+        """backend="distributed" on an IEP plan whose overcount is not 1:
+        the vectorised tasks return raw sums, the master divides once."""
+        diamond = Pattern(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], name="diamond")
+        session = MatchSession(er_small)
+        query = MatchQuery(diamond)
+        plan = session.plan_for(query).plan
+        assert plan.iep_k > 0 and plan.n_loops >= 2 and plan.iep_overcount > 1
+        result = session.count(query, backend="distributed")
+        assert result.backend == "distributed"
+        assert result.distributed_report.inner_backend == "vectorised"
+        expected = session.count(query, backend="interpreter").count
+        assert expected > 0
+        assert result.count == expected == bruteforce_count(er_small, diamond)
 
     def test_preference_channels_attach_report(self, er_small):
         expected = bruteforce_count(er_small, triangle())
