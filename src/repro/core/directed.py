@@ -34,6 +34,7 @@ counting uses plain enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -45,13 +46,15 @@ from repro.core.restrictions import (
     Restriction,
     RestrictionGenerator,
     RestrictionSet,
+    SymmetryGroup,
     check_restrictions_applicable,
 )
-from repro.core.schedule import Schedule, generate_schedules
+from repro.core.schedule import Schedule, dedup_schedules, generate_schedules
 from repro.graph.digraph import DiGraph
 from repro.graph.intersection import bounded_slice, intersect_many
 from repro.graph.stats import GraphStats
 from repro.pattern.directed import DiPattern, directed_automorphisms
+from repro.pattern.permutation import Perm
 from repro.utils.timing import Timer
 
 
@@ -59,10 +62,16 @@ from repro.utils.timing import Timer
 # preprocessing
 # ---------------------------------------------------------------------------
 def generate_directed_restriction_sets(
-    pattern: DiPattern, *, validate: bool = True, max_sets: int | None = None
+    pattern: DiPattern,
+    *,
+    validate: bool = True,
+    max_sets: int | None = None,
+    auts: list[Perm] | None = None,
 ) -> list[RestrictionSet]:
-    """Algorithm 1 on the direction-preserving automorphism subgroup."""
-    auts = directed_automorphisms(pattern)
+    """Algorithm 1 on the direction-preserving automorphism subgroup
+    (``auts`` passes that subgroup when the caller already holds it)."""
+    if auts is None:
+        auts = directed_automorphisms(pattern)
     gen = RestrictionGenerator(
         pattern.skeleton(), validate=validate, max_sets=max_sets, auts=auts
     )
@@ -75,29 +84,26 @@ def generate_directed_restriction_sets(
 
 
 def generate_directed_schedules(
-    pattern: DiPattern, *, dedup_automorphic: bool = True
+    pattern: DiPattern,
+    *,
+    dedup_automorphic: bool = True,
+    auts: list[Perm] | None = None,
 ) -> list[Schedule]:
     """2-phase schedules on the skeleton, deduped by the directed group.
 
     Directed relabelling equivalence is coarser than undirected (the
     directed group is a subgroup), so dedup here keeps more schedules
     than the undirected dedup would — each genuinely distinct loop nest
-    survives.
+    survives.  ``auts`` passes the directed group when the caller
+    already holds it.
     """
-    schedules = generate_schedules(pattern.skeleton(), dedup_automorphic=False)
+    skeleton = pattern.skeleton()
+    schedules = generate_schedules(skeleton, dedup_automorphic=False)
     if not dedup_automorphic:
         return schedules
-    auts = directed_automorphisms(pattern)
-    seen: set[Schedule] = set()
-    out: list[Schedule] = []
-    for s in schedules:
-        orbit = {tuple(sigma[v] for v in s) for sigma in auts}
-        canon = min(orbit)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(s)
-    return out
+    if auts is None:
+        auts = directed_automorphisms(pattern)
+    return dedup_schedules(skeleton, schedules, auts=auts)
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,7 @@ def compile_directed_plan(
     restrictions: frozenset[Restriction] | set[Restriction],
     *,
     iep_k: int = 0,
+    auts: list[Perm] | None = None,
 ) -> DirectedPlan:
     """Resolve a directed (schedule, restriction set) into per-depth ops.
 
@@ -151,7 +158,7 @@ def compile_directed_plan(
     placement mirrors the undirected compiler: outer↔inner restrictions
     become range bounds on the inner candidate sets, inner↔inner ones
     are dropped and compensated by the exact per-orbit multiplicity over
-    the directed group.
+    the directed group (``auts`` passes it when the caller holds it).
     """
     from repro.core.restrictions import iep_overcount_multiplicity
     from repro.core.schedule import intersection_free_suffix_length
@@ -200,9 +207,9 @@ def compile_directed_plan(
     overcount = 1
     if dropped:
         kept = frozenset(restrictions) - frozenset(dropped)
-        overcount = iep_overcount_multiplicity(
-            skeleton, kept, auts=directed_automorphisms(pattern)
-        )
+        if auts is None:
+            auts = directed_automorphisms(pattern)
+        overcount = iep_overcount_multiplicity(skeleton, kept, auts=auts)
     return DirectedPlan(
         pattern=pattern,
         schedule=tuple(schedule),
@@ -450,16 +457,23 @@ class DirectedMatcher:
         self._restriction_cache: list[RestrictionSet] | None = None
         self._schedule_cache: list[Schedule] | None = None
 
+    @cached_property
+    def _group(self) -> SymmetryGroup:
+        """The direction-preserving group, enumerated once per matcher."""
+        return SymmetryGroup(directed_automorphisms(self.pattern))
+
     def restriction_sets(self) -> list[RestrictionSet]:
         if self._restriction_cache is None:
             self._restriction_cache = generate_directed_restriction_sets(
-                self.pattern, max_sets=self.max_restriction_sets
+                self.pattern, max_sets=self.max_restriction_sets, auts=self._group
             )
         return self._restriction_cache
 
     def schedules(self) -> list[Schedule]:
         if self._schedule_cache is None:
-            self._schedule_cache = generate_directed_schedules(self.pattern)
+            self._schedule_cache = generate_directed_schedules(
+                self.pattern, auts=self._group
+            )
         return self._schedule_cache
 
     def plan(
@@ -507,6 +521,7 @@ class DirectedMatcher:
                         best.config.schedule,
                         best.config.restrictions,
                         iep_k=iep_k,
+                        auts=self._group,
                     )
                 except NonUniformOvercountError:
                     iep_k -= 1  # k = 1 drops nothing, so this terminates

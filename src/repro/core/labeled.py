@@ -21,80 +21,42 @@ label-filtered before the partition formula runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.config import Configuration, ExecutionPlan, compile_plan
 from repro.core.engine import Engine
 from repro.core.iep import IEPCounter
-from repro.core.perf_model import PerformanceModel
+from repro.core.perf_model import CostMemo
 from repro.core.restrictions import (
     NonUniformOvercountError,
+    RestrictionGenerator,
     RestrictionSet,
-    surviving_permutations,
+    SymmetryGroup,
 )
 from repro.core.schedule import generate_schedules, intersection_free_suffix_length
 from repro.graph.labeled import LabeledGraph
 from repro.graph.stats import GraphStats
 from repro.pattern.labeled import LabeledPattern, labeled_automorphisms
-from repro.pattern.permutation import is_identity
+from repro.pattern.permutation import Perm
 
 
-def labeled_restriction_sets(lp: LabeledPattern, *, max_sets: int | None = 64
-                             ) -> list[RestrictionSet]:
-    """Algorithm 1 on the label-preserving automorphism subgroup."""
-    group = labeled_automorphisms(lp)
-    if len(group) == 1:
-        return [frozenset()]
+def labeled_restriction_sets(
+    lp: LabeledPattern, *, max_sets: int | None = 64, auts: list[Perm] | None = None
+) -> list[RestrictionSet]:
+    """Algorithm 1 on the label-preserving automorphism subgroup.
 
-    results: list[RestrictionSet] = []
-    seen: set[RestrictionSet] = set()
-
-    def recurse(pg, res_set: RestrictionSet) -> None:
-        if max_sets is not None and len(results) >= max_sets:
-            return
-        if len(pg) <= 1:
-            if _validate_labeled(lp, res_set, len(group)):
-                results.append(res_set)
-            return
-        for perm in pg:
-            if is_identity(perm):
-                continue
-            for vertex, image in enumerate(perm):
-                if image == vertex or perm[image] != vertex:
-                    continue
-                new_set = frozenset(res_set | {(vertex, image)})
-                if new_set in seen:
-                    continue
-                seen.add(new_set)
-                recurse(surviving_permutations(pg, new_set), new_set)
-                if max_sets is not None and len(results) >= max_sets:
-                    return
-
-    recurse(group, frozenset())
-    if not results:
-        raise RuntimeError(f"no valid labeled restriction set for {lp!r}")
-    return sorted(set(results), key=lambda rs: (len(rs), sorted(rs)))
-
-
-def _validate_labeled(lp: LabeledPattern, res_set: RestrictionSet, group_order: int) -> bool:
-    """Complete-graph validation against the labeled subgroup.
-
-    On K_n with *matching labels per orbit* every labeled assignment in
-    an orbit of the labeled subgroup is an embedding; the restricted
-    count per orbit must be exactly one.  Enumerating rank orderings and
-    checking per-coset satisfaction mirrors the unlabeled validator but
-    against the labeled subgroup's cosets.
+    ``auts`` passes that subgroup when the caller already holds it.  The
+    generator's complete-graph check counts against the subgroup's
+    order; since only the identity survives ``no_conflict`` at an
+    accepted leaf, that count implies exactly one satisfying member per
+    coset of the subgroup.
     """
-    from itertools import permutations as _perms
-
-    n = lp.n_vertices
-    group = labeled_automorphisms(lp)
-    satisfied_per_coset: dict[tuple, int] = {}
-    for ranks in _perms(range(n)):
-        coset = min(tuple(ranks[sigma[v]] for v in range(n)) for sigma in group)
-        ok = all(ranks[g] > ranks[s] for g, s in res_set)
-        satisfied_per_coset[coset] = satisfied_per_coset.get(coset, 0) + (1 if ok else 0)
-    counts = set(satisfied_per_coset.values())
-    return counts == {1}
+    if auts is None:
+        auts = labeled_automorphisms(lp)
+    sets = RestrictionGenerator(lp.pattern, auts=auts, max_sets=max_sets).generate()
+    if not sets:
+        raise RuntimeError(f"no valid labeled restriction set for {lp!r}")
+    return sets
 
 
 class LabeledIEPCounter(IEPCounter):
@@ -165,11 +127,16 @@ class LabeledMatcher:
         self._rset_cache: list[RestrictionSet] | None = None
         self._schedule_cache: list | None = None
 
+    @cached_property
+    def _group(self) -> SymmetryGroup:
+        """The label-preserving subgroup, enumerated once per matcher."""
+        return SymmetryGroup(labeled_automorphisms(self.lpattern))
+
     @property
     def _rsets(self) -> list[RestrictionSet]:
         if self._rset_cache is None:
             self._rset_cache = labeled_restriction_sets(
-                self.lpattern, max_sets=self.max_restriction_sets
+                self.lpattern, max_sets=self.max_restriction_sets, auts=self._group
             )
         return self._rset_cache
 
@@ -188,7 +155,7 @@ class LabeledMatcher:
     ) -> LabeledPlanReport:
         if stats is None:
             stats = GraphStats.of(lgraph.graph)
-        model = PerformanceModel(stats)
+        memo = CostMemo(stats)
         hist = lgraph.label_histogram()
         n = max(1, lgraph.n_vertices)
 
@@ -202,9 +169,7 @@ class LabeledMatcher:
             for rs in self._rsets:
                 config = Configuration(self.lpattern.pattern, schedule, rs)
                 plan = config.compile()
-                from repro.core.perf_model import estimate_cost
-
-                cost = estimate_cost(plan, stats) * max(weight, 1e-12)
+                cost = memo.cost(plan) * max(weight, 1e-12)
                 if best is None or cost < best[0]:
                     best = (cost, config, plan)
         assert best is not None
@@ -213,7 +178,7 @@ class LabeledMatcher:
             # Recompile the winner with the largest uniform-overcount IEP
             # suffix; the divisor group is the *labeled* subgroup, whose
             # symmetry our restriction sets break.
-            group = labeled_automorphisms(self.lpattern)
+            group = self._group
             iep_k = intersection_free_suffix_length(
                 self.lpattern.pattern, config.schedule
             )

@@ -25,54 +25,46 @@ enough to rank thousands of configurations (Table III).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 
-import numpy as np
-
-from repro.core.config import Configuration, ExecutionPlan
+from repro.core.config import Configuration, ExecutionPlan, compile_plan
+from repro.core.restrictions import (
+    NonUniformOvercountError,
+    SymmetryGroup,
+    rank_order_bits,
+    symmetry_group,
+)
+from repro.core.schedule import intersection_free_suffix_length
 from repro.graph.stats import GraphStats
 
 #: relative weight of the "other overhead" o_i term; the paper sets the
 #: per-iteration bookkeeping cost to a constant.
 LOOP_OVERHEAD = 1.0
 
-_rank_matrix_cache: dict[int, np.ndarray] = {}
-
-
-def _rank_matrix(n: int) -> np.ndarray:
-    """All n! orderings as an (n!, n) int8 matrix; row r gives the rank of
-    the vertex bound at each schedule position."""
-    if n not in _rank_matrix_cache:
-        if n > 9:
-            raise ValueError("rank-order enumeration is factorial; n > 9 unsupported")
-        mat = np.array(list(permutations(range(n))), dtype=np.int8)
-        _rank_matrix_cache[n] = mat
-    return _rank_matrix_cache[n]
-
-
 def filter_probabilities(plan: ExecutionPlan) -> list[float]:
     """f_i for every loop, from exact enumeration of relative orderings.
 
     Restrictions are applied in loop order; each filters only the
     orderings that survived all earlier loops, exactly as the generated
-    code would short-circuit.
+    code would short-circuit.  Orderings are rows of the n! rank matrix
+    (row r gives the rank of the vertex bound at each schedule position),
+    held as bitsets (:func:`~repro.core.restrictions.rank_order_bits`).
     """
     n = plan.n
-    ranks = _rank_matrix(n)
-    alive = np.ones(len(ranks), dtype=bool)
+    bits = rank_order_bits(n)
+    alive = (1 << factorial(n)) - 1
     fs: list[float] = []
     for depth in range(n):
-        before = int(alive.sum())
+        before = alive.bit_count()
         if before == 0:
             fs.append(0.0)
             continue
-        mask = alive.copy()
+        mask = alive
         for j in plan.lower[depth]:
-            mask &= ranks[:, depth] > ranks[:, j]
+            mask &= bits[depth][j]
         for j in plan.upper[depth]:
-            mask &= ranks[:, depth] < ranks[:, j]
-        after = int(mask.sum())
+            mask &= bits[j][depth]
+        after = mask.bit_count()
         fs.append((before - after) / before)
         alive = mask
     return fs
@@ -121,11 +113,14 @@ def estimate_cost(plan: ExecutionPlan, stats: GraphStats) -> float:
 
 
 def cost_breakdown(plan: ExecutionPlan, stats: GraphStats) -> CostBreakdown:
-    n = plan.n
     ls = loop_size_estimates(plan, stats)
     fs = filter_probabilities(plan)
     cs = intersection_cost_estimates(plan, stats)
+    return CostBreakdown(tuple(ls), tuple(fs), tuple(cs), _nested_cost(plan, ls, fs, cs))
 
+
+def _nested_cost(plan: ExecutionPlan, ls, fs, cs) -> float:
+    n = plan.n
     n_loops = plan.n_loops
     if plan.iep_k > 0:
         # The k inner loops are replaced by one IEP evaluation whose cost
@@ -142,7 +137,38 @@ def cost_breakdown(plan: ExecutionPlan, stats: GraphStats) -> CostBreakdown:
         cost = ls[n - 1] * (1.0 - fs[n - 1])
         for i in range(n - 2, -1, -1):
             cost = ls[i] * (1.0 - fs[i]) * (cs[i] + LOOP_OVERHEAD + cost)
-    return CostBreakdown(tuple(ls), tuple(fs), tuple(cs), float(cost))
+    return float(cost)
+
+
+class CostMemo:
+    """:func:`estimate_cost` for the many plans of one planning call.
+
+    Plans of one pattern share few distinct shapes: the loop-size and
+    intersection estimates depend only on each loop's dependency count,
+    the filter probabilities only on the ``(lower, upper)`` bound lists.
+    The memo computes each shape's factors once and yields exactly
+    ``estimate_cost``'s value; it lives only as long as the call that
+    made it.
+    """
+
+    def __init__(self, stats: GraphStats):
+        self.stats = stats
+        self._sizes: dict[tuple[int, ...], tuple[list[float], list[float]]] = {}
+        self._filters: dict[tuple, list[float]] = {}
+
+    def cost(self, plan: ExecutionPlan) -> float:
+        counts = tuple(len(deps) for deps in plan.deps)
+        sizes = self._sizes.get(counts)
+        if sizes is None:
+            sizes = self._sizes[counts] = (
+                loop_size_estimates(plan, self.stats),
+                intersection_cost_estimates(plan, self.stats),
+            )
+        bounds = (plan.lower, plan.upper)
+        fs = self._filters.get(bounds)
+        if fs is None:
+            fs = self._filters[bounds] = filter_probabilities(plan)
+        return _nested_cost(plan, sizes[0], fs, sizes[1])
 
 
 @dataclass(frozen=True)
@@ -163,6 +189,7 @@ class PerformanceModel:
         configurations,
         *,
         iep_k: int = 0,
+        auts: list | None = None,
     ) -> list[RankedConfiguration]:
         """Score every configuration, cheapest first.
 
@@ -170,14 +197,22 @@ class PerformanceModel:
         supports it* (its realisable independent suffix is long enough);
         schedules that do not support the requested k are scored without
         IEP — mirroring GraphPi, which only applies IEP to configurations
-        of the right shape.
+        of the right shape.  ``auts`` passes the planning call's
+        automorphism group (of the configurations' one pattern) to the
+        IEP overcount; without it each pattern's group is enumerated once
+        per call.
         """
+        memo = CostMemo(self.stats)
+        groups: dict = {}
         ranked: list[RankedConfiguration] = []
         for config in configurations:
-            plan = _compile_best_effort(config, iep_k)
-            ranked.append(
-                RankedConfiguration(config, plan, estimate_cost(plan, self.stats))
-            )
+            group = None
+            if iep_k > 0:
+                group = groups.get(config.pattern)
+                if group is None:
+                    group = groups[config.pattern] = symmetry_group(config.pattern, auts)
+            plan = _compile_best_effort(config, iep_k, group)
+            ranked.append(RankedConfiguration(config, plan, memo.cost(plan)))
         ranked.sort(key=lambda r: r.predicted_cost)
         return ranked
 
@@ -188,23 +223,23 @@ class PerformanceModel:
         return ranked[0]
 
 
-def _compile_best_effort(config: Configuration, iep_k: int) -> ExecutionPlan:
+def _compile_best_effort(
+    config: Configuration, iep_k: int, group: SymmetryGroup | None = None
+) -> ExecutionPlan:
     """Compile with the largest feasible IEP suffix ≤ ``iep_k``.
 
     Shrinks k when the schedule's independent suffix is shorter, and
     again when dropped inner↔inner restrictions admit no uniform
     overcount divisor (k = 1 never drops restrictions, so the ladder
-    always terminates on a correct plan).
+    always terminates on a correct plan).  ``group`` is the pattern's
+    automorphism group, for the overcount.
     """
-    from repro.core.restrictions import NonUniformOvercountError
-    from repro.core.schedule import intersection_free_suffix_length
-
     if iep_k > 0:
         realisable = intersection_free_suffix_length(config.pattern, config.schedule)
         k = min(iep_k, realisable)
         while k > 0:
             try:
-                return config.compile(iep_k=k)
+                return compile_plan(config, iep_k=k, auts=group)
             except NonUniformOvercountError:
                 k -= 1
     return config.compile()

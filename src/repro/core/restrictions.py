@@ -29,8 +29,11 @@ The algorithm mirrors the paper exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations as _permutations
 from math import factorial
+
+import numpy as np
 
 from repro.pattern.automorphism import automorphisms
 from repro.pattern.pattern import Pattern
@@ -53,29 +56,31 @@ def no_conflict(perm: Perm, res_set: frozenset[Restriction] | set[Restriction]) 
     combined ordering constraints are consistent (acyclic).  A cycle
     means at most one of the pair {e, perm·e} can ever satisfy the set,
     i.e. the permutation's redundancy is eliminated.
+
+    The digraph has at most ``len(perm)`` vertices, so it is held as one
+    predecessor bitmask per vertex and tested by peeling: repeatedly drop
+    every vertex none of whose predecessors remain; it is acyclic iff
+    the peel empties it.
     """
-    edges: set[tuple[int, int]] = set()
-    vertices: set[int] = set()
+    preds = [0] * len(perm)
+    remaining = 0
     for g, s in res_set:
-        edges.add((g, s))
-        edges.add((perm[g], perm[s]))
-        vertices.update((g, s, perm[g], perm[s]))
-    # Kahn's algorithm for acyclicity on this tiny digraph.
-    indeg = {v: 0 for v in vertices}
-    out: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in edges:
-        out[a].append(b)
-        indeg[b] += 1
-    queue = [v for v in vertices if indeg[v] == 0]
-    visited = 0
-    while queue:
-        v = queue.pop()
-        visited += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return visited == len(vertices)
+        a, b = perm[g], perm[s]
+        preds[s] |= 1 << g
+        preds[b] |= 1 << a
+        remaining |= (1 << g) | (1 << s) | (1 << a) | (1 << b)
+    while remaining:
+        peeled = 0
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            if not preds[low.bit_length() - 1] & remaining:
+                peeled |= low
+            rest ^= low
+        if not peeled:
+            return False
+        remaining ^= peeled
+    return True
 
 
 def surviving_permutations(
@@ -83,6 +88,91 @@ def surviving_permutations(
 ) -> list[Perm]:
     """The subset of ``perms`` not eliminated by ``res_set``."""
     return [p for p in perms if no_conflict(p, res_set)]
+
+
+_rank_matrices: dict[int, np.ndarray] = {}
+
+
+def rank_matrix(n: int) -> np.ndarray:
+    """All n! rank assignments, in lexicographic order, as an (n!, n) int8
+    array (cached per ``n``; the IEP multiplicity reads it directly,
+    validation and the model's filter probabilities through
+    :func:`rank_order_bits`)."""
+    if n not in _rank_matrices:
+        if n > 9:
+            raise ValueError("pattern too large for factorial enumeration")
+        _rank_matrices[n] = np.array(list(_permutations(range(n))), dtype=np.int8)
+    return _rank_matrices[n]
+
+
+_order_bits: dict[int, list[list[int]]] = {}
+
+
+def rank_order_bits(n: int) -> list[list[int]]:
+    """``bits[a][b]``: the rank-matrix rows with ``ranks[a] > ranks[b]``.
+
+    Each entry is an n!-bit Python int, bit ``r`` standing for row ``r``
+    (cached per ``n``).  Counting the rows that satisfy a conjunction of
+    orderings is then an ``&`` chain and one ``int.bit_count``.
+    """
+    if n not in _order_bits:
+        ranks = rank_matrix(n)
+        _order_bits[n] = [
+            [
+                int.from_bytes(
+                    np.packbits(ranks[:, a] > ranks[:, b], bitorder="little").tobytes(),
+                    "little",
+                )
+                for b in range(n)
+            ]
+            for a in range(n)
+        ]
+    return _order_bits[n]
+
+
+class SymmetryGroup(list):
+    """A permutation group as the planner consumes it.
+
+    It is the list of permutations, so it goes wherever a ``list[Perm]``
+    does, plus the numpy views planning derives from the
+    group, each computed on first use.  One planning call builds one
+    group and hands it to every stage — Algorithm 1's validation,
+    schedule dedup and the IEP multiplicity — so the group is enumerated
+    once per plan, and the views live exactly as long as that call holds
+    the group.
+    """
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The permutations as an (|G|, n) index array."""
+        return np.array(self, dtype=np.intp)
+
+    @cached_property
+    def coset_labels(self) -> tuple[np.ndarray, int]:
+        """``(label, n_cosets)``: the coset of every rank-matrix row.
+
+        Rows ``ranks`` and ``ranks∘σ`` (σ in the group) describe the
+        same embedding orbit; a row's canonical code is the minimum of
+        the encoded rows ``{ranks∘σ}`` — ``(ranks∘σ)[v] = ranks[σ[v]]``
+        is a column permutation — and the label numbers those codes.
+        """
+        n = len(self[0])
+        ranks = rank_matrix(n).astype(np.int64)
+        weights = np.int64(n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        canon = None
+        for sigma in self.array:
+            codes = ranks[:, sigma] @ weights
+            canon = codes if canon is None else np.minimum(canon, codes)
+        uniq, label = np.unique(canon, return_inverse=True)
+        return label, len(uniq)
+
+
+def symmetry_group(pattern: Pattern, auts: list[Perm] | None = None) -> SymmetryGroup:
+    """``auts`` as a :class:`SymmetryGroup` (``None``: the pattern's
+    automorphism group); a group passed in is returned as is."""
+    if isinstance(auts, SymmetryGroup):
+        return auts
+    return SymmetryGroup(automorphisms(pattern) if auts is None else auts)
 
 
 def validate_restriction_set(
@@ -111,27 +201,11 @@ def validate_restriction_set(
     expected, remainder = divmod(factorial(n), len(auts))
     if remainder:  # |Aut| divides n! by Lagrange's theorem
         raise AssertionError("automorphism count must divide n!")
-    ranks = _rank_matrix(n)
-    mask = None
+    bits = rank_order_bits(n)
+    rows = (1 << factorial(n)) - 1
     for g, s in res_set:
-        cond = ranks[:, g] > ranks[:, s]
-        mask = cond if mask is None else mask & cond
-    count = len(ranks) if mask is None else int(mask.sum())
-    return count == expected
-
-
-_rank_matrices: dict[int, "object"] = {}
-
-
-def _rank_matrix(n: int):
-    """All n! rank assignments as an (n!, n) int8 array (cached)."""
-    import numpy as np
-
-    if n not in _rank_matrices:
-        if n > 9:
-            raise ValueError("pattern too large for factorial enumeration")
-        _rank_matrices[n] = np.array(list(_permutations(range(n))), dtype=np.int8)
-    return _rank_matrices[n]
+        rows &= bits[g][s]
+    return rows.bit_count() == expected
 
 
 @dataclass
@@ -148,17 +222,19 @@ class RestrictionGenerator:
     pattern: Pattern
     validate: bool = True
     max_sets: int | None = None
-    #: Override the automorphism group (the directed extension passes the
-    #: direction-preserving subgroup; ``None`` = the full undirected group).
+    #: Override the automorphism group (the directed and labeled planners
+    #: pass their subgroups; ``None`` = the full undirected group).
     auts: list[Perm] | None = None
     _seen: set[RestrictionSet] = field(default_factory=set, repr=False)
     _results: list[RestrictionSet] = field(default_factory=list, repr=False)
+    _group: SymmetryGroup | None = field(default=None, repr=False)
 
     def generate(self) -> list[RestrictionSet]:
         """All (deduplicated) restriction sets that reduce Aut to identity."""
         self._seen.clear()
         self._results.clear()
-        perms = self.auts if self.auts is not None else automorphisms(self.pattern)
+        # Enumerated once; every accepted leaf validates against it.
+        perms = self._group = symmetry_group(self.pattern, self.auts)
         if len(perms) == 1:
             # Asymmetric pattern: the empty set is already complete.
             return [frozenset()]
@@ -174,7 +250,7 @@ class RestrictionGenerator:
         if len(pg) <= 1:
             # Only the identity survives; keep the set if it validates.
             if not self.validate or validate_restriction_set(
-                self.pattern, res_set, auts=self.auts
+                self.pattern, res_set, auts=self._group
             ):
                 self._results.append(res_set)
             return
@@ -240,14 +316,21 @@ class RestrictionGenerator:
 
 
 def generate_restriction_sets(
-    pattern: Pattern, *, validate: bool = True, max_sets: int | None = None
+    pattern: Pattern,
+    *,
+    validate: bool = True,
+    max_sets: int | None = None,
+    auts: list[Perm] | None = None,
 ) -> list[RestrictionSet]:
     """Convenience wrapper for :class:`RestrictionGenerator`.
 
     Returns at least one set for any pattern (the empty set when the
-    pattern is asymmetric).
+    pattern is asymmetric).  ``auts`` passes the planning call's
+    already-enumerated automorphism group.
     """
-    sets = RestrictionGenerator(pattern, validate=validate, max_sets=max_sets).generate()
+    sets = RestrictionGenerator(
+        pattern, validate=validate, max_sets=max_sets, auts=auts
+    ).generate()
     if not sets:
         raise RuntimeError(
             f"Algorithm 1 produced no valid restriction set for {pattern!r}; "
@@ -289,19 +372,19 @@ def iep_overcount_multiplicity(pattern: Pattern, kept_set, *, auts=None) -> int:
     Every embedding's automorphism orbit corresponds to a coset
     ``{ranks∘σ : σ ∈ Aut}`` of rank bijections; the IEP total counts each
     embedding once per orbit member satisfying ``kept_set``.  This
-    function enumerates all n! rank bijections (n ≤ 9 for patterns),
-    groups them into cosets via a canonical code, and returns the
-    satisfying count per coset — verifying it is the same for every
-    coset (else :class:`NonUniformOvercountError`).
+    function labels all n! rank bijections (n ≤ 9 for patterns) by coset
+    (:attr:`SymmetryGroup.coset_labels`, computed once per group object)
+    and returns the satisfying count per coset — verifying it is the
+    same for every coset (else :class:`NonUniformOvercountError`).
 
     A complete valid set yields 1; the empty set yields ``|Aut|``.
 
     ``auts`` overrides the group (the directed extension passes the
     direction-preserving subgroup — the coset argument only needs *a*
     group acting on the vertices, not specifically the undirected one).
+    Passing the planning call's :class:`SymmetryGroup` shares its coset
+    labelling across every configuration the call compiles.
     """
-    import numpy as np
-
     kept = frozenset(kept_set)
     key = (
         pattern._adj_bits,
@@ -311,29 +394,17 @@ def iep_overcount_multiplicity(pattern: Pattern, kept_set, *, auts=None) -> int:
     if key in _multiplicity_cache:
         return _multiplicity_cache[key]
 
-    n = pattern.n_vertices
-    if auts is None:
-        auts = automorphisms(pattern)
+    group = symmetry_group(pattern, auts)
     if not kept:
-        _multiplicity_cache[key] = len(auts)
-        return len(auts)
+        _multiplicity_cache[key] = len(group)
+        return len(group)
 
-    ranks = np.array(list(_permutations(range(n))), dtype=np.int64)
+    ranks = rank_matrix(pattern.n_vertices)
     sat = np.ones(len(ranks), dtype=bool)
     for g, s in kept:
         sat &= ranks[:, g] > ranks[:, s]
-
-    # Canonical coset code: the lexicographic minimum of the encoded rows
-    # {ranks∘σ}; (ranks∘σ)[v] = ranks[σ[v]] is a column permutation.
-    weights = (np.int64(n) ** np.arange(n - 1, -1, -1)).astype(np.int64)
-    canon = None
-    for sigma in auts:
-        codes = ranks[:, list(sigma)] @ weights
-        canon = codes if canon is None else np.minimum(canon, codes)
-
-    uniq, inverse = np.unique(canon, return_inverse=True)
-    per_coset = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(per_coset, inverse[sat], 1)
+    label, n_cosets = group.coset_labels
+    per_coset = np.bincount(label[sat], minlength=n_cosets)
     lo, hi = int(per_coset.min()), int(per_coset.max())
     if lo != hi:
         raise NonUniformOvercountError(

@@ -25,8 +25,11 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from repro.pattern.automorphism import automorphisms
+import numpy as np
+
+from repro.core.restrictions import symmetry_group
 from repro.pattern.pattern import Pattern
+from repro.pattern.permutation import Perm
 
 Schedule = tuple[int, ...]
 
@@ -62,6 +65,7 @@ def generate_schedules(
     phase1: bool = True,
     phase2: bool = True,
     dedup_automorphic: bool = False,
+    auts: list[Perm] | None = None,
 ) -> list[Schedule]:
     """The paper's schedule generator.
 
@@ -73,7 +77,8 @@ def generate_schedules(
     ``dedup_automorphic`` keeps one representative per automorphism
     orbit of schedules: relabelling a schedule by an automorphism yields
     an identical loop structure, so the duplicates only inflate the
-    space the performance model must score.
+    space the performance model must score.  ``auts`` passes the
+    planning call's already-enumerated group to the dedup.
     """
     if not pattern.is_connected() and phase1:
         raise ValueError(
@@ -89,29 +94,47 @@ def generate_schedules(
         if filtered:
             survivors = filtered
     if dedup_automorphic:
-        survivors = dedup_schedules(pattern, survivors)
+        survivors = dedup_schedules(pattern, survivors, auts=auts)
     return survivors
 
 
-def dedup_schedules(pattern: Pattern, schedules: Iterable[Schedule]) -> list[Schedule]:
-    """Keep one schedule per automorphism orbit.
+#: bound on the (group chunk × schedules) code block dedup materialises.
+_DEDUP_BLOCK = 1 << 18
+
+
+def dedup_schedules(
+    pattern: Pattern, schedules: Iterable[Schedule], *, auts: list[Perm] | None = None
+) -> list[Schedule]:
+    """Keep the first schedule of each automorphism orbit, in input order.
 
     Two schedules s, s' are equivalent when s' = σ ∘ s for an
     automorphism σ: the loop nests are identical up to renaming pattern
     vertices, so cost and result coincide for correspondingly renamed
-    restriction sets.
+    restriction sets.  ``auts`` overrides the group (the directed
+    planner passes the direction-preserving subgroup).
+
+    A schedule's canonical code is the minimum over the group of the
+    base-n encoding of ``σ ∘ s``; the encoding preserves lexicographic
+    order, so this is the orbit's lexicographically least member.  The
+    code ``Σ_i σ[s_i]·n^(n-1-i)`` regroups as ``Σ_v σ[v]·n^(n-1-pos_s(v))``,
+    so the codes of every (σ, s) pair are one matrix product of the group
+    with each schedule's per-vertex weights.
     """
-    auts = automorphisms(pattern)
-    seen: set[Schedule] = set()
-    out: list[Schedule] = []
-    for s in schedules:
-        orbit = {tuple(sigma[v] for v in s) for sigma in auts}
-        canon = min(orbit)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(s)
-    return out
+    schedules = list(schedules)
+    if not schedules:
+        return []
+    group = symmetry_group(pattern, auts).array
+    order = np.array(schedules, dtype=np.intp)
+    m, n = order.shape
+    weights = np.int64(n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    by_vertex = weights[np.argsort(order, axis=1)].T  # (n, m)
+    chunk = max(1, _DEDUP_BLOCK // m)
+    canon = None
+    for start in range(0, len(group), chunk):
+        codes = (group[start : start + chunk] @ by_vertex).min(axis=0)
+        canon = codes if canon is None else np.minimum(canon, codes)
+    _, first = np.unique(canon, return_index=True)
+    return [schedules[i] for i in np.sort(first)]
 
 
 def schedule_dependencies(pattern: Pattern, schedule: Sequence[int]) -> list[tuple[int, ...]]:
@@ -121,12 +144,11 @@ def schedule_dependencies(pattern: Pattern, schedule: Sequence[int]) -> list[tup
     neighbourhoods of the vertices bound at those depths (empty ⇒ the
     candidate set is all of V, which phase 1 avoids except at depth 0).
     """
-    deps: list[tuple[int, ...]] = []
-    for i in range(len(schedule)):
-        deps.append(
-            tuple(j for j in range(i) if pattern.has_edge(schedule[i], schedule[j]))
-        )
-    return deps
+    adj = pattern._adj_bits
+    return [
+        tuple(j for j in range(i) if adj[v] >> schedule[j] & 1)
+        for i, v in enumerate(schedule)
+    ]
 
 
 def intersection_free_suffix_length(pattern: Pattern, schedule: Sequence[int]) -> int:

@@ -68,7 +68,11 @@ from repro.core.codegen import (
 from repro.core.config import ExecutionPlan, enumerate_configurations
 from repro.core.perf_model import PerformanceModel, RankedConfiguration
 from repro.core.query import MatchQuery, MatchResult, as_query
-from repro.core.restrictions import RestrictionSet, generate_restriction_sets
+from repro.core.restrictions import (
+    RestrictionSet,
+    generate_restriction_sets,
+    symmetry_group,
+)
 from repro.core.schedule import generate_schedules, independent_suffix_size
 from repro.graph.csr import Graph
 from repro.graph.digraph import DiGraph
@@ -140,24 +144,29 @@ def plan_plain(
     ``PatternMatcher`` per-pattern caches); otherwise both are generated
     here.  ``use_iep`` asks the model to score configurations with the
     innermost independent loops replaced by IEP.
+
+    The automorphism group is enumerated once, here, and handed to every
+    stage (validation, schedule dedup, the IEP overcount); it lives only
+    for this call.
     """
     with Timer() as t_res, span("restrictions") as sp:
+        group = symmetry_group(pattern)
         if restriction_sets is None:
             restriction_sets = generate_restriction_sets(
-                pattern, max_sets=max_restriction_sets
+                pattern, max_sets=max_restriction_sets, auts=group
             )
         sp.set(n_sets=len(restriction_sets))
     with Timer() as t_sched, span("schedules") as sp:
         if schedules is None:
             schedules = generate_schedules(
-                pattern, dedup_automorphic=dedup_schedules
+                pattern, dedup_automorphic=dedup_schedules, auts=group
             )
         sp.set(n_schedules=len(schedules))
     with Timer() as t_model, span("model") as sp:
         configs = enumerate_configurations(pattern, schedules, restriction_sets)
         model = PerformanceModel(stats)
         iep_k = independent_suffix_size(pattern) if use_iep else 0
-        ranking = model.rank(configs, iep_k=iep_k)
+        ranking = model.rank(configs, iep_k=iep_k, auts=group)
         sp.set(n_configs=len(configs), iep_k=iep_k)
     chosen = ranking[0]
     generated = None
