@@ -3,7 +3,8 @@
 Every benchmark prints the paper's rows/series as an aligned table and
 writes a TSV copy under ``benchmarks/results/``.  Workloads are scaled
 down (pure Python vs the paper's generated C++ on Tianhe-2A); each
-bench states the scale it used.  EXPERIMENTS.md records paper-vs-measured.
+bench states the scale it used.  docs/benchmarks.md says what each
+BENCH record means and enforces.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Ablation: how restriction placement is executed.
 
-DESIGN.md calls out that our engine resolves restrictions as *range
-slices* on the sorted candidate stream (binary search), generalising the
-paper's ``break``.  This bench quantifies the ladder:
+Our engine resolves restrictions as *range slices* on the sorted
+candidate stream (binary search), generalising the paper's ``break``
+(docs/architecture.md walks the pipeline).  This bench quantifies the
+ladder:
 
 1. no restrictions at all (count every automorphic image, divide later) —
    what AutoMine-without-symmetry-breaking pays;

@@ -9,10 +9,10 @@ GraphPi ranks with the data-aware performance model (§IV-C), the
 Peregrine baseline with a pattern-only score.  Gaps therefore isolate
 the value of data-aware planning, per pattern and per graph.
 
-The measured shape (recorded in EXPERIMENTS.md): because *both*
-selectors pick from the 2-phase-filtered schedule space, the filter does
-most of the work and a reasonable pattern-only heuristic often lands
-within noise of the model's pick — but on specific (graph, pattern)
+The measured shape (docs/benchmarks.md lists the paper-figure benches):
+because *both* selectors pick from the 2-phase-filtered schedule space,
+the filter does most of the work and a reasonable pattern-only heuristic
+often lands within noise of the model's pick — but on specific (graph, pattern)
 combinations the data-aware model wins by several-fold (P6 on the
 LiveJournal proxy here), and that is precisely the failure mode §VI
 attributes to pattern-only scheduling: the loss is unpredictable without

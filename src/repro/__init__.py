@@ -4,64 +4,68 @@ GraphPi: High Performance Graph Pattern Matching through Effective
 Redundancy Elimination (Shi, Zhai, Xu, Zhai — Tsinghua University).
 
 Top-level convenience re-exports cover the quickstart path: load a
-graph, pick a pattern, count/match.  See DESIGN.md for the full system
-inventory and EXPERIMENTS.md for the paper-vs-measured record.
+graph, pick a pattern, count/match.  They resolve lazily (PEP 562), so
+``import repro`` loads no subsystem until one of its names is used.
+See docs/architecture.md for the full system inventory and
+docs/benchmarks.md for the paper-vs-measured record.
 """
 
-from repro.core.api import PatternMatcher, count_pattern, match_pattern, match_query
-from repro.core.query import MatchQuery, MatchResult
-from repro.core.session import MatchSession, get_session
-from repro.core.backend import (
-    BackendCapabilities,
-    ExecutionBackend,
-    MatchContext,
-    available_backends,
-    backend_names,
-    capabilities_of,
-    get_backend,
-    register_backend,
-)
-from repro.core.autotune import (
-    AutoBackend,
-    AutotuneReport,
-    CalibrationProfile,
-    CalibrationWorkload,
-    ProfileChoice,
-    ProfileWarning,
-    load_profile,
-    run_calibration,
-    set_active_profile,
-)
-from repro.core.directed import DirectedMatcher, count_directed, match_directed
-from repro.core.reduction import (
-    ReductionReport,
-    reduce_directed_batch,
-    skeleton_key,
-)
-from repro.core.induced import induced_count
-from repro.graph.csr import Graph
-from repro.graph.builder import graph_from_edges
-from repro.graph.datasets import load_dataset
-from repro.graph.digraph import DiGraph, digraph_from_edges
-from repro.graph.stats import GraphStats
-from repro.pattern.catalog import get_pattern, paper_patterns
-from repro.pattern.directed import DiPattern
-from repro.pattern.pattern import Pattern
-from repro.runtime.distributed import (
-    DistributedBackend,
-    DistributedReport,
-    distributed_count_ctx,
-)
-from repro.graph.dynamic import DynamicGraph
-from repro.serving import (
-    JobHandle,
-    MatchRequest,
-    MatchService,
-    ReplicaRegistry,
-    ServiceOverloaded,
-)
-from repro.streaming import StreamReport, StreamSession, WatchHandle
-from repro import obs
+from repro._lazy import lazy_exports
+
+#: defining module -> the public names this package re-exports from it.
+_EXPORTS = {
+    "repro.core.api": ("PatternMatcher", "count_pattern", "match_pattern", "match_query"),
+    "repro.core.query": ("MatchQuery", "MatchResult"),
+    "repro.core.session": ("MatchSession", "get_session"),
+    "repro.core.backend": (
+        "BackendCapabilities",
+        "ExecutionBackend",
+        "MatchContext",
+        "available_backends",
+        "backend_names",
+        "capabilities_of",
+        "get_backend",
+        "register_backend",
+    ),
+    "repro.core.autotune": (
+        "AutoBackend",
+        "AutotuneReport",
+        "CalibrationProfile",
+        "CalibrationWorkload",
+        "ProfileChoice",
+        "ProfileWarning",
+        "load_profile",
+        "run_calibration",
+        "set_active_profile",
+    ),
+    "repro.core.directed": ("DirectedMatcher", "count_directed", "match_directed"),
+    "repro.core.reduction": ("ReductionReport", "reduce_directed_batch", "skeleton_key"),
+    "repro.core.induced": ("induced_count",),
+    "repro.graph.csr": ("Graph",),
+    "repro.graph.builder": ("graph_from_edges",),
+    "repro.graph.datasets": ("load_dataset",),
+    "repro.graph.digraph": ("DiGraph", "digraph_from_edges"),
+    "repro.graph.stats": ("GraphStats",),
+    "repro.pattern.catalog": ("get_pattern", "paper_patterns"),
+    "repro.pattern.directed": ("DiPattern",),
+    "repro.pattern.pattern": ("Pattern",),
+    "repro.runtime.distributed": (
+        "DistributedBackend",
+        "DistributedReport",
+        "distributed_count_ctx",
+    ),
+    "repro.graph.dynamic": ("DynamicGraph",),
+    "repro.serving": (
+        "JobHandle",
+        "MatchRequest",
+        "MatchService",
+        "ReplicaRegistry",
+        "ServiceOverloaded",
+    ),
+    "repro.streaming": ("StreamReport", "StreamSession", "WatchHandle"),
+    "repro.obs": ("obs",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

@@ -45,16 +45,31 @@ import argparse
 import sys
 import time
 
-from repro.core.api import PatternMatcher
-from repro.core.backend import available_backends, backend_names, get_backend
-from repro.core.query import MatchQuery
-from repro.core.session import get_session
-from repro.graph.datasets import DATASETS, load_dataset
-from repro.graph.stats import GraphStats
-from repro.obs import trace as obs_trace
-from repro.pattern.catalog import NAMED_PATTERNS, get_pattern, paper_patterns
-from repro.runtime.distributed import INNER_BACKENDS
+# Module level holds only what building the parser needs; each command
+# imports the subsystems it runs, so a cold ``repro count`` loads no
+# serving, streaming, mining or approx code.
+from repro.core.backend import INNER_BACKENDS, available_backends, backend_names, get_backend
 from repro.utils.tables import Table, format_seconds
+
+
+class UsageError(Exception):
+    """Bad command-line input: a flag, or a graph, pattern or file that
+    cannot be loaded.
+
+    :func:`main` prints it as one ``repro: error: <cause>`` line and
+    exits with status 2.  Raised only while validating flags and loading
+    inputs, never around execution, so a failure inside matching still
+    shows its traceback.
+    """
+
+
+def _cause(exc: Exception) -> str:
+    """The one-line message a loading error shows the user."""
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])  # str(KeyError) would add quotes
+    if isinstance(exc, OSError) and exc.strerror:
+        return f"{exc.filename}: {exc.strerror}" if exc.filename else exc.strerror
+    return str(exc)
 
 
 def _add_graph_args(parser: argparse.ArgumentParser) -> None:
@@ -68,9 +83,29 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_graph(args):
-    if args.edge_list:
-        return load_dataset(args.dataset, path=args.edge_list)
-    return load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    from repro.graph.datasets import load_dataset
+
+    try:
+        if args.edge_list:
+            return load_dataset(args.dataset, path=args.edge_list)
+        return load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    except (OSError, ValueError, KeyError) as exc:
+        cause = _cause(exc)
+        if args.edge_list and not isinstance(exc, OSError):
+            cause = f"{args.edge_list}: {cause}"
+        raise UsageError(cause) from exc
+
+
+def _get_pattern(name: str, *, directed: bool = False):
+    """The named built-in pattern; an unknown name is a :class:`UsageError`."""
+    if directed:
+        from repro.pattern.directed import get_directed_pattern as lookup
+    else:
+        from repro.pattern.catalog import get_pattern as lookup
+    try:
+        return lookup(name)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(_cause(exc)) from exc
 
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
@@ -94,9 +129,9 @@ def _parse_nodes(spec: str) -> list[int]:
     try:
         nodes = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"--nodes expects comma-separated integers, got {spec!r}")
+        raise UsageError(f"--nodes expects comma-separated integers, got {spec!r}")
     if not nodes or any(n < 1 for n in nodes):
-        raise ValueError(f"--nodes expects positive node counts, got {spec!r}")
+        raise UsageError(f"--nodes expects positive node counts, got {spec!r}")
     return nodes
 
 
@@ -113,9 +148,9 @@ def _resolve_backend(args, *, count_report: bool = True):
             if value is not None:
                 # Silently dropping a scaling-study flag would hand the
                 # user a plain count they believe is a multi-node run.
-                raise ValueError(f"{flag} requires --backend distributed")
+                raise UsageError(f"{flag} requires --backend distributed")
     if args.backend != "parallel" and args.workers is not None:
-        raise ValueError("--workers requires --backend parallel")
+        raise UsageError("--workers requires --backend parallel")
     if args.backend is None:
         return None
     if args.backend == "parallel":
@@ -130,13 +165,16 @@ def _resolve_backend(args, *, count_report: bool = True):
             options["inner"] = args.inner
         if not count_report:
             if args.nodes is not None:
-                raise ValueError(
+                raise UsageError(
                     "--nodes configures the scaling report, which this "
                     "command does not print; it applies to "
                     "`count --backend distributed`"
                 )
             options["simulate"] = False
-        return get_backend("distributed", **options)
+        try:
+            return get_backend("distributed", **options)
+        except ValueError as exc:  # e.g. --tasks 0
+            raise UsageError(str(exc)) from exc
     return get_backend(args.backend)
 
 
@@ -159,18 +197,14 @@ def _print_distributed_report(report) -> None:
 
 
 def _mode_inputs(args, graph):
-    """(data graph, pattern) for the requested matching mode.
-
-    Raises ValueError for bad inputs; ``cmd_count`` turns that into the
-    usual ``error: ...`` + exit code 2.
-    """
+    """(data graph, pattern) for the requested matching mode."""
     if args.mode == "labeled":
         from repro.graph.labeled import assign_random_labels
         from repro.pattern.labeled import LabeledPattern
 
         if args.labels < 1:
-            raise ValueError("--labels must be >= 1")
-        base = get_pattern(args.pattern)
+            raise UsageError("--labels must be >= 1")
+        base = _get_pattern(args.pattern)
         data = assign_random_labels(graph, args.labels, seed=args.seed)
         pattern = LabeledPattern(
             base, tuple(i % args.labels for i in range(base.n_vertices))
@@ -178,14 +212,13 @@ def _mode_inputs(args, graph):
         return data, pattern
     if args.mode == "directed":
         from repro.graph.digraph import digraph_from_edges
-        from repro.pattern.directed import get_directed_pattern
 
-        pattern = get_directed_pattern(args.pattern)
+        pattern = _get_pattern(args.pattern, directed=True)
         data = digraph_from_edges(
             list(graph.edges()), n_vertices=graph.n_vertices, name=graph.name
         )
         return data, pattern
-    return graph, get_pattern(args.pattern)
+    return graph, _get_pattern(args.pattern)
 
 
 def _describe_pattern(pattern) -> str:
@@ -206,36 +239,26 @@ def cmd_count(args) -> int:
     graph = _load_graph(args)
     semantics = "induced" if (args.induced or args.semantics == "induced") else "edge"
     if semantics == "induced" and args.mode != "plain":
-        print(f"error: --semantics induced is only defined for --mode plain, "
-              f"not {args.mode!r}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--semantics induced is only defined for --mode plain, "
+                         f"not {args.mode!r}")
     # Resolved (and flag-validated) before the --approx early return, so
     # a scaling-study flag without --backend distributed errors instead
     # of being silently dropped on the sampling path.
-    try:
-        resolved_backend = _resolve_backend(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    resolved_backend = _resolve_backend(args)
 
     if args.approx:
         if args.mode != "plain" or semantics != "edge":
-            print("error: --approx only supports --mode plain with edge "
-                  "semantics", file=sys.stderr)
-            return 2
+            raise UsageError("--approx only supports --mode plain with edge semantics")
         if args.explain or args.trace_out:
-            print("error: --explain/--trace-out profile the exact matching "
-                  "pipeline; the --approx estimator is not traced",
-                  file=sys.stderr)
-            return 2
+            raise UsageError("--explain/--trace-out profile the exact matching "
+                             "pipeline; the --approx estimator is not traced")
         if args.backend is not None:
-            print("error: --approx is a sampling estimator and does not "
-                  "execute through a backend; drop --approx or "
-                  f"--backend {args.backend}", file=sys.stderr)
-            return 2
+            raise UsageError("--approx is a sampling estimator and does not "
+                             "execute through a backend; drop --approx or "
+                             f"--backend {args.backend}")
         from repro.approx.sampling import approximate_count
 
-        pattern = get_pattern(args.pattern)
+        pattern = _get_pattern(args.pattern)
         print(f"graph:   {graph}")
         print(f"pattern: {_describe_pattern(pattern)}")
         t0 = time.perf_counter()
@@ -249,17 +272,15 @@ def cmd_count(args) -> int:
 
     if args.mode == "directed" and "," in args.pattern:
         if args.explain or args.trace_out:
-            print("error: --explain/--trace-out trace one count at a time; "
-                  "drop them or count a single directed pattern",
-                  file=sys.stderr)
-            return 2
+            raise UsageError("--explain/--trace-out trace one count at a time; "
+                             "drop them or count a single directed pattern")
         return _cmd_count_directed_batch(args, graph, resolved_backend)
 
-    try:
-        data, pattern = _mode_inputs(args, graph)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    from repro.core.query import MatchQuery
+    from repro.core.session import get_session
+    from repro.obs import trace as obs_trace
+
+    data, pattern = _mode_inputs(args, graph)
     if args.mode == "labeled":
         print(f"graph:   {graph} with {args.labels} random labels")
     else:
@@ -322,15 +343,12 @@ def _cmd_count_directed_batch(args, graph, resolved_backend) -> int:
     """Batched directed counting: comma-separated pattern names routed
     through ``MatchSession.count_many``, so orientations sharing an
     undirected skeleton are served by one reduction pass."""
+    from repro.core.query import MatchQuery
+    from repro.core.session import get_session
     from repro.graph.digraph import digraph_from_edges
-    from repro.pattern.directed import get_directed_pattern
 
     names = [s.strip() for s in args.pattern.split(",") if s.strip()]
-    try:
-        patterns = [get_directed_pattern(n) for n in names]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    patterns = [_get_pattern(n, directed=True) for n in names]
     data = digraph_from_edges(
         list(graph.edges()), n_vertices=graph.n_vertices, name=graph.name
     )
@@ -357,9 +375,10 @@ def _cmd_count_directed_batch(args, graph, resolved_backend) -> int:
 
 
 def cmd_plan(args) -> int:
+    from repro.core.api import PatternMatcher
+
     graph = _load_graph(args)
-    pattern = get_pattern(args.pattern)
-    matcher = PatternMatcher(pattern)
+    matcher = PatternMatcher(_get_pattern(args.pattern))
     report = matcher.plan(graph, use_iep=not args.no_iep)
     print(report.describe())
     print(f"\ngraph stats: {report.stats.describe()}")
@@ -378,14 +397,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_motifs(args) -> int:
+    from repro.core.session import get_session
     from repro.mining.motifs import induced_motif_census, motif_census
 
     graph = _load_graph(args)
-    try:
-        backend = _resolve_backend(args, count_report=False)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    backend = _resolve_backend(args, count_report=False)
     session = get_session(graph)  # one session: plans reused across the census
     t0 = time.perf_counter()
     if args.induced:
@@ -412,23 +428,21 @@ def cmd_stream(args) -> int:
     from repro.streaming import StreamSession, read_churn_file
 
     if args.batch < 1:
-        print("error: --batch must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--batch must be >= 1")
     graph = _load_graph(args)
     try:
         updates = read_churn_file(args.file)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(_cause(exc)) from exc
     stream = StreamSession(DynamicGraph.from_graph(graph))
     names = [p.strip() for p in args.pattern.split(",") if p.strip()]
     handles = []
     for name in names:
+        pattern = _get_pattern(name)
         try:
-            handles.append(stream.watch(get_pattern(name)))
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            handles.append(stream.watch(pattern))
+        except (KeyError, ValueError) as exc:  # a pattern streaming cannot maintain
+            raise UsageError(_cause(exc)) from exc
     print(f"graph:   {graph}")
     print(f"churn:   {len(updates)} updates from {args.file} "
           f"(batches of {args.batch})")
@@ -448,9 +462,9 @@ def cmd_stream(args) -> int:
         try:
             report = stream.apply(batch)
         except (KeyError, ValueError, IndexError) as exc:
-            print(f"error: update {start + 1}..{start + len(batch)}: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(
+                f"update {start + 1}..{start + len(batch)}: {_cause(exc)}"
+            ) from exc
         cells = [
             start // args.batch,
             f"+{report.n_inserts}/-{report.n_deletes}",
@@ -477,7 +491,7 @@ def cmd_stream(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.core.session import get_session as _get_session
+    from repro.core.session import get_session
     from repro.graph.dynamic import DynamicGraph
     from repro.serving import (
         MatchService,
@@ -488,28 +502,20 @@ def cmd_serve(args) -> int:
     )
 
     if (args.trace is None) == (args.synthetic is None):
-        print("error: exactly one of --trace or --synthetic is required",
-              file=sys.stderr)
-        return 2
+        raise UsageError("exactly one of --trace or --synthetic is required")
     if args.workers < 1 or args.queue_limit < 1:
-        print("error: --workers and --queue-limit must be >= 1", file=sys.stderr)
-        return 2
+        raise UsageError("--workers and --queue-limit must be >= 1")
     graph = _load_graph(args)
     dyn = DynamicGraph.from_graph(graph)
     if args.trace is not None:
         try:
             ops = read_trace_file(args.trace)
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(_cause(exc)) from exc
     else:
         names = [p.strip() for p in args.pattern.split(",") if p.strip()]
-        try:
-            for name in names:
-                get_pattern(name)  # fail fast on unknown names
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        for name in names:
+            _get_pattern(name)  # fail fast on unknown names
         ops = synthetic_trace(
             names,
             args.synthetic,
@@ -518,17 +524,16 @@ def cmd_serve(args) -> int:
             avoid_edges=set(dyn.edges()),
             seed=args.seed,
         )
+    watched = [_get_pattern(p.strip()) for p in args.watch.split(",") if p.strip()]
     service = MatchService(
         n_workers=args.workers, queue_limit=args.queue_limit
     )
     service.add_graph("default", dyn)
-    watches = []
-    for name in [p.strip() for p in args.watch.split(",") if p.strip()]:
-        try:
-            watches.append(service.watch(get_pattern(name)))
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        watches = [service.watch(pattern) for pattern in watched]
+    except (KeyError, ValueError) as exc:  # a pattern streaming cannot maintain
+        service.close()
+        raise UsageError(_cause(exc)) from exc
 
     print(f"graph:   {graph}")
     print(f"service: {args.workers} workers, queue limit {args.queue_limit}")
@@ -541,9 +546,8 @@ def cmd_serve(args) -> int:
     try:
         outcome = replay_trace(service, ops)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         service.close()
-        return 2
+        raise UsageError(_cause(exc)) from exc
     outcome.wait()
     elapsed = time.perf_counter() - t0
     stats = service.stats()
@@ -583,7 +587,7 @@ def cmd_serve(args) -> int:
             if h.request.kind != "count" or h.state != "done":
                 continue
             checked += 1
-            expected = int(_get_session(h.graph).count(h.request.query))
+            expected = int(get_session(h.graph).count(h.request.query))
             if h.result() != expected:
                 failures += 1
                 print(f"error: job {h.id} returned {h.result()}, direct "
@@ -650,7 +654,9 @@ def cmd_metrics(args) -> int:
     if args.exercise:
         # A small end-to-end count so the exposition shows live values —
         # without it a fresh process prints an all-zero registry.
+        from repro.core.session import get_session
         from repro.graph.generators import erdos_renyi
+        from repro.pattern.catalog import get_pattern
 
         session = get_session(erdos_renyi(120, 0.1, seed=args.seed))
         for name in ("triangle", "house"):
@@ -661,6 +667,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_datasets(_args) -> int:
+    from repro.graph.datasets import DATASETS
+
     table = Table(["name", "paper |V|", "paper |E|", "description"],
                   title="built-in dataset proxies (Table I)")
     for name, spec in DATASETS.items():
@@ -670,6 +678,8 @@ def cmd_datasets(_args) -> int:
 
 
 def cmd_patterns(_args) -> int:
+    from repro.pattern.catalog import NAMED_PATTERNS, paper_patterns
+
     table = Table(["name", "vertices", "edges"], title="built-in patterns")
     for name in sorted(NAMED_PATTERNS):
         p = NAMED_PATTERNS[name]()
@@ -814,7 +824,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

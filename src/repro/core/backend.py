@@ -40,6 +40,7 @@ Registering a custom backend::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Iterator
 
 from repro.core.codegen import (
@@ -214,7 +215,13 @@ class ExecutionBackend:
         return doc[0] if doc else ""
 
 
-_REGISTRY: dict[str, type[ExecutionBackend]] = {}
+#: name -> class; a deferred built-in holds ``None`` until first use.
+_REGISTRY: dict[str, type[ExecutionBackend] | None] = {}
+
+#: built-in backends registered by importing their defining module on
+#: first use, so loading the registry (every ``repro count``) does not
+#: load the distributed runtime or the autotuner.
+_DEFERRED = {"distributed": "repro.runtime.distributed", "auto": "repro.core.autotune"}
 
 
 def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
@@ -223,6 +230,13 @@ def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
         raise ValueError(f"{cls.__name__} must set a non-empty `name`")
     _REGISTRY[cls.name] = cls
     return cls
+
+
+def _backend_class(name: str) -> type[ExecutionBackend] | None:
+    """The class registered as ``name``, importing a deferred built-in."""
+    if _REGISTRY.get(name) is None and name in _DEFERRED:
+        import_module(_DEFERRED[name])
+    return _REGISTRY.get(name)
 
 
 def backend_names() -> list[str]:
@@ -256,9 +270,10 @@ def available_backends() -> dict[str, BackendInfo]:
     consumers (session planning, the CLI ``backends`` command) read
     these flags instead of probing backend instances.
     """
+    classes = {name: _backend_class(name) for name in backend_names()}
     return {
         name: BackendInfo(name=name, cls=cls, capabilities=cls.capabilities)
-        for name, cls in _REGISTRY.items()
+        for name, cls in classes.items()
     }
 
 
@@ -275,7 +290,7 @@ def capabilities_of(
     if spec is None:
         return None
     if isinstance(spec, str):
-        cls = _REGISTRY.get(spec)
+        cls = _backend_class(spec)
         return cls.capabilities if cls is not None else None
     if isinstance(spec, ExecutionBackend):
         return spec.capabilities
@@ -315,12 +330,11 @@ def candidate_backends(
 
 def get_backend(name: str, **options) -> ExecutionBackend:
     """Instantiate a registered backend; ``options`` go to its ctor."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
+    cls = _backend_class(name)
+    if cls is None:
         raise ValueError(
             f"unknown backend {name!r}: registered backends are {backend_names()}"
-        ) from None
+        )
     return cls(**options)
 
 
@@ -340,6 +354,13 @@ def resolve_backend(spec: "str | ExecutionBackend | None") -> ExecutionBackend |
 #: generated kernels, then on the interpreter; enumeration skips the
 #: counting-only ``compiled``.
 DEFAULT_ORDER = ("vectorised", "compiled", "interpreter")
+
+#: the per-task executors the ``distributed`` backend can build (its
+#: ``inner`` option); other registered backends (preslice, parallel,
+#: distributed itself) have no per-task entry point and would silently
+#: demote to the interpreter.  Kept here so the CLI offers them without
+#: loading the distributed runtime.
+INNER_BACKENDS = ("vectorised", "compiled", "interpreter")
 
 
 def _serves(
@@ -554,10 +575,10 @@ def plain_context(graph, plan_or_config, generated: GeneratedCounter | None = No
     return MatchContext(graph=graph, plan=plan, generated=generated)
 
 
-# Registering the vectorised frontier and distributed backends requires
-# this module to be fully defined (they subclass ExecutionBackend), hence
-# the tail imports: importing the registry always brings the full
-# backend set with it.
+# Registering the vectorised frontier backend requires this module to be
+# fully defined (it subclasses ExecutionBackend), hence the tail import:
+# importing the registry brings the default-order backends with it, and
+# reserves the deferred built-ins' places in the registration order.
 from repro.core import vectorised as _vectorised  # noqa: E402, F401
-from repro.runtime import distributed as _distributed  # noqa: E402, F401
-from repro.core import autotune as _autotune  # noqa: E402, F401
+
+_REGISTRY.update(dict.fromkeys(_DEFERRED))

@@ -428,7 +428,7 @@ class MatchSession:
         an undecided knob on a plain edge-semantics query is touched;
         explicit ``use_iep`` always wins.
         """
-        if query.use_iep is not None:
+        if query.use_iep is not None or query.backend is None:
             return query
         if query.mode != "plain" or query.semantics != "edge":
             return query

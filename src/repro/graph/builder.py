@@ -63,6 +63,18 @@ class GraphBuilder:
         return build_graph_arrays(src, dst, compact_ids=self.compact_ids, name=self.name)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` without its ``numpy.ma`` import.
+
+    A flag-free ``np.unique`` imports ``numpy.ma`` on first call (numpy
+    2.x), about 15 ms of every cold ``repro`` command that loads a graph.
+    """
+    values = np.sort(values)
+    if len(values) == 0:
+        return values
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def build_graph_arrays(
     src: np.ndarray,
     dst: np.ndarray,
@@ -88,7 +100,7 @@ def build_graph_arrays(
     src, dst = src[keep], dst[keep]
 
     if compact_ids:
-        labels = np.unique(np.concatenate([src, dst])) if len(src) else np.empty(0, VERTEX_DTYPE)
+        labels = _sorted_unique(np.concatenate([src, dst]))
         src = np.searchsorted(labels, src)
         dst = np.searchsorted(labels, dst)
         n = len(labels)

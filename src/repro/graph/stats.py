@@ -12,9 +12,10 @@ embeddings* (ordered, as an unrestricted matcher would count them), i.e.
 6x the number of distinct triangles; ``GraphStats`` stores the distinct
 count and exposes the paper's quantities as properties.
 
-Triangle counting uses ``U @ U ∘ U`` over ``scipy.sparse`` when available
-(``U`` the degree-oriented adjacency; fast, vectorised, no hub blow-up)
-and falls back to per-edge sorted intersections.
+Triangle counting orients every edge by (degree, id) rank and probes
+each oriented wedge for its closing edge with bulk ``searchsorted``
+membership tests against the CSR's sorted edge keys — numpy only, the
+same code in every environment.
 """
 
 from __future__ import annotations
@@ -24,38 +25,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.graph.intersection import intersect_count
+from repro.graph.intersection import (
+    bulk_contains_sorted,
+    gather_ranges,
+    intersect_count,
+    sorted_edge_keys,
+)
 
-try:  # scipy is an optional accelerator, not a hard dependency
-    import scipy.sparse as _sp
-except Exception:  # pragma: no cover - scipy is present in the test env
-    _sp = None
+#: oriented wedges probed per bulk membership call: bounds the wedge
+#: arrays to a few tens of MB however many wedges the graph has.
+_WEDGE_CHUNK = 1 << 20
 
 
 def triangle_count(graph: Graph) -> int:
-    """Number of distinct triangles (unordered vertex triples)."""
+    """Number of distinct triangles (unordered vertex triples).
+
+    Every edge is oriented from lower to higher (degree, id) rank, so each
+    triangle closes exactly one oriented wedge — a pair of out-neighbours
+    of its lowest-ranked vertex — and a hub's quadratic fan of unoriented
+    wedges (a 20 000-leaf star: 2e8 pairs) never materialises.  Wedges are
+    formed in chunks of about ``_WEDGE_CHUNK`` and each chunk's closing
+    edges are checked with one :func:`bulk_contains_sorted` probe of the
+    CSR's naturally sorted ``u * n + v`` keys (no sort of the graph).
+    """
     if graph.n_edges == 0:
         return 0
-    if _sp is not None:
-        # Orient every edge from lower to higher (degree, id) rank: each
-        # triangle then closes exactly one oriented 2-path, and a hub's
-        # quadratic wedge fan (a 20 000-leaf star: 4e8 entries in the
-        # unoriented ``A @ A``) never materialises.
-        n, degrees = graph.n_vertices, graph.degrees
-        rank = np.empty(n, dtype=np.int64)
-        rank[np.argsort(degrees, kind="stable")] = np.arange(n)
-        src = np.repeat(np.arange(n), degrees)
-        keep = rank[src] < rank[graph.indices]
-        up = _sp.csr_matrix(
-            (np.ones(int(keep.sum()), dtype=np.int64), (src[keep], graph.indices[keep])),
-            shape=(n, n),
-        )
-        return int((up @ up).multiply(up).sum())
-    return _triangle_count_merge(graph)
+    n, degrees, indices = graph.n_vertices, graph.degrees, graph.indices
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(degrees, kind="stable")] = np.arange(n)
+    src = np.repeat(np.arange(n), degrees)
+    keep = rank[src] < rank[indices]
+    # Out-rows keep the CSR's ascending id order, so a wedge (v, w) taken
+    # from an out-row has v < w and its key v * n + w is a CSR key.
+    out, out_src = indices[keep], src[keep]
+    out_deg = np.bincount(out_src, minlength=n)
+    row_end = np.cumsum(out_deg)[out_src]
+    # Entry i pairs with the entries after it in its out-row.
+    later = row_end - np.arange(len(out)) - 1
+    wedge_end = np.cumsum(later)
+    keys = sorted_edge_keys(graph.indptr, indices)
+    total, lo = 0, 0
+    while lo < len(out):
+        budget = wedge_end[lo] - later[lo] + _WEDGE_CHUNK
+        hi = max(lo + 1, int(np.searchsorted(wedge_end, budget, side="right")))
+        owner, second = gather_ranges(out, np.arange(lo + 1, hi + 1), later[lo:hi])
+        # Sorted probes let ``searchsorted`` start each search from the
+        # previous hit: ~4x faster once the keys outgrow the CPU caches.
+        probes = np.sort(out[lo + owner] * n + second)
+        total += int(np.count_nonzero(bulk_contains_sorted(keys, probes)))
+        lo = hi
+    return total
 
 
 def _triangle_count_merge(graph: Graph) -> int:
-    """Reference per-edge intersection counter (3x per triangle)."""
+    """Reference per-edge intersection counter (3x per triangle).
+
+    The test oracle for :func:`triangle_count`.
+    """
     total = 0
     for u in range(graph.n_vertices):
         nu = graph.neighbors(u)

@@ -13,7 +13,7 @@ Patterns pinned directly by the paper's text/pseudocode:
 * **Rectangle** (Fig. 4a): the 4-cycle, |Aut| = 8.
 
 The evaluation patterns P1–P6 of Figure 7 are published only as drawings,
-so we reconstruct them from the textual evidence (see DESIGN.md):
+so we reconstruct them from the textual evidence:
 P1 = House and P2 = Pentagon are "also used in GraphZero" and "relatively
 simple"; P3 appears in Figure 9 with a ~400-schedule landscape (6
 vertices); §V-C says the top 4 vertices of P4 form a rectangle; P5 and P6

@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.backend import (
+    INNER_BACKENDS,
     MODES,
     BackendCapabilities,
     ExecutionBackend,
@@ -62,11 +63,6 @@ DEFAULT_NODE_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 
 #: granularity cap: at most this many root-range tasks by default.
 DEFAULT_MAX_TASKS = 1024
-
-#: inner executors :func:`make_task_counter` can actually build; other
-#: registered backends (preslice, parallel, distributed itself) have no
-#: per-task entry point and would silently demote to the interpreter.
-INNER_BACKENDS = ("vectorised", "compiled", "interpreter")
 
 
 def _check_inner(inner: str) -> None:

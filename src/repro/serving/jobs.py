@@ -31,7 +31,6 @@ early instead of computing a result nobody will read.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -300,6 +299,8 @@ class JobHandle:
 
     async def aresult(self, timeout: float | None = None) -> Any:
         """Asyncio front door: ``await handle.aresult()`` / ``await handle``."""
+        import asyncio  # a running event loop has loaded it; blocking users never do
+
         return await asyncio.to_thread(self.result, timeout)
 
     def __await__(self):

@@ -1,10 +1,14 @@
 """Graph statistics: triangle counting and the p1/p2 estimators."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.graph.builder import graph_from_edges
-from repro.graph.generators import complete_graph, erdos_renyi
+from repro.graph import stats
+from repro.graph.builder import build_graph_arrays, graph_from_edges
+from repro.graph.generators import complete_graph, empty_graph, erdos_renyi
 from repro.graph.stats import (
     DegreeStats,
     GraphStats,
@@ -35,7 +39,7 @@ class TestTriangleCount:
         g = graph_from_edges([(0, 1)])
         assert triangle_count(g) == 0
 
-    def test_scipy_and_merge_agree(self):
+    def test_numpy_and_merge_agree(self):
         g = erdos_renyi(80, 0.15, seed=21)
         assert triangle_count(g) == _triangle_count_merge(g)
 
@@ -46,6 +50,79 @@ class TestTriangleCount:
         g = graph_from_edges(list(rim.edges()) + [(300, v) for v in range(300)])
         expected = rim.n_edges + _triangle_count_merge(rim)  # hub + rim triangles
         assert triangle_count(g) == _triangle_count_merge(g) == expected
+
+
+def _brute_force_triangles(graph) -> int:
+    """Every vertex triple checked for its three edges."""
+    adj = [set(graph.neighbors(v).tolist()) for v in range(graph.n_vertices)]
+    return sum(
+        1
+        for a, b, c in combinations(range(graph.n_vertices), 3)
+        if b in adj[a] and c in adj[a] and c in adj[b]
+    )
+
+
+@st.composite
+def triangle_graphs(draw, max_vertices=16):
+    """Random graphs with uncompacted ids: the top id is always present,
+    so unused mid-range ids stay isolated vertices (or all are isolated)."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if not edges:
+        return empty_graph(n)
+    src, dst = (np.array(side) for side in zip(*edges))
+    return build_graph_arrays(src, dst, compact_ids=False)[0]
+
+
+@st.composite
+def hub_graphs(draw):
+    """A hub adjacent to a sparse random rim, plus optional rim cliques."""
+    rim = draw(st.integers(min_value=3, max_value=14))
+    pairs = [(u, v) for u in range(1, rim + 1) for v in range(u + 1, rim + 1)]
+    rim_edges = draw(st.lists(st.sampled_from(pairs), max_size=rim, unique=True))
+    clique = draw(st.integers(min_value=0, max_value=min(rim, 6)))
+    clique_edges = list(combinations(range(1, clique + 1), 2))
+    return graph_from_edges([(0, v) for v in range(1, rim + 1)] + rim_edges + clique_edges)
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestTriangleCountProperties:
+    """The numpy wedge-probe count against the merge oracle and brute force."""
+
+    @given(graph=st.one_of(triangle_graphs(), hub_graphs()))
+    @PROPERTY_SETTINGS
+    def test_agrees_with_oracles(self, graph):
+        expected = _brute_force_triangles(graph)
+        assert _triangle_count_merge(graph) == expected
+        assert triangle_count(graph) == expected
+
+    @given(graph=st.one_of(triangle_graphs(), hub_graphs()), chunk=st.integers(1, 5))
+    @PROPERTY_SETTINGS
+    def test_multi_chunk_runs_agree(self, graph, chunk):
+        # A tiny chunk splits the wedge probes into many bulk calls,
+        # including single-entry chunks larger than the budget.
+        expected = _triangle_count_merge(graph)
+        original = stats._WEDGE_CHUNK
+        stats._WEDGE_CHUNK = chunk
+        try:
+            assert triangle_count(graph) == expected
+        finally:
+            stats._WEDGE_CHUNK = original
+
+    def test_cliques(self):
+        for n in range(1, 9):
+            assert triangle_count(complete_graph(n)) == n * (n - 1) * (n - 2) // 6
+
+    def test_multi_chunk_on_a_larger_graph(self, monkeypatch):
+        g = erdos_renyi(120, 0.2, seed=8)
+        expected = _triangle_count_merge(g)
+        monkeypatch.setattr(stats, "_WEDGE_CHUNK", 97)
+        assert triangle_count(g) == expected
 
 
 class TestWedgesAndClustering:

@@ -497,6 +497,70 @@ class TestServeCommand:
         assert "--workers" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Unloadable graphs and patterns: one ``repro: error:`` line, exit 2."""
+
+    @staticmethod
+    def _error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error: "), err
+        return lines[0]
+
+    def test_missing_edge_list(self, tmp_path, capsys):
+        path = tmp_path / "absent.edges"
+        assert main(["count", "--pattern", "P1", "--edge-list", str(path)]) == 2
+        line = self._error(capsys)
+        assert str(path) in line and "No such file" in line
+
+    def test_malformed_edge_line_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.edges"
+        path.write_text("0 1\n1 x\n")
+        assert main(["count", "--pattern", "P1", "--edge-list", str(path)]) == 2
+        line = self._error(capsys)
+        assert str(path) in line and "line 2: non-integer vertex id" in line
+
+    def test_unknown_pattern(self, capsys):
+        rc = main(["count", "--pattern", "warp-drive", "--dataset", "wiki-vote",
+                   "--scale", "0.05"])
+        assert rc == 2
+        assert "unknown pattern 'warp-drive'" in self._error(capsys)
+
+    def test_unknown_dataset(self, capsys):
+        assert main(["count", "--pattern", "P1", "--dataset", "atlantis"]) == 2
+        assert "unknown dataset 'atlantis'" in self._error(capsys)
+
+    def test_unknown_directed_pattern(self, capsys):
+        rc = main(["count", "--mode", "directed", "--pattern", "warp-drive",
+                   "--dataset", "wiki-vote", "--scale", "0.05"])
+        assert rc == 2
+        assert "unknown directed pattern 'warp-drive'" in self._error(capsys)
+
+    @pytest.mark.parametrize("command", [["plan"], ["motifs"], ["serve", "--synthetic", "5"]])
+    def test_other_commands_report_unknown_dataset(self, command, capsys):
+        assert main(command + ["--dataset", "atlantis"]) == 2
+        assert "unknown dataset 'atlantis'" in self._error(capsys)
+
+    def test_plan_unknown_pattern(self, capsys):
+        rc = main(["plan", "--pattern", "warp-drive", "--dataset", "wiki-vote",
+                   "--scale", "0.05"])
+        assert rc == 2
+        assert "unknown pattern 'warp-drive'" in self._error(capsys)
+
+    def test_execution_errors_are_not_swallowed(self, monkeypatch):
+        # Only loading is guarded: a failure inside matching propagates.
+        from repro.core.session import MatchSession
+
+        def explode(self, query):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(MatchSession, "count", explode)
+        with pytest.raises(ValueError, match="engine bug"):
+            main(["count", "--pattern", "triangle", "--dataset", "wiki-vote",
+                  "--scale", "0.05"])
+
+
 class TestObservabilityFlags:
     COUNT = ["count", "--pattern", "house", "--dataset", "wiki-vote",
              "--scale", "0.05", "--seed", "3", "--backend", "vectorised"]
