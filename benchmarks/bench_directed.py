@@ -8,9 +8,13 @@ Two claims under measurement:
    geometric-mean factor over the directed catalog patterns.
 2. **Skeleton-sharing reduction** — a batch of orientations of one
    skeleton answered through `MatchSession.count_many(reduce=True)`
-   (one core enumeration + arc classification) vs the same batch
-   counted per-pattern (`reduce=False`, compiled kernels).  Counts are
-   asserted equal; the speedup is recorded as the ablation.
+   (one core enumeration + direction-code classification) vs the same
+   batch counted independently (`reduce=False`, one vectorised
+   frontier run per pattern).  Two batches: the triangle orientations
+   and the three 4-cycle orientations.  Both arms run on warm plan
+   caches and are timed in interleaved repeats (medians); counts are
+   asserted equal, and the reduction must beat independent counting
+   on both batches (:data:`REDUCTION_FLOOR`).
 
 Outputs: an aligned table, a TSV under ``benchmarks/results/`` and a
 machine-readable ``BENCH_directed.json`` in the repo root.
@@ -29,7 +33,7 @@ from repro.core.directed import DirectedMatcher
 from repro.core.query import MatchQuery
 from repro.core.session import MatchSession
 from repro.graph.digraph import digraph_from_edges
-from repro.pattern.directed import get_directed_pattern
+from repro.pattern.directed import DiPattern, get_directed_pattern
 from repro.utils.tables import Table, format_seconds, format_speedup
 
 from _common import QUICK, bench_graph, emit, emit_json, geomean, time_call
@@ -43,8 +47,21 @@ BACKENDS = ["interpreter", "vectorised", "compiled"]
 PATTERN_NAMES = ["ffl", "bifan", "dcycle-3", "dpath-4", "outstar-3"]
 PATTERN_LIMIT = 3 if QUICK else len(PATTERN_NAMES)
 
-#: orientations of the triangle skeleton for the reduction ablation.
-BATCH_NAMES = ["ffl", "transitive-triangle", "dcycle-3"]
+#: orientations of one skeleton per reduction-ablation row.
+BATCHES = {
+    "triangle": [get_directed_pattern(n) for n in ("ffl", "transitive-triangle", "dcycle-3")],
+    "c4": [
+        DiPattern(4, [(0, 1), (1, 2), (2, 3), (3, 0)], name="c4-cycle"),
+        DiPattern(4, [(0, 1), (2, 1), (2, 3), (0, 3)], name="c4-fan"),
+        DiPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)], name="c4-paths"),
+    ],
+}
+
+#: interleaved timing repeats per reduction-ablation arm.
+REDUCTION_REPEATS = 5 if QUICK else 9
+
+#: the reduction must beat independent counting on every batch.
+REDUCTION_FLOOR = 1.0
 
 #: the acceptance floor: the best fast path must beat the interpreter
 #: by this geomean factor across the directed catalog suite.
@@ -96,22 +113,33 @@ def run_directed_bench() -> dict:
             "backends": row,
         }
 
-    # --- reduction ablation: one shared core vs per-pattern kernels ---
+    # --- reduction ablation: one shared core vs independent counts ---
     session = MatchSession(graph)
-    queries = [MatchQuery(get_directed_pattern(n)) for n in BATCH_NAMES]
-    sec_grouped, grouped = time_call(session.count_many, queries, reduce=True)
-    sec_single, single = time_call(session.count_many, queries, reduce=False)
-    assert [r.count for r in grouped] == [r.count for r in single], (
-        "reduction and per-pattern counts diverged"
-    )
-    assert all(r.backend == "reduction" for r in grouped)
-    reduction = {
-        "batch": BATCH_NAMES,
-        "counts": [r.count for r in grouped],
-        "seconds_grouped": sec_grouped,
-        "seconds_per_pattern": sec_single,
-        "speedup": sec_single / sec_grouped if sec_grouped else float("inf"),
-    }
+    reduction = {}
+    for batch_name, patterns in BATCHES.items():
+        queries = [MatchQuery(p) for p in patterns]
+        # warm both arms' plan caches: the ablation compares execution.
+        grouped = session.count_many(queries, reduce=True)
+        single = session.count_many(queries, reduce=False)
+        assert [r.count for r in grouped] == [r.count for r in single], (
+            f"reduction and independent counts diverged on {batch_name}"
+        )
+        assert all(r.backend == "reduction" for r in grouped)
+        samples = {True: [], False: []}
+        for _ in range(REDUCTION_REPEATS):
+            for reduce in samples:
+                seconds, _ = time_call(session.count_many, queries, reduce=reduce)
+                samples[reduce].append(seconds)
+        sec_grouped = float(np.median(samples[True]))
+        sec_single = float(np.median(samples[False]))
+        reduction[batch_name] = {
+            "batch": [p.name for p in patterns],
+            "counts": [r.count for r in grouped],
+            "repeats": REDUCTION_REPEATS,
+            "seconds_grouped": sec_grouped,
+            "seconds_per_pattern": sec_single,
+            "speedup": sec_single / sec_grouped if sec_grouped else float("inf"),
+        }
 
     return {
         "graph": repr(graph),
@@ -151,18 +179,18 @@ def _render(results: dict, capsys=None) -> dict:
         ["geomean", ""] + [""] * len(BACKENDS)
         + [format_speedup(summary[b]) for b in BACKENDS[1:]]
     )
-    red = results["reduction_ablation"]
-    table.add_row(
-        [
-            "reduction",
-            "+".join(red["batch"]),
-            format_seconds(red["seconds_per_pattern"]),
-            format_seconds(red["seconds_grouped"]),
-            "",
-            format_speedup(red["speedup"]),
-            "",
-        ]
-    )
+    for batch_name, red in results["reduction_ablation"].items():
+        table.add_row(
+            [
+                f"reduction ({batch_name})",
+                "+".join(red["batch"]),
+                format_seconds(red["seconds_per_pattern"]),
+                format_seconds(red["seconds_grouped"]),
+                "",
+                format_speedup(red["speedup"]),
+                "",
+            ]
+        )
     results["geomean_speedup_vs_interpreter"] = summary
     results["best_fast_path_geomean"] = max(summary.values())
     emit(table, capsys, "bench_directed.tsv")
@@ -170,20 +198,26 @@ def _render(results: dict, capsys=None) -> dict:
     return results
 
 
-def test_directed_comparison(benchmark, capsys):
-    from _common import once
-
-    results = once(benchmark, run_directed_bench)
-    _render(results, capsys)
-    # the acceptance criterion: at least one fast path beats the
-    # interpreter decisively across the directed catalog.
-    assert results["best_fast_path_geomean"] > SPEEDUP_FLOOR
-
-
-if __name__ == "__main__":
-    results = _render(run_directed_bench())
+def check_floors(results: dict) -> None:
     floor = results["best_fast_path_geomean"]
     assert floor > SPEEDUP_FLOOR, (
         f"best directed fast-path geomean {floor:.2f}x below the "
         f"{SPEEDUP_FLOOR}x floor"
     )
+    for batch_name, red in results["reduction_ablation"].items():
+        assert red["speedup"] > REDUCTION_FLOOR, (
+            f"reduction on the {batch_name} batch runs at {red['speedup']:.2f}x "
+            f"independent counting, not above the {REDUCTION_FLOOR}x floor"
+        )
+
+
+def test_directed_comparison(benchmark, capsys):
+    from _common import once
+
+    results = once(benchmark, run_directed_bench)
+    _render(results, capsys)
+    check_floors(results)
+
+
+if __name__ == "__main__":
+    check_floors(_render(run_directed_bench()))

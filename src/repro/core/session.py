@@ -756,14 +756,24 @@ class MatchSession:
         On a digraph session, directed queries sharing an undirected
         skeleton are served by XMiner-style reduction
         (:mod:`repro.core.reduction`): the skeleton core is enumerated
-        once and every orientation classified against it, instead of
-        one full matching run per pattern.  ``reduce="auto"`` (default)
+        once on the undirected view, every core embedding gets one
+        direction code (two bits per skeleton edge), and each
+        orientation is counted from the distinct codes against one
+        required-bit mask per skeleton automorphism — instead of one
+        full matching run per pattern.  ``reduce="auto"`` (default)
         applies it to groups of two or more queries with no explicit
         backend preference anywhere (call, query or session —
         reduction chooses its own core executor); ``True`` forces it
-        for every directed group, ``False`` disables it.  Reduced
-        results carry ``backend="reduction"`` and the shared-core
-        summary in ``provenance``.
+        for every directed group, ``False`` disables it.  Skeletons
+        with more than :data:`~repro.core.reduction.MAX_SKELETON_EDGES`
+        (31) edges do not fit a direction code, and digraphs with more
+        than :data:`~repro.core.reduction.MAX_DIGRAPH_VERTICES` (2048)
+        vertices do not fit the direction table: their queries are
+        always counted per pattern.  Reduced results carry
+        ``backend="reduction"``, the shared-core summary in
+        ``provenance``, and the skeleton plan's ``cache_hit``; the
+        group's planning and execution seconds are split evenly across
+        its results.
         """
         if reduce not in (True, False, "auto"):
             raise ValueError('reduce must be True, False or "auto"')
@@ -771,7 +781,7 @@ class MatchSession:
         results: list[MatchResult | None] = [None] * len(queries)
         groups: dict[tuple, list[int]] = {}
         if reduce is not False and isinstance(self.graph, DiGraph):
-            from repro.core.reduction import skeleton_key
+            from repro.core.reduction import reducible, skeleton_key
 
             no_preference = backend is None and self.backend is None
             for i, query in enumerate(queries):
@@ -779,7 +789,9 @@ class MatchSession:
                     continue
                 if reduce == "auto" and not (no_preference and query.backend is None):
                     continue
-                groups.setdefault(skeleton_key(query.pattern), []).append(i)
+                key = skeleton_key(query.pattern)
+                if reducible(self.graph, key):
+                    groups.setdefault(key, []).append(i)
         for key, members in groups.items():
             if len(members) < 2:
                 continue
@@ -794,9 +806,9 @@ class MatchSession:
                     backend="reduction",
                     mode="directed",
                     semantics=queries[i].semantics,
-                    cache_hit=False,
-                    seconds_plan=0.0,
-                    seconds_execute=report.seconds_total / len(members),
+                    cache_hit=report.cache_hit,
+                    seconds_plan=report.seconds_plan / len(members),
+                    seconds_execute=report.seconds_execute / len(members),
                     provenance=report.describe(),
                     fingerprint=queries[i].fingerprint,
                 )

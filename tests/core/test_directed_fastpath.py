@@ -15,6 +15,9 @@ Three layers under test, all new in the directed-first-class change:
 
 from __future__ import annotations
 
+import itertools
+import time
+
 import pytest
 
 from repro.baselines.bruteforce import bruteforce_directed_count
@@ -22,10 +25,16 @@ from repro.core.backend import MatchContext, get_backend
 from repro.core.codegen import compile_directed_function, generate_directed_source
 from repro.core.directed import DirectedMatcher, compile_directed_plan
 from repro.core.query import MatchQuery
-from repro.core.reduction import reduce_directed_batch, skeleton_key, undirected_view
+from repro.core.reduction import (
+    MAX_DIGRAPH_VERTICES,
+    MAX_SKELETON_EDGES,
+    reduce_directed_batch,
+    skeleton_key,
+    undirected_view,
+)
 from repro.core.session import MatchSession
 from repro.core.vectorised import DirectedFrontierEngine, frontier_engine_for
-from repro.graph.digraph import price_citation_graph, random_digraph
+from repro.graph.digraph import DiGraph, price_citation_graph, random_digraph
 from repro.pattern.directed import (
     DiPattern,
     bi_fan,
@@ -247,6 +256,129 @@ class TestReduction:
         session = MatchSession(dig)
         with pytest.raises(ValueError, match="reduce"):
             session.count_many([MatchQuery(directed_cycle(3))], reduce="sometimes")
+
+    def test_count_many_rejects_disconnected_batch(self, dig):
+        # two orientations of one disconnected skeleton (two components)
+        batch = [
+            DiPattern(4, [(0, 1), (2, 3)], name="split-a"),
+            DiPattern(4, [(1, 0), (2, 3)], name="split-b"),
+        ]
+        with pytest.raises(ValueError, match="requires a connected pattern"):
+            MatchSession(dig).count_many(batch, reduce=True)
+
+    def test_count_many_reports_skeleton_plan_cache_hit(self, monkeypatch):
+        # a fresh digraph, so no other test has planned its skeleton or
+        # built its undirected view
+        graph = random_digraph(30, 0.3, seed=17)
+        view_build_s = 0.05
+        to_undirected = DiGraph.to_undirected
+
+        def slow_to_undirected(self):
+            time.sleep(view_build_s)
+            return to_undirected(self)
+
+        monkeypatch.setattr(DiGraph, "to_undirected", slow_to_undirected)
+        session = MatchSession(graph)
+        queries = [MatchQuery(p) for p in self.triangle_batch()]
+        first = session.count_many(queries)
+        second = session.count_many(queries)
+        assert {r.backend for r in first + second} == {"reduction"}
+        assert not any(r.cache_hit for r in first)
+        assert all(r.seconds_plan > 0 for r in first)
+        # the first batch builds the view, and its results account for it
+        assert sum(r.seconds_plan + r.seconds_execute for r in first) >= view_build_s
+        assert all(r.cache_hit for r in second)
+        assert all(r.seconds_plan == 0.0 for r in second)
+        assert [r.count for r in first] == [r.count for r in second]
+
+    def test_rejects_skeleton_over_edge_bound(self, dig):
+        edges = list(itertools.combinations(range(9), 2))[: MAX_SKELETON_EDGES + 1]
+        batch = [
+            DiPattern(9, edges, name="dense-fwd"),
+            DiPattern(9, [(b, a) for a, b in edges], name="dense-rev"),
+        ]
+        with pytest.raises(ValueError, match=f"at most {MAX_SKELETON_EDGES}"):
+            reduce_directed_batch(dig, batch)
+
+    def test_count_many_counts_over_bound_skeletons_per_pattern(self, dig, monkeypatch):
+        # A real 32-edge skeleton takes seconds to plan; shrinking the
+        # bound below the triangle's 3 edges exercises the same path.
+        monkeypatch.setattr("repro.core.reduction.MAX_SKELETON_EDGES", 2)
+        batch = self.triangle_batch()
+        with pytest.raises(ValueError, match="at most 2"):
+            reduce_directed_batch(dig, batch)
+        results = MatchSession(dig).count_many(batch, reduce=True)
+        assert all(r.backend != "reduction" for r in results)
+        assert [r.count for r in results] == [DirectedMatcher(p).count(dig) for p in batch]
+
+    def test_digraph_over_table_bound_counts_per_pattern(self):
+        graph = random_digraph(MAX_DIGRAPH_VERTICES + 1, 0.002, seed=23)
+        batch = self.triangle_batch()
+        with pytest.raises(ValueError, match=f"at most {MAX_DIGRAPH_VERTICES}"):
+            reduce_directed_batch(graph, batch)
+        results = MatchSession(graph).count_many(batch, reduce=True)
+        assert all(r.backend != "reduction" for r in results)
+        assert [r.count for r in results] == [DirectedMatcher(p).count(graph) for p in batch]
+        assert any(r.count for r in results)
+
+
+# ---------------------------------------------------------------------------
+# reduction vs independent counts vs the interpreter
+# ---------------------------------------------------------------------------
+def orientations(n, edges, *choices, prefix):
+    """DiPatterns over one skeleton: per edge ``(a, b)``, choice ``"f"``
+    keeps ``a->b``, ``"r"`` flips it and ``"b"`` keeps both arcs."""
+    patterns = []
+    for i, choice in enumerate(choices):
+        arcs = []
+        for (a, b), c in zip(edges, choice):
+            if c in "fb":
+                arcs.append((a, b))
+            if c in "rb":
+                arcs.append((b, a))
+        patterns.append(DiPattern(n, arcs, name=f"{prefix}-{i}"))
+    return patterns
+
+
+C4_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
+K4_EDGES = list(itertools.combinations(range(4), 2))
+HOUSE_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4), (1, 4)]
+
+DIFFERENTIAL_BATCHES = {
+    # the three 4-cycle orientations of the fig8-warm batch
+    "c4": [
+        DiPattern(4, [(0, 1), (1, 2), (2, 3), (3, 0)], name="c4-cycle"),
+        DiPattern(4, [(0, 1), (2, 1), (2, 3), (0, 3)], name="c4-fan"),
+        DiPattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)], name="c4-paths"),
+    ],
+    # |Aut(K4)| = 24 over 6 edges, with antiparallel pairs
+    "k4": orientations(4, K4_EDGES, "ffffff", "bfffff", "frfrfr", "bbffrr", "bbbbbb", prefix="k4"),
+    "house": orientations(5, HOUSE_EDGES, "ffffff", "rfrfbf", "fbrrff", "bffffb", prefix="house"),
+}
+
+
+class TestReductionDifferential:
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_BATCHES))
+    def test_reduced_equals_independent_and_interpreter(self, dig, name):
+        batch = DIFFERENTIAL_BATCHES[name]
+        assert len({skeleton_key(p) for p in batch}) == 1
+        session = MatchSession(dig)
+        queries = [MatchQuery(p) for p in batch]
+        reduced = session.count_many(queries, reduce=True)
+        independent = session.count_many(queries, reduce=False)
+        interpreter = [DirectedMatcher(p).count(dig, backend="interpreter") for p in batch]
+        assert all(r.backend == "reduction" for r in reduced)
+        assert all(r.backend != "reduction" for r in independent)
+        assert [r.count for r in reduced] == interpreter
+        assert [r.count for r in independent] == interpreter
+        assert any(interpreter), "batch matched nothing: differential is vacuous"
+
+    def test_direct_entry_point_on_citation_graph(self, citation):
+        batch = DIFFERENTIAL_BATCHES["c4"]
+        counts, report = reduce_directed_batch(citation, batch)
+        assert counts == [DirectedMatcher(p).count(citation, backend="interpreter") for p in batch]
+        assert report.n_automorphisms == 8
+        assert 0 < report.n_codes <= 3 ** len(C4_EDGES)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def orientation_batches(draw):
     independently per pattern, so every batch member shares the exact
     :func:`skeleton_key` while diverging in arc constraints.
     """
-    n = draw(st.integers(min_value=3, max_value=4))
+    n = draw(st.integers(min_value=3, max_value=5))
     # random spanning tree keeps every orientation weakly connected
     edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
     extra = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
