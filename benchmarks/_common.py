@@ -15,6 +15,8 @@ import os
 import time
 from pathlib import Path
 
+from repro.core.query import MatchQuery
+from repro.core.session import get_session
 from repro.graph.datasets import load_dataset
 from repro.utils.tables import Table
 
@@ -57,6 +59,12 @@ def bench_graph(name: str, scale: float | None = None):
     if QUICK:
         effective *= QUICK_SCALE
     return load_dataset(name, scale=effective, seed=BENCH_SEED)
+
+
+def plan_report(graph, pattern, *, use_iep: bool, max_restriction_sets: int | None = 64):
+    """The plain plan report the graph's session picks, with its kernel."""
+    query = MatchQuery(pattern, use_iep=use_iep, max_restriction_sets=max_restriction_sets)
+    return get_session(graph).plan_for(query, kernel=True).report
 
 
 def time_call(fn, *args, **kwargs) -> tuple[float, object]:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.approx.elp import RareEmbeddingError, build_elp
 from repro.approx.sampling import NeighborhoodSampler
-from repro.core.api import PatternMatcher
+from repro.core.api import count_pattern
 from repro.graph.builder import graph_from_edges
 from repro.pattern.catalog import house, triangle
 from repro.utils.tables import Table, format_seconds
@@ -32,8 +32,7 @@ def test_accuracy_latency_tradeoff(benchmark, capsys):
     graph = bench_graph("wiki-vote")
     pattern = triangle()
 
-    matcher = PatternMatcher(pattern)
-    t_exact, truth = time_call(matcher.count, graph, use_iep=False)
+    t_exact, truth = time_call(count_pattern, graph, pattern, use_iep=False)
 
     table = Table(
         ["samples", "estimate", "true count", "rel. error", "time", "vs exact"],
@@ -77,8 +76,7 @@ def test_rare_embedding_failure(benchmark, capsys):
     graph = graph_from_edges(path_edges + house_edges + [(400, base)])
     pattern = house()
 
-    matcher = PatternMatcher(pattern)
-    t_exact, truth = time_call(matcher.count, graph, use_iep=False)
+    t_exact, truth = time_call(count_pattern, graph, pattern, use_iep=False)
     assert truth == 1
 
     table = Table(
@@ -109,4 +107,4 @@ def test_rare_embedding_failure(benchmark, capsys):
     if budget is not None:
         assert budget > 100_000 or math.isinf(budget)
 
-    once(benchmark, matcher.count, graph, use_iep=False)
+    once(benchmark, count_pattern, graph, pattern, use_iep=False)

@@ -30,12 +30,11 @@ geomean ratios the acceptance criteria read.
 
 from __future__ import annotations
 
-from repro.core.api import PatternMatcher
 from repro.core.backend import MatchContext, get_backend
 from repro.pattern.catalog import get_pattern
 from repro.utils.tables import Table, format_seconds, format_speedup
 
-from _common import QUICK, bench_graph, emit, emit_json, geomean, time_call
+from _common import QUICK, bench_graph, emit, emit_json, geomean, plan_report, time_call
 
 DATASET = "wiki-vote"
 
@@ -87,10 +86,9 @@ def run_auxiliary_bench() -> dict:
 
     for pname in dense + sparse:
         pattern = get_pattern(pname)
-        matcher = PatternMatcher(pattern, max_restriction_sets=16)
         # One IEP-free plan per pattern; every variant executes the same
         # chosen configuration, so differences are purely the pruning.
-        report = matcher.plan(graph, use_iep=False)
+        report = plan_report(graph, pattern, use_iep=False, max_restriction_sets=16)
         ctx = MatchContext(graph=graph, plan=report.plan)
         row: dict[str, dict] = {}
         baseline = expected = None

@@ -1,4 +1,4 @@
-"""Backend micro-benchmark: interpreter vs preslice vs compiled vs parallel.
+"""Backend micro-benchmark: interpreter vs compiled vs parallel vs vectorised.
 
 The tentpole claim of the unified execution-backend layer: routing every
 entry point through the compiled-first core is a *win*, not just a
@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import os
 
-from repro.core.api import PatternMatcher
 from repro.core.backend import MatchContext, get_backend
 from repro.pattern.catalog import paper_patterns
 from repro.utils.tables import Table, format_seconds, format_speedup
 
-from _common import QUICK, bench_graph, emit, emit_json, geomean, time_call
+from _common import QUICK, bench_graph, emit, emit_json, geomean, plan_report, time_call
 
 DATASET = "wiki-vote"
 
 #: backends measured, interpreter first (the speedup baseline).
-BACKENDS = ["interpreter", "preslice", "compiled", "parallel", "vectorised", "distributed"]
+BACKENDS = ["interpreter", "compiled", "parallel", "vectorised", "distributed"]
 
 #: P1..P6 is the Fig. 8 grid; P5/P6 interpret slowly enough to dominate
 #: the whole suite, so the micro-bench uses the first four patterns
@@ -55,10 +54,9 @@ def run_backend_bench() -> dict:
     records: dict[str, dict] = {}
 
     for pname, pattern in patterns.items():
-        matcher = PatternMatcher(pattern, max_restriction_sets=16)
         # Plan once (no IEP, as in Fig. 8); every backend executes the
         # same chosen configuration, so differences are purely execution.
-        report = matcher.plan(graph, use_iep=False)
+        report = plan_report(graph, pattern, use_iep=False, max_restriction_sets=16)
         ctx = MatchContext(graph=graph, plan=report.plan, generated=report.generated)
         row: dict[str, dict] = {}
         baseline = None

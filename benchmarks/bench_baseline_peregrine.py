@@ -22,11 +22,12 @@ looking at the data distribution.
 import pytest
 
 from repro.baselines.peregrine import PeregrineMatcher
-from repro.core.api import PatternMatcher
+from repro.core.api import count_pattern
+from repro.core.backend import MatchContext, select_backend
 from repro.pattern.catalog import paper_patterns
 from repro.utils.tables import Table, format_seconds, format_speedup
 
-from _common import bench_graph, emit, once, time_call
+from _common import bench_graph, emit, once, plan_report, time_call
 
 WORKLOAD = [
     ("wiki-vote", "P1"),
@@ -51,9 +52,9 @@ def test_peregrine_vs_graphpi(benchmark, capsys):
     for gname, pname in WORKLOAD:
         graph = graphs[gname]
         pattern = cat[pname]
-        gp = PatternMatcher(pattern)
-        rep = gp.plan(graph, use_iep=False)
-        t_gp, c_gp = time_call(gp.count, graph, use_iep=False, report=rep)
+        rep = plan_report(graph, pattern, use_iep=False)
+        ctx = MatchContext(graph=graph, plan=rep.plan, generated=rep.generated)
+        t_gp, c_gp = time_call(select_backend(ctx).count, ctx)
 
         pere = PeregrineMatcher(pattern)
         pplan = pere.plan()
@@ -84,4 +85,4 @@ def test_peregrine_vs_graphpi(benchmark, capsys):
     assert max(speedups) > 1.5, "expected at least one clear data-aware win"
 
     graph = graphs["wiki-vote"]
-    once(benchmark, PatternMatcher(cat["P1"]).count, graph, use_iep=False)
+    once(benchmark, count_pattern, graph, cat["P1"], use_iep=False)

@@ -11,12 +11,11 @@ fixed), differing only in iep_k.
 
 import pytest
 
-from repro.core.api import PatternMatcher
 from repro.graph.datasets import SINGLE_NODE_DATASETS
 from repro.pattern.catalog import paper_patterns
 from repro.utils.tables import Table, format_seconds, format_speedup
 
-from _common import bench_graph, emit, once, time_call
+from _common import bench_graph, emit, once, plan_report, time_call
 
 PAPER_AVG = {"P1": 4.3, "P2": 457.8, "P3": 320.5, "P4": 265.5, "P5": 11.1, "P6": 10.1}
 
@@ -34,9 +33,10 @@ def test_fig10_iep_speedup(benchmark, capsys):
     for gname in SINGLE_NODE_DATASETS:
         graph = bench_graph(gname)
         for pname, pattern in patterns.items():
-            matcher = PatternMatcher(pattern, max_restriction_sets=16)
-            rep_plain = matcher.plan(graph, use_iep=False)
-            rep_iep = matcher.plan(graph, use_iep=True)
+            rep_plain = plan_report(
+                graph, pattern, use_iep=False, max_restriction_sets=16
+            )
+            rep_iep = plan_report(graph, pattern, use_iep=True, max_restriction_sets=16)
             t_plain, c_plain = time_call(rep_plain.generated, graph)
             t_iep, c_iep = time_call(rep_iep.generated, graph)
             assert c_plain == c_iep, (gname, pname)
@@ -54,7 +54,7 @@ def test_fig10_iep_speedup(benchmark, capsys):
     emit(table, capsys, "fig10_iep.tsv")
 
     graph = bench_graph("wiki-vote")
-    rep = PatternMatcher(patterns["P2"]).plan(graph, use_iep=True)
+    rep = plan_report(graph, patterns["P2"], use_iep=True)
     once(benchmark, rep.generated, graph)
 
     # Shape: IEP helps most where the paper says it does — patterns with

@@ -16,19 +16,18 @@ tails — the paper's three regimes.
 import numpy as np
 import pytest
 
-from repro.core.api import PatternMatcher
 from repro.runtime.cluster import scaling_curve
 from repro.runtime.parallel import measure_task_costs
 from repro.utils.tables import Table, format_seconds
 
-from _common import bench_graph, emit, once
+from _common import bench_graph, emit, once, plan_report
 
 ORKUT_NODES = [1, 2, 4, 8, 16, 32, 64, 128]
 TWITTER_NODES = [128, 256, 512, 1024]
 
 
 def _task_costs(graph, pattern, split_depth):
-    rep = PatternMatcher(pattern, max_restriction_sets=8).plan(graph, use_iep=False)
+    rep = plan_report(graph, pattern, use_iep=False, max_restriction_sets=8)
     return np.asarray(
         measure_task_costs(graph, rep.plan, split_depth=split_depth), dtype=np.float64
     )

@@ -16,13 +16,12 @@ import pytest
 
 from repro.baselines.fractal import FractalMatcher
 from repro.baselines.graphzero import GraphZeroMatcher
-from repro.core.api import PatternMatcher
 from repro.core.engine import Engine
 from repro.graph.datasets import SINGLE_NODE_DATASETS
 from repro.pattern.catalog import paper_patterns
 from repro.utils.tables import Table, format_seconds, format_speedup
 
-from _common import bench_graph, emit, once, time_call
+from _common import bench_graph, emit, once, plan_report, time_call
 
 #: frontier cap standing in for the 64 GB node memory (tuples ~ bytes).
 FRACTAL_FRONTIER_CAP = 3_000_000
@@ -34,8 +33,7 @@ GRAPHZERO_SKIP: set[str] = set()
 
 
 def _graphpi_seconds(graph, pattern):
-    matcher = PatternMatcher(pattern, max_restriction_sets=16)
-    report = matcher.plan(graph, use_iep=False)
+    report = plan_report(graph, pattern, use_iep=False, max_restriction_sets=16)
     return time_call(report.generated, graph)
 
 
@@ -97,7 +95,7 @@ def test_fig8_overall_performance(benchmark, capsys):
 
     # Representative single measurement for pytest-benchmark.
     graph = bench_graph("wiki-vote")
-    report = PatternMatcher(patterns["P1"]).plan(graph, use_iep=False)
+    report = plan_report(graph, patterns["P1"], use_iep=False)
     once(benchmark, report.generated, graph)
 
     # Shape: GraphPi at least matches GraphZero on average, and beats

@@ -13,7 +13,6 @@ schedule generator run inside the stage timers.
 
 import pytest
 
-from repro.core.api import PatternMatcher
 from repro.core.session import plan_plain
 from repro.graph.stats import GraphStats
 from repro.pattern.catalog import paper_patterns
@@ -49,8 +48,7 @@ def test_table3_preprocessing_overhead(benchmark, capsys):
         )
     emit(table, capsys, "table3_preprocessing.tsv")
 
-    once(benchmark,
-         lambda: PatternMatcher(paper_patterns()["P1"]).plan(stats=stats))
+    once(benchmark, plan_plain, paper_patterns()["P1"], stats)
 
     # Shape: the symmetric 7-vertex P6 dominates, the 5-vertex P1 is the
     # cheapest, everything stays in interactive range.

@@ -20,12 +20,11 @@ cross-backend count assertion runs in every mode.
 
 from __future__ import annotations
 
-from repro.core.api import PatternMatcher
 from repro.core.backend import MatchContext, get_backend
 from repro.pattern.catalog import paper_patterns
 from repro.utils.tables import Table, format_seconds, format_speedup
 
-from _common import QUICK, bench_graph, emit, emit_json, geomean, time_call
+from _common import QUICK, bench_graph, emit, emit_json, geomean, plan_report, time_call
 
 DATASET = "wiki-vote"
 
@@ -47,11 +46,10 @@ def run_vectorised_bench() -> dict:
     records: dict[str, dict] = {}
 
     for pname, pattern in patterns.items():
-        matcher = PatternMatcher(pattern, max_restriction_sets=16)
         # One IEP-free plan per pattern (the vectorised backend's covered
         # regime); every backend executes the same chosen configuration,
         # so differences are purely execution strategy.
-        report = matcher.plan(graph, use_iep=False)
+        report = plan_report(graph, pattern, use_iep=False, max_restriction_sets=16)
         ctx = MatchContext(graph=graph, plan=report.plan, generated=report.generated)
         row: dict[str, dict] = {}
         baseline = expected = None

@@ -13,7 +13,7 @@ Run:  python examples/clique_hunting.py
 import time
 from math import factorial
 
-from repro import PatternMatcher, load_dataset
+from repro import MatchQuery, count_pattern, get_session, load_dataset
 from repro.mining.cliques import clique_count_ordered, max_clique_lower_bound
 from repro.pattern.catalog import clique
 from repro.utils.tables import Table
@@ -32,10 +32,8 @@ def main() -> None:
         title="clique counting with automatic symmetry breaking",
     )
     for k in range(3, min(kmax, 6) + 1):
-        matcher = PatternMatcher(clique(k), max_restriction_sets=8)
-
         t0 = time.perf_counter()
-        count = matcher.count(graph)
+        count = count_pattern(graph, clique(k), max_restriction_sets=8)
         t_pi = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -49,8 +47,8 @@ def main() -> None:
     print(table.render())
 
     # Show the restriction chain for the 4-clique: a total order.
-    matcher = PatternMatcher(clique(4), max_restriction_sets=8)
-    report = matcher.plan(graph)
+    query = MatchQuery(clique(4), use_iep=False, max_restriction_sets=8)
+    report = get_session(graph).plan_for(query).report
     print("\nchosen 4-clique configuration:", report.chosen.config.describe())
     print("every clique is enumerated exactly once — the general machinery "
           "rediscovers the classic ordered-enumeration trick.")

@@ -19,9 +19,9 @@ import numpy as np
 
 from repro import (
     MatchQuery,
-    PatternMatcher,
     get_backend,
     get_pattern,
+    get_session,
     load_dataset,
     match_query,
 )
@@ -36,8 +36,7 @@ def main() -> None:
     pattern = get_pattern("house")
     print(f"pattern {pattern.name!r} on {graph}\n")
 
-    report = PatternMatcher(pattern).plan(graph, use_iep=False)
-    plan = report.plan
+    plan = get_session(graph).plan_for(MatchQuery(pattern, use_iep=False)).plan
 
     # 1. Sequential master/worker partitioning.
     total, parts = run_partitioned(graph, plan, split_depth=2)

@@ -19,7 +19,9 @@ Run:  python examples/streaming_replan.py
 import itertools
 import random
 
-from repro import PatternMatcher, get_pattern
+from repro import MatchContext, get_pattern
+from repro.core.backend import select_backend
+from repro.core.session import plan_plain
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import random_power_law
 
@@ -38,7 +40,6 @@ def main() -> None:
     print(f"start: {dyn!r}")
 
     pattern = get_pattern("house")
-    matcher = PatternMatcher(pattern)
     rng = random.Random(23)
     community = rng.sample(range(dyn.n_vertices), 24)
 
@@ -52,8 +53,11 @@ def main() -> None:
                 dyn.add_edge(u, v)
 
         stats = dyn.stats()  # O(1): from incremental counters
-        report = matcher.plan(stats=stats, use_iep=True)
-        count = matcher.count(dyn.snapshot(), report=report)
+        report = plan_plain(pattern, stats, use_iep=True)
+        ctx = MatchContext(
+            graph=dyn.snapshot(), plan=report.plan, generated=report.generated
+        )
+        count = select_backend(ctx).count(ctx)
         print(
             f"{i:>5} {stats.n_edges:>6} {stats.triangles:>9} {stats.p2:>9.2e}  "
             f"{count:>11}  {list(report.chosen.config.schedule)}"

@@ -14,7 +14,7 @@ from repro._lazy import lazy_exports
 
 #: defining module -> the public names this package re-exports from it.
 _EXPORTS = {
-    "repro.core.api": ("PatternMatcher", "count_pattern", "match_pattern", "match_query"),
+    "repro.core.api": ("count_pattern", "match_pattern", "match_query"),
     "repro.core.query": ("MatchQuery", "MatchResult"),
     "repro.core.session": ("MatchSession", "get_session"),
     "repro.core.backend": (
@@ -70,7 +70,6 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 __version__ = "1.0.0"
 
 __all__ = [
-    "PatternMatcher",
     "count_pattern",
     "match_pattern",
     "match_query",

@@ -36,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.api import PatternMatcher
 from repro.core.config import ExecutionPlan
 from repro.core.engine import Engine
+from repro.core.query import MatchQuery
+from repro.core.session import get_session
 from repro.graph.csr import Graph
 from repro.pattern.pattern import Pattern
 
@@ -111,9 +112,8 @@ class NeighborhoodSampler:
         seed=None,
     ):
         if plan is None:
-            matcher = PatternMatcher(pattern, use_codegen=False)
-            report = matcher.plan(graph, use_iep=False, codegen=False)
-            plan = report.plan
+            query = MatchQuery(pattern, use_iep=False, use_codegen=False)
+            plan = get_session(graph).plan_for(query).plan
         if plan.iep_k:
             raise ValueError("sampling requires a plan compiled with iep_k=0")
         self.graph = graph

@@ -375,11 +375,12 @@ def _cmd_count_directed_batch(args, graph, resolved_backend) -> int:
 
 
 def cmd_plan(args) -> int:
-    from repro.core.api import PatternMatcher
+    from repro.core.query import MatchQuery
+    from repro.core.session import get_session
 
     graph = _load_graph(args)
-    matcher = PatternMatcher(_get_pattern(args.pattern))
-    report = matcher.plan(graph, use_iep=not args.no_iep)
+    query = MatchQuery(_get_pattern(args.pattern), use_iep=not args.no_iep)
+    report = get_session(graph).plan_for(query, kernel=True).report
     print(report.describe())
     print(f"\ngraph stats: {report.stats.describe()}")
     print(f"\nrestriction sets ({len(report.restriction_sets)}):")

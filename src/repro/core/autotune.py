@@ -671,7 +671,6 @@ def default_choice_grid(*, heavy: bool = False) -> list[ProfileChoice]:
     grid = [
         ProfileChoice.make("interpreter", use_iep=True),
         ProfileChoice.make("interpreter", use_iep=False),
-        ProfileChoice.make("preslice", use_iep=True),
         ProfileChoice.make("compiled", use_iep=True),
         ProfileChoice.make("compiled", use_iep=False),
         ProfileChoice.make("vectorised", {"aux": "auto"}, use_iep=True),

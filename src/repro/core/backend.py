@@ -41,22 +41,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.core.codegen import (
-    GeneratedCounter,
-    compile_directed_function,
-    compile_induced_function,
-    compile_labeled_function,
-    compile_plan_function,
-    compile_prefix_function,
-)
 from repro.core.config import Configuration, ExecutionPlan
 from repro.core.directed import DirectedPlan
 from repro.core.engine import Engine
-from repro.core.engine_variants import PreSliceEngine
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
+
+if TYPE_CHECKING:
+    from repro.core.codegen import GeneratedCounter
 
 #: matching semantics a context can carry; backends opt into each.
 MODES = ("plain", "induced", "labeled", "directed")
@@ -135,6 +129,8 @@ def make_prefix_counter(
         and isinstance(ctx.plan, ExecutionPlan)
         and 1 <= split_depth < ctx.plan.n_loops
     ):
+        from repro.core.codegen import compile_prefix_function
+
         kernel = compile_prefix_function(ctx.plan, split_depth)
         graph = ctx.graph
         return (lambda prefix: kernel(graph, prefix)), "compiled"
@@ -356,10 +352,10 @@ def resolve_backend(spec: "str | ExecutionBackend | None") -> ExecutionBackend |
 DEFAULT_ORDER = ("vectorised", "compiled", "interpreter")
 
 #: the per-task executors the ``distributed`` backend can build (its
-#: ``inner`` option); other registered backends (preslice, parallel,
-#: distributed itself) have no per-task entry point and would silently
-#: demote to the interpreter.  Kept here so the CLI offers them without
-#: loading the distributed runtime.
+#: ``inner`` option); other registered backends (parallel, distributed
+#: itself) have no per-task entry point and would silently demote to the
+#: interpreter.  Kept here so the CLI offers them without loading the
+#: distributed runtime.
 INNER_BACKENDS = ("vectorised", "compiled", "interpreter")
 
 
@@ -431,29 +427,6 @@ class InterpreterBackend(ExecutionBackend):
         return make_engine(ctx).enumerate_embeddings(limit=limit)
 
 
-@register_backend
-class PreSliceBackend(ExecutionBackend):
-    """Interpreter variant slicing restriction bounds before intersecting."""
-
-    name = "preslice"
-    supports_enumeration = True
-    capabilities = BackendCapabilities(
-        modes=frozenset({"plain"}), iep=True, enumeration=True
-    )
-
-    def supports(self, ctx: MatchContext) -> bool:
-        return ctx.mode == "plain" and isinstance(ctx.plan, ExecutionPlan)
-
-    def count(self, ctx: MatchContext) -> int:
-        self._require(ctx)
-        with span("preslice"):
-            return PreSliceEngine(ctx.graph, ctx.plan).count()
-
-    def enumerate_embeddings(self, ctx, limit=None):
-        self._require(ctx)
-        return PreSliceEngine(ctx.graph, ctx.plan).enumerate_embeddings(limit=limit)
-
-
 def compile_for_context(ctx: MatchContext) -> GeneratedCounter:
     """Generate the kernel matching a context's semantics.
 
@@ -461,6 +434,13 @@ def compile_for_context(ctx: MatchContext) -> GeneratedCounter:
     session's kernel cache both go through here, so a context is never
     paired with a kernel of the wrong semantics.
     """
+    from repro.core.codegen import (
+        compile_directed_function,
+        compile_induced_function,
+        compile_labeled_function,
+        compile_plan_function,
+    )
+
     if ctx.mode == "plain":
         return compile_plan_function(ctx.plan)
     if ctx.mode == "induced":

@@ -435,10 +435,8 @@ class DirectedPlanReport:
 
 
 class DirectedMatcher:
-    """Plan and execute directed pattern matching (GraphPi pipeline).
-
-    Mirrors :class:`repro.core.api.PatternMatcher` for
-    :class:`~repro.pattern.directed.DiPattern` on
+    """Plan and execute directed pattern matching (GraphPi pipeline)
+    for :class:`~repro.pattern.directed.DiPattern` on
     :class:`~repro.graph.digraph.DiGraph`.
     """
 

@@ -96,9 +96,8 @@ class MatchQuery:
         fingerprint: backends change how a plan runs, not which plan the
         planner picks.
     max_restriction_sets / dedup_schedules / use_codegen:
-        Planner knobs, identical to the historical ``PatternMatcher``
-        parameters; all three are plan-affecting and therefore part of
-        the fingerprint.
+        Planner knobs; all three are plan-affecting and therefore part
+        of the fingerprint.
     """
 
     pattern: Any

@@ -16,8 +16,8 @@ binds the whole pipeline to a graph:
   first sight of a fingerprint and replay the compiled plan on every
   repeat — preprocessing is amortised to zero on cache hits.
 * :func:`plan_plain` — the plain-mode preprocessing pipeline (restriction
-  sets → schedules → configurations → model ranking → codegen), the
-  function :class:`repro.core.api.PatternMatcher` now shims over.
+  sets → schedules → configurations → model ranking → codegen) on
+  precomputed graph statistics.
 * :func:`get_session` — a per-process registry handing out one session
   per live graph object, so one-shot helpers (``count_pattern``,
   ``motif_census``, the CLI) share plans without threading a session
@@ -47,7 +47,7 @@ import dataclasses
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from repro.core.backend import (
     DEFAULT_ORDER,
@@ -57,13 +57,6 @@ from repro.core.backend import (
     compile_for_context,
     get_backend,
     select_backend,
-)
-from repro.core.codegen import (
-    GeneratedCounter,
-    compile_directed_function,
-    compile_induced_function,
-    compile_labeled_function,
-    compile_plan_function,
 )
 from repro.core.config import ExecutionPlan, enumerate_configurations
 from repro.core.perf_model import PerformanceModel, RankedConfiguration
@@ -82,6 +75,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import collect, span
 from repro.pattern.pattern import Pattern
 from repro.utils.timing import Timer
+
+if TYPE_CHECKING:
+    from repro.core.codegen import GeneratedCounter
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +131,10 @@ def plan_plain(
     max_restriction_sets: int | None = 64,
     dedup_schedules: bool = True,
     codegen: bool = True,
-    restriction_sets: list[RestrictionSet] | None = None,
-    schedules: list | None = None,
 ) -> PlanReport:
     """Run the full plain-mode preprocessing pipeline and pick a plan.
 
-    ``restriction_sets``/``schedules`` accept precomputed inputs (the
-    ``PatternMatcher`` per-pattern caches); otherwise both are generated
-    here.  ``use_iep`` asks the model to score configurations with the
+    ``use_iep`` asks the model to score configurations with the
     innermost independent loops replaced by IEP.
 
     The automorphism group is enumerated once, here, and handed to every
@@ -151,16 +143,14 @@ def plan_plain(
     """
     with Timer() as t_res, span("restrictions") as sp:
         group = symmetry_group(pattern)
-        if restriction_sets is None:
-            restriction_sets = generate_restriction_sets(
-                pattern, max_sets=max_restriction_sets, auts=group
-            )
+        restriction_sets = generate_restriction_sets(
+            pattern, max_sets=max_restriction_sets, auts=group
+        )
         sp.set(n_sets=len(restriction_sets))
     with Timer() as t_sched, span("schedules") as sp:
-        if schedules is None:
-            schedules = generate_schedules(
-                pattern, dedup_automorphic=dedup_schedules, auts=group
-            )
+        schedules = generate_schedules(
+            pattern, dedup_automorphic=dedup_schedules, auts=group
+        )
         sp.set(n_schedules=len(schedules))
     with Timer() as t_model, span("model") as sp:
         configs = enumerate_configurations(pattern, schedules, restriction_sets)
@@ -172,6 +162,8 @@ def plan_plain(
     generated = None
     with Timer() as t_gen, span("codegen", enabled=codegen):
         if codegen:
+            from repro.core.codegen import compile_plan_function
+
             generated = compile_plan_function(chosen.plan)
     return PlanReport(
         pattern=pattern,
@@ -199,7 +191,7 @@ class PlanEntry:
     :class:`~repro.core.labeled.LabeledPlanReport` or
     :class:`~repro.core.directed.DirectedPlanReport`) for provenance and
     introspection — including, for plain plans, the full configuration
-    ranking that ``PatternMatcher.plan`` exposes.  Retention is bounded:
+    ranking that ``repro plan`` prints.  Retention is bounded:
     at most ``MatchSession.max_plans`` entries per session (LRU) and at
     most :func:`session_cache_size` registry sessions process-wide.
     ``seconds_plan`` records what the cold planning cost — the time a
@@ -267,26 +259,6 @@ def _wants_kernel(query: MatchQuery) -> bool:
     spec = query.backend if query.backend is not None else DEFAULT_ORDER[0]
     caps = capabilities_of(spec)
     return caps is None or caps.generated_kernels
-
-
-def resolve_execution_backend(
-    ctx: MatchContext,
-    requested: "str | ExecutionBackend | None",
-    *,
-    use_codegen: bool = True,
-    for_enumeration: bool = False,
-) -> ExecutionBackend:
-    """The one backend-selection policy (shared by session and shims).
-
-    With no explicit request and ``use_codegen=False`` on a context that
-    carries no pre-generated kernel, run the interpreter — the
-    historical meaning of ``use_codegen=False``; otherwise apply the
-    registry's :func:`~repro.core.backend.select_backend` (no request:
-    vectorised, then compiled, then interpreter).
-    """
-    if requested is None and not use_codegen and ctx.generated is None:
-        return get_backend("interpreter")
-    return select_backend(ctx, requested, for_enumeration=for_enumeration)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +481,8 @@ class MatchSession:
             and wants_kernel
             and report.plan.iep_k == 0
         ):
+            from repro.core.codegen import compile_induced_function
+
             generated = compile_induced_function(report.plan)
         return PlanEntry(
             key=key,
@@ -540,6 +514,8 @@ class MatchSession:
             and isinstance(report.plan, ExecutionPlan)
             and report.plan.iep_k == 0
         ):
+            from repro.core.codegen import compile_labeled_function
+
             generated = compile_labeled_function(report.plan, query.pattern)
         return PlanEntry(
             key=key,
@@ -566,6 +542,8 @@ class MatchSession:
         wants_kernel = _wants_kernel(query)
         generated = None
         if query.use_codegen and wants_kernel and report.plan.iep_k == 0:
+            from repro.core.codegen import compile_directed_function
+
             generated = compile_directed_function(report.plan)
         return PlanEntry(
             key=key,
@@ -611,15 +589,20 @@ class MatchSession:
         *,
         for_enumeration: bool = False,
     ) -> ExecutionBackend:
+        """The backend that runs ``ctx``.
+
+        With no explicit request and ``use_codegen=False`` on a context
+        that carries no pre-generated kernel, run the interpreter — the
+        historical meaning of ``use_codegen=False``; otherwise apply the
+        registry's :func:`~repro.core.backend.select_backend` (no
+        request: vectorised, then compiled, then interpreter).
+        """
         requested = backend if backend is not None else query.backend
         if requested is None:
             requested = self.backend
-        return resolve_execution_backend(
-            ctx,
-            requested,
-            use_codegen=query.use_codegen,
-            for_enumeration=for_enumeration,
-        )
+        if requested is None and not query.use_codegen and ctx.generated is None:
+            return get_backend("interpreter")
+        return select_backend(ctx, requested, for_enumeration=for_enumeration)
 
     def _ensure_kernel(self, entry: PlanEntry, chosen: ExecutionBackend,
                        ctx: MatchContext) -> MatchContext:

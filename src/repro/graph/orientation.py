@@ -17,9 +17,8 @@ essentially arbitrary ids).  This module makes the knob explicit:
   degree on real graphs), the strongest classical guarantee for this
   family of algorithms.
 
-``benchmarks/bench_ablation_orientation.py`` measures the effect on
-clique counting over a power-law proxy; identity vs degree vs degeneracy
-ordering differ only in the relabelling — plan and engine are identical.
+Identity, degree and degeneracy orderings differ only in the
+relabelling — plan and engine are identical, so counts are unchanged.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ import pytest
 
 from repro.approx.sampling import EstimateResult, NeighborhoodSampler, approximate_count
 from repro.baselines.bruteforce import bruteforce_count
-from repro.core.api import PatternMatcher, count_pattern
+from repro.core.api import count_pattern
+from repro.core.query import MatchQuery
+from repro.core.session import get_session
 from repro.graph.builder import graph_from_edges
 from repro.graph.generators import complete_graph, erdos_renyi
 from repro.pattern.catalog import clique, house, path, rectangle, triangle
@@ -128,20 +130,34 @@ class TestRareEmbeddingFailure:
         assert a.estimate == b.estimate
 
 
+def _plan(graph, pattern, *, use_iep):
+    query = MatchQuery(pattern, use_iep=use_iep, use_codegen=False)
+    return get_session(graph).plan_for(query)
+
+
 class TestPlanInteraction:
     def test_rejects_iep_plan(self, g_er):
-        matcher = PatternMatcher(rectangle(), use_codegen=False)
-        rep = matcher.plan(g_er, use_iep=True, codegen=False)
+        rep = _plan(g_er, rectangle(), use_iep=True)
         if rep.plan.iep_k == 0:
             pytest.skip("model did not choose IEP here")
         with pytest.raises(ValueError, match="iep_k=0"):
             NeighborhoodSampler(g_er, rectangle(), plan=rep.plan)
 
     def test_explicit_plan_used(self, g_er):
-        matcher = PatternMatcher(triangle(), use_codegen=False)
-        rep = matcher.plan(g_er, use_iep=False, codegen=False)
+        rep = _plan(g_er, triangle(), use_iep=False)
         s = NeighborhoodSampler(g_er, triangle(), plan=rep.plan, seed=3)
         assert s.plan is rep.plan
         truth = bruteforce_count(g_er, triangle())
         res = s.estimate(40_000)
         assert abs(res.estimate - truth) <= max(5 * res.std_error, 0.15 * truth)
+
+    def test_default_plan_reuses_session_cache(self):
+        g = erdos_renyi(50, 0.2, seed=41)
+        exact = count_pattern(g, house(), use_iep=False, use_codegen=False)
+        before = get_session(g).cache_info()
+        s = NeighborhoodSampler(g, house(), seed=5)
+        after = get_session(g).cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
+        assert exact == bruteforce_count(g, house())
+        assert s.plan is _plan(g, house(), use_iep=False).plan

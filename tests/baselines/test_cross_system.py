@@ -12,7 +12,7 @@ from repro.baselines.bruteforce import bruteforce_count
 from repro.baselines.fractal import fractal_count
 from repro.baselines.graphzero import graphzero_count
 from repro.baselines.peregrine import peregrine_count
-from repro.core.api import PatternMatcher
+from repro.core.api import count_pattern
 from repro.graph.generators import erdos_renyi, random_power_law, watts_strogatz
 from repro.pattern.catalog import paper_patterns
 
@@ -27,8 +27,8 @@ GRAPHS = [
 def test_four_systems_agree_small_patterns(gname, graph, all_small_patterns):
     for pattern in all_small_patterns:
         reference = bruteforce_count(graph, pattern)
-        assert PatternMatcher(pattern).count(graph, use_iep=False) == reference
-        assert PatternMatcher(pattern).count(graph, use_iep=True) == reference
+        assert count_pattern(graph, pattern, use_iep=False) == reference
+        assert count_pattern(graph, pattern, use_iep=True) == reference
         assert graphzero_count(graph, pattern) == reference
         assert fractal_count(graph, pattern) == reference
         assert peregrine_count(graph, pattern) == reference
@@ -40,8 +40,8 @@ def test_paper_patterns_three_systems(pname):
     P1–P4 cover 5- and 6-vertex shapes."""
     graph = erdos_renyi(28, 0.3, seed=44)
     pattern = paper_patterns()[pname]
-    pi = PatternMatcher(pattern).count(graph, use_iep=True)
-    assert pi == PatternMatcher(pattern).count(graph, use_iep=False)
+    pi = count_pattern(graph, pattern, use_iep=True)
+    assert pi == count_pattern(graph, pattern, use_iep=False)
     assert pi == graphzero_count(graph, pattern)
     assert pi == peregrine_count(graph, pattern)
     assert pi == bruteforce_count(graph, pattern)
@@ -51,6 +51,6 @@ def test_p5_p6_graphpi_vs_graphzero():
     graph = erdos_renyi(20, 0.4, seed=45)
     for pname in ("P5", "P6"):
         pattern = paper_patterns()[pname]
-        pi = PatternMatcher(pattern, max_restriction_sets=8).count(graph, use_iep=False)
+        pi = count_pattern(graph, pattern, use_iep=False, max_restriction_sets=8)
         gz = graphzero_count(graph, pattern)
         assert pi == gz, pname

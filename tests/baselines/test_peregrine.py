@@ -67,14 +67,18 @@ class TestDataObliviousness:
         """GraphPi's choice may move with the data distribution; the
         Peregrine baseline's cannot.  (Not asserting GraphPi *must*
         differ — only that Peregrine never does.)"""
-        from repro.core.api import PatternMatcher
+        from repro.core.session import plan_plain
+        from repro.graph.stats import GraphStats
 
         dense = erdos_renyi(80, 0.3, seed=1)
         sparse = random_power_law(400, avg_degree=3.0, exponent=2.4, seed=2)
         peregrine_cfg = PeregrineMatcher(house()).plan().config
-        gp = PatternMatcher(house(), use_codegen=False)
-        cfg_dense = gp.plan(dense, codegen=False).chosen.config
-        cfg_sparse = gp.plan(sparse, codegen=False).chosen.config
+
+        def chosen(graph):
+            return plan_plain(house(), GraphStats.of(graph), codegen=False).chosen
+
+        cfg_dense = chosen(dense).config
+        cfg_sparse = chosen(sparse).config
         # Peregrine's is one fixed configuration...
         assert peregrine_cfg == PeregrineMatcher(house()).plan().config
         # ...and it is a valid configuration of the same pattern

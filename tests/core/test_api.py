@@ -1,18 +1,25 @@
-"""The public PatternMatcher API."""
+"""The public one-shot helpers and the plan surfaces they sit on."""
 
 import pytest
 
 from repro.baselines.bruteforce import bruteforce_count, bruteforce_enumerate
-from repro.core.api import PatternMatcher, count_pattern, match_pattern
+from repro.core.api import count_pattern, match_pattern
+from repro.core.backend import MatchContext, select_backend
+from repro.core.query import MatchQuery
+from repro.core.session import get_session, plan_plain
 from repro.graph.stats import GraphStats
-from repro.pattern.catalog import cycle_6_tri, house, triangle
+from repro.pattern.catalog import clique, cycle_6_tri, house, triangle
 from repro.pattern.pattern import Pattern
+
+
+def _report(graph, pattern, **knobs):
+    query = MatchQuery(pattern, **{"use_iep": False, **knobs})
+    return get_session(graph).plan_for(query, kernel=query.use_codegen).report
 
 
 class TestPlan:
     def test_report_contents(self, er_small):
-        m = PatternMatcher(house())
-        rep = m.plan(er_small)
+        rep = _report(er_small, house())
         assert rep.pattern == house()
         assert len(rep.restriction_sets) >= 1
         assert rep.n_schedules >= 1
@@ -24,49 +31,45 @@ class TestPlan:
 
     def test_plan_with_precomputed_stats(self, er_small):
         stats = GraphStats.of(er_small)
-        rep = PatternMatcher(triangle()).plan(stats=stats)
+        rep = plan_plain(triangle(), stats)
         assert rep.stats is stats
 
-    def test_plan_requires_graph_or_stats(self):
-        with pytest.raises(ValueError):
-            PatternMatcher(triangle()).plan()
-
     def test_use_iep_selects_iep_plan(self, er_small):
-        rep = PatternMatcher(cycle_6_tri()).plan(er_small, use_iep=True)
+        rep = _report(er_small, cycle_6_tri(), use_iep=True)
         assert rep.plan.iep_k > 0
 
     def test_codegen_toggle(self, er_small):
-        rep = PatternMatcher(triangle(), use_codegen=False).plan(er_small)
-        assert rep.generated is None
-        rep2 = PatternMatcher(triangle(), use_codegen=False).plan(er_small, codegen=True)
-        assert rep2.generated is not None
+        stats = GraphStats.of(er_small)
+        assert plan_plain(triangle(), stats, codegen=False).generated is None
+        assert plan_plain(triangle(), stats, codegen=True).generated is not None
 
 
 class TestCount:
     def test_matches_bruteforce(self, er_small, all_small_patterns):
         for pattern in all_small_patterns:
             expected = bruteforce_count(er_small, pattern)
-            assert PatternMatcher(pattern).count(er_small) == expected, pattern.name
-            assert count_pattern(er_small, pattern) == expected
+            assert count_pattern(er_small, pattern) == expected, pattern.name
+            assert count_pattern(er_small, pattern, use_iep=False) == expected
 
     def test_iep_and_plain_agree(self, er_small, small_pattern):
-        m = PatternMatcher(small_pattern)
-        assert m.count(er_small, use_iep=True) == m.count(er_small, use_iep=False)
+        assert count_pattern(er_small, small_pattern, use_iep=True) == count_pattern(
+            er_small, small_pattern, use_iep=False
+        )
 
     def test_count_with_cached_report(self, er_small):
-        m = PatternMatcher(house())
-        rep = m.plan(er_small, use_iep=True)
-        assert m.count(er_small, report=rep) == m.count(er_small)
+        rep = _report(er_small, house(), use_iep=True)
+        ctx = MatchContext(graph=er_small, plan=rep.plan, generated=rep.generated)
+        assert select_backend(ctx).count(ctx) == count_pattern(er_small, house())
 
-    def test_disconnected_pattern_rejected(self):
+    def test_disconnected_pattern_rejected(self, er_small):
         with pytest.raises(ValueError):
-            PatternMatcher(Pattern(4, [(0, 1), (2, 3)]))
+            count_pattern(er_small, Pattern(4, [(0, 1), (2, 3)]))
 
 
 class TestMatch:
     def test_embeddings_valid(self, er_small):
         pattern = house()
-        for emb in PatternMatcher(pattern).match(er_small, limit=25):
+        for emb in match_pattern(er_small, pattern, limit=25):
             assert len(set(emb)) == pattern.n_vertices
             for u, v in pattern.edges:
                 assert er_small.has_edge(emb[u], emb[v])
@@ -77,21 +80,13 @@ class TestMatch:
         assert embs == brute
 
     def test_match_never_uses_iep(self, er_small):
-        # Even with an IEP-selected report, match() recompiles without IEP.
-        m = PatternMatcher(cycle_6_tri())
-        rep = m.plan(er_small, use_iep=True)
-        embs = list(m.match(er_small, limit=2, report=rep))
+        # An IEP plan cached by a count is not reused for enumeration.
+        assert _report(er_small, cycle_6_tri(), use_iep=True).plan.iep_k > 0
+        embs = list(match_pattern(er_small, cycle_6_tri(), limit=2))
         assert all(len(e) == 6 for e in embs)
 
 
 class TestCaches:
-    def test_restriction_and_schedule_caches(self, er_small):
-        m = PatternMatcher(house())
-        assert m.restriction_sets() is m.restriction_sets()
-        assert m.schedules() is m.schedules()
-
-    def test_max_restriction_sets(self):
-        from repro.pattern.catalog import clique
-
-        m = PatternMatcher(clique(4), max_restriction_sets=2)
-        assert len(m.restriction_sets()) <= 2
+    def test_max_restriction_sets(self, er_small):
+        rep = _report(er_small, clique(4), max_restriction_sets=2)
+        assert len(rep.restriction_sets) <= 2

@@ -15,7 +15,7 @@ from repro.baselines.bruteforce import (
     bruteforce_directed_count,
     bruteforce_induced_count,
 )
-from repro.core.api import PatternMatcher, count_pattern
+from repro.core.api import count_pattern, match_pattern
 from repro.core.backend import (
     DEFAULT_ORDER,
     BackendUnsupportedError,
@@ -43,7 +43,7 @@ from repro.pattern.catalog import clique, house, pentagon, rectangle, triangle
 from repro.pattern.directed import directed_cycle, transitive_triangle
 from repro.pattern.labeled import LabeledPattern
 
-BUILTIN = ("interpreter", "preslice", "compiled", "parallel", "vectorised")
+BUILTIN = ("interpreter", "compiled", "parallel", "vectorised")
 
 #: the equivalence catalog: every backend must agree with brute force
 #: on each of these.
@@ -204,7 +204,7 @@ class TestSelection:
 
     def test_explicit_instance_is_honoured(self, er_small):
         ctx = plain_context(er_small, make_plan(house()))
-        inst = get_backend("preslice")
+        inst = get_backend("interpreter")
         assert select_backend(ctx, inst) is inst
 
     def test_counting_only_backend_refuses_enumeration(self, er_small):
@@ -284,16 +284,19 @@ class TestCrossBackendEquivalence:
 
     def test_match_results_identical_across_enumerating_backends(self, er_small):
         pattern = house()
-        m = PatternMatcher(pattern)
-        base = {frozenset(e) for e in m.match(er_small, backend="interpreter")}
-        pre = {frozenset(e) for e in m.match(er_small, backend="preslice")}
+        def embeddings(backend):
+            return {frozenset(e) for e in match_pattern(er_small, pattern, backend=backend)}
+
         # compiled cannot enumerate -> automatic interpreter fallback
-        fall = {frozenset(e) for e in m.match(er_small, backend="compiled")}
-        assert base == pre == fall
+        assert (
+            embeddings("interpreter")
+            == embeddings("vectorised")
+            == embeddings("compiled")
+        )
 
     def test_use_codegen_false_defaults_to_interpreter(self, er_small):
-        m = PatternMatcher(triangle(), use_codegen=False)
-        assert m.count(er_small) == bruteforce_count(er_small, triangle())
+        got = count_pattern(er_small, triangle(), use_codegen=False)
+        assert got == bruteforce_count(er_small, triangle())
 
 
 class TestParallelWorkers:

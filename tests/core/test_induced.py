@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.bruteforce import bruteforce_count, bruteforce_induced_count
-from repro.core.api import PatternMatcher, count_pattern
+from repro.core.api import count_pattern
 from repro.core.config import Configuration
 from repro.core.induced import (
     InducedEngine,
@@ -16,7 +16,11 @@ from repro.core.induced import (
     noninduced_from_induced,
     supergraph_decomposition,
 )
+from repro.core.restrictions import generate_restriction_sets
+from repro.core.schedule import generate_schedules
+from repro.core.session import plan_plain
 from repro.graph.generators import complete_graph, erdos_renyi
+from repro.graph.stats import GraphStats
 from repro.pattern.catalog import (
     clique,
     cycle,
@@ -151,9 +155,12 @@ def test_forward_direction_reconstructs_noninduced(er_small):
 # ---------------------------------------------------------------------------
 # engine mechanics
 # ---------------------------------------------------------------------------
+def _plan(graph, pattern, *, use_iep):
+    return plan_plain(pattern, GraphStats.of(graph), use_iep=use_iep, codegen=False)
+
+
 def test_induced_engine_rejects_iep_plan(er_small):
-    matcher = PatternMatcher(house(), use_codegen=False)
-    rep = matcher.plan(er_small, use_iep=True, codegen=False)
+    rep = _plan(er_small, house(), use_iep=True)
     if rep.plan.iep_k == 0:
         pytest.skip("model did not choose IEP here")
     with pytest.raises(ValueError, match="iep_k=0"):
@@ -162,8 +169,7 @@ def test_induced_engine_rejects_iep_plan(er_small):
 
 def test_induced_enumerate_yields_distinct_induced_embeddings(er_small):
     p = rectangle()
-    matcher = PatternMatcher(p, use_codegen=False)
-    rep = matcher.plan(er_small, use_iep=False, codegen=False)
+    rep = _plan(er_small, p, use_iep=False)
     embs = list(induced_enumerate(er_small, rep.chosen.config))
     # Every embedding is induced: no diagonal edges.
     for emb in embs:
@@ -176,8 +182,7 @@ def test_induced_enumerate_yields_distinct_induced_embeddings(er_small):
 
 
 def test_induced_enumerate_limit(er_small):
-    matcher = PatternMatcher(triangle(), use_codegen=False)
-    rep = matcher.plan(er_small, use_iep=False, codegen=False)
+    rep = _plan(er_small, triangle(), use_iep=False)
     embs = list(induced_enumerate(er_small, rep.chosen.config, limit=3))
     assert len(embs) == 3
 
@@ -186,10 +191,9 @@ def test_all_configurations_give_same_induced_count(er_small):
     """Induced counts are configuration-invariant (restrictions break
     induced automorphisms exactly as they break non-induced ones)."""
     p = path(3)
-    matcher = PatternMatcher(p, use_codegen=False)
     expected = bruteforce_induced_count(er_small, p)
-    schedules = matcher.schedules()
-    res_sets = matcher.restriction_sets()
+    schedules = generate_schedules(p, dedup_automorphic=True)
+    res_sets = generate_restriction_sets(p, max_sets=64)
     for s in schedules:
         for r in res_sets:
             cfg = Configuration(p, s, frozenset(r))

@@ -9,7 +9,7 @@ from repro.baselines.bruteforce import (
     bruteforce_directed_count,
     bruteforce_induced_count,
 )
-from repro.core.api import PatternMatcher, count_pattern, match_pattern, match_query
+from repro.core.api import count_pattern, match_pattern, match_query
 from repro.core.directed import DirectedMatcher, count_directed
 from repro.core.induced import induced_count
 from repro.core.labeled import LabeledMatcher, labeled_bruteforce_count, labeled_count
@@ -136,8 +136,7 @@ class TestMatchResult:
 
 class TestPlanCache:
     def test_second_count_is_cache_hit_and_skips_planning(self, er_small):
-        """Satellite regression: the old PatternMatcher re-ranked and
-        re-codegenned on every count(); the session must not."""
+        """Regression: a repeated count must not re-rank or re-codegen."""
         session = MatchSession(er_small)
         q = MatchQuery(house())
         r1 = session.count(q)
@@ -150,11 +149,10 @@ class TestPlanCache:
         assert r2.count == r1.count
         assert session.cache_info() == (1, 1, 1)
 
-    def test_patternmatcher_shim_reuses_session_plans(self, er_small):
-        m = PatternMatcher(rectangle())
-        first = m.count(er_small)
+    def test_count_pattern_reuses_session_plans(self, er_small):
+        first = count_pattern(er_small, rectangle())
         info_before = get_session(er_small).cache_info()
-        assert m.count(er_small) == first
+        assert count_pattern(er_small, rectangle()) == first
         info_after = get_session(er_small).cache_info()
         assert info_after.hits == info_before.hits + 1
         assert info_after.misses == info_before.misses
@@ -228,7 +226,6 @@ class TestOldApiEqualsNewApi:
             new = session.count(MatchQuery(pattern))
             assert new == expected, pattern.name
             assert count_pattern(er_small, pattern) == new.count
-            assert PatternMatcher(pattern).count(er_small) == new.count
 
     def test_match_parity(self, er_small):
         session = MatchSession(er_small)
@@ -291,7 +288,7 @@ class TestUniformBackendSelection:
     """Acceptance: all three non-plain modes accept backend= through the
     unified facade, with counts identical across backends."""
 
-    BACKENDS = ("interpreter", "preslice", "compiled", "parallel")
+    BACKENDS = ("interpreter", "compiled", "parallel")
 
     def test_induced_backends_agree(self, er_small):
         session = MatchSession(er_small)
@@ -316,9 +313,9 @@ class TestUniformBackendSelection:
             assert session.count(q, backend=backend) == base, backend
 
     def test_backend_precedence_call_over_query_over_session(self, er_small):
-        session = MatchSession(er_small, backend="preslice")
+        session = MatchSession(er_small, backend="vectorised")
         q = MatchQuery(triangle())
-        assert session.count(q).backend == "preslice"
+        assert session.count(q).backend == "vectorised"
         assert session.count(q.with_backend("interpreter")).backend == "interpreter"
         assert (
             session.count(q.with_backend("interpreter"), backend="compiled").backend
@@ -340,10 +337,10 @@ class TestUniformBackendSelection:
         entry = session.plan_for(q)
         assert entry.generated is not None
 
-        from repro.core import session as session_mod
+        from repro.core import codegen
 
         monkeypatch.setattr(
-            session_mod, "compile_plan_function",
+            codegen, "compile_plan_function",
             lambda plan: pytest.fail("kernel compiled twice"),
         )
         assert session.count(q, backend="compiled") == expected
@@ -380,9 +377,9 @@ class TestPlanReportCompat:
         assert entry.seconds_plan > 0
 
     def test_matcher_plan_goes_through_session_cache(self, er_small):
-        m = PatternMatcher(clique(4))
-        rep1 = m.plan(er_small, use_iep=True)
-        rep2 = m.plan(er_small, use_iep=True)
+        session = get_session(er_small)
+        rep1 = session.plan_for(MatchQuery(clique(4), use_iep=True)).report
+        rep2 = session.plan_for(MatchQuery(clique(4), use_iep=True)).report
         assert rep1 is rep2  # same cached PlanEntry.report object
 
     def test_replaced_query_dataclass(self, er_small):

@@ -41,10 +41,10 @@ class TestCommands:
         out = capsys.readouterr().out
         shown = int(out.split("count:")[1].split()[0])
 
-        from repro import PatternMatcher, get_pattern, load_dataset
+        from repro import count_pattern, get_pattern, load_dataset
 
         graph = load_dataset("wiki-vote", scale=0.05, seed=3)
-        assert shown == PatternMatcher(get_pattern("triangle")).count(graph)
+        assert shown == count_pattern(graph, get_pattern("triangle"))
 
     def test_plan(self, capsys):
         rc = main(["plan", "--pattern", "rectangle", "--dataset", "wiki-vote",
@@ -53,6 +53,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "restriction sets" in out
         assert "generated_count" in out
+
+    @pytest.mark.parametrize("no_iep", [False, True], ids=["iep", "no-iep"])
+    @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4"])
+    def test_plan_prints_plan_plain_choice(self, capsys, name, no_iep):
+        """`repro plan` shows the configuration and kernel plan_plain
+        picks on the same graph statistics."""
+        from repro import get_pattern, load_dataset
+        from repro.core.session import plan_plain
+        from repro.graph.stats import GraphStats
+
+        flags = ["--no-iep"] if no_iep else []
+        rc = main(["plan", "--pattern", name, "--dataset", "wiki-vote",
+                   "--scale", "0.05", "--seed", "3", "--show-code", *flags])
+        assert rc == 0
+        out = capsys.readouterr().out
+        graph = load_dataset("wiki-vote", scale=0.05, seed=3)
+        ref = plan_plain(get_pattern(name), GraphStats.of(graph), use_iep=not no_iep)
+        chosen = ref.chosen
+        assert (f"chose {chosen.config.describe()} "
+                f"(predicted cost {chosen.predicted_cost:.3g})") in out
+        assert "\ngenerated code:\n\n" + ref.generated.source in out
+        # P1-P4 all have an independent suffix, so only --no-iep drops IEP
+        assert (ref.plan.iep_k == 0) == no_iep
+        assert ("IEP over" in out) == (not no_iep)
 
     def test_motifs(self, capsys):
         rc = main(["motifs", "--k", "3", "--dataset", "wiki-vote",
@@ -211,8 +235,8 @@ class TestBackendFlags:
     def test_backends_command(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("interpreter", "preslice", "compiled", "parallel",
-                     "vectorised", "distributed"):
+        for name in ("interpreter", "compiled", "parallel", "vectorised",
+                     "distributed"):
             assert name in out
         # the full capability rows, including kernel consumption
         for column in ("modes", "iep", "enumerates", "kernels"):
@@ -322,7 +346,7 @@ class TestBackendFlags:
                 "--scale", "0.05", "--seed", "3"]
         main(args)
         base = int(capsys.readouterr().out.split("count:")[1].split()[0])
-        for backend in ("interpreter", "preslice", "compiled"):
+        for backend in ("interpreter", "compiled"):
             main(args + ["--backend", backend])
             out = capsys.readouterr().out
             assert f"backend: {backend}" in out

@@ -26,6 +26,7 @@ NOT_LOADED_BY_COUNT = (
     "repro.mining",
     "repro.approx",
     "repro.baselines",
+    "repro.core.codegen",
 )
 
 _CHILD = """
@@ -71,3 +72,12 @@ def test_bare_import_loads_no_core_module():
     )
     assert not _loaded(report["modules"], "repro.core")
     assert not _loaded(report["modules"], "numpy")
+
+
+def test_compiled_count_loads_codegen_on_demand(tmp_path):
+    edges = tmp_path / "square.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
+    argv = ["count", "--pattern", "triangle", "--edge-list", str(edges)]
+    report = _run(_CHILD, json.dumps([*argv, "--backend", "compiled"]))
+    assert report["status"] == 0
+    assert "repro.core.codegen" in report["modules"]

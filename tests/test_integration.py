@@ -2,28 +2,39 @@
 
 import pytest
 
-from repro import PatternMatcher, count_pattern, get_pattern, load_dataset
+from repro import MatchQuery, count_pattern, get_pattern, get_session, load_dataset
 from repro.baselines.bruteforce import bruteforce_count
+from repro.core.backend import MatchContext, select_backend
 from repro.core.engine import Engine
+from repro.core.session import plan_plain
 from repro.graph.datasets import clear_memo
+from repro.graph.stats import GraphStats
 from repro.runtime.cluster import ClusterSpec, ClusterSimulator
 from repro.runtime.parallel import measure_task_costs, parallel_count
 from repro.runtime.tasks import run_partitioned
+
+
+def _report(graph, pattern, use_iep=False):
+    query = MatchQuery(pattern, use_iep=use_iep)
+    return get_session(graph).plan_for(query, kernel=True).report
+
+
+def _run(graph, report):
+    ctx = MatchContext(graph=graph, plan=report.plan, generated=report.generated)
+    return select_backend(ctx).count(ctx)
 
 
 class TestFullPipelineDeterminism:
     def test_same_seed_same_everything(self):
         clear_memo()
         g1 = load_dataset("wiki-vote", scale=0.1, seed=42)
-        m1 = PatternMatcher(get_pattern("house"))
-        rep1 = m1.plan(g1, use_iep=True)
-        c1 = m1.count(g1, report=rep1)
+        rep1 = _report(g1, get_pattern("house"), use_iep=True)
+        c1 = _run(g1, rep1)
 
         clear_memo()
         g2 = load_dataset("wiki-vote", scale=0.1, seed=42)
-        m2 = PatternMatcher(get_pattern("house"))
-        rep2 = m2.plan(g2, use_iep=True)
-        c2 = m2.count(g2, report=rep2)
+        rep2 = _report(g2, get_pattern("house"), use_iep=True)
+        c2 = _run(g2, rep2)
 
         assert g1 == g2
         assert rep1.chosen.config.schedule == rep2.chosen.config.schedule
@@ -32,7 +43,8 @@ class TestFullPipelineDeterminism:
 
     def test_generated_source_deterministic(self):
         g = load_dataset("wiki-vote", scale=0.1, seed=42)
-        reports = [PatternMatcher(get_pattern("pentagon")).plan(g) for _ in range(2)]
+        stats = GraphStats.of(g)
+        reports = [plan_plain(get_pattern("pentagon"), stats) for _ in range(2)]
         assert reports[0].generated.source == reports[1].generated.source
 
 
@@ -44,13 +56,12 @@ class TestExecutionPathsAgree:
         pattern = get_pattern(pattern_name)
         expected = bruteforce_count(er_small, pattern)
 
-        matcher = PatternMatcher(pattern)
-        rep_plain = matcher.plan(er_small, use_iep=False)
-        rep_iep = matcher.plan(er_small, use_iep=True)
+        rep_plain = _report(er_small, pattern, use_iep=False)
+        rep_iep = _report(er_small, pattern, use_iep=True)
 
         assert rep_plain.generated(er_small) == expected
         assert Engine(er_small, rep_plain.plan).count() == expected
-        assert matcher.count(er_small, report=rep_iep) == expected
+        assert _run(er_small, rep_iep) == expected
         total, _ = run_partitioned(er_small, rep_plain.plan)
         assert total == expected
         assert parallel_count(er_small, rep_plain.plan, n_workers=1).count == expected
@@ -63,7 +74,7 @@ class TestExecutionPathsAgree:
 class TestMeasuredCostsDriveSimulation:
     def test_end_to_end_scaling_path(self, er_small):
         pattern = get_pattern("triangle")
-        rep = PatternMatcher(pattern).plan(er_small, use_iep=False)
+        rep = _report(er_small, pattern)
         costs = measure_task_costs(er_small, rep.plan, split_depth=1)
         assert len(costs) > 0
         result = ClusterSimulator(ClusterSpec(4, threads_per_node=2)).run(costs)
@@ -72,7 +83,7 @@ class TestMeasuredCostsDriveSimulation:
 
     def test_cyclic_distribution_also_completes(self, er_small):
         pattern = get_pattern("triangle")
-        rep = PatternMatcher(pattern).plan(er_small, use_iep=False)
+        rep = _report(er_small, pattern)
         costs = measure_task_costs(er_small, rep.plan, split_depth=1)
         a = ClusterSimulator(ClusterSpec(3, threads_per_node=2)).run(
             costs, distribution="block"
@@ -85,13 +96,11 @@ class TestMeasuredCostsDriveSimulation:
 
 class TestStatsCaching:
     def test_plan_accepts_shared_stats(self, er_small):
-        """One GraphStats can drive many matchers (the paper's
+        """One GraphStats can drive many plans (the paper's
         preprocessing is per-pattern, stats are per-graph)."""
-        from repro.graph.stats import GraphStats
-
         stats = GraphStats.of(er_small)
         for name in ("triangle", "house", "pentagon"):
-            rep = PatternMatcher(get_pattern(name)).plan(stats=stats, use_iep=False)
+            rep = plan_plain(get_pattern(name), stats, use_iep=False)
             assert rep.stats is stats
 
     def test_overcount_multiplicity_memoised(self):

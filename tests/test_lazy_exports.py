@@ -1,12 +1,13 @@
-"""Lazy (PEP 562) re-exports of the ``repro``, ``repro.core`` and
-``repro.graph`` packages: every public name resolves to the object its
-defining module holds, star-imports work, and unknown names fail."""
+"""Lazy (PEP 562) re-exports of the ``repro``, ``repro.core``,
+``repro.graph`` and ``repro.pattern`` packages: every public name
+resolves to the object its defining module holds, star-imports work,
+and unknown names fail."""
 
 import importlib
 
 import pytest
 
-PACKAGES = ("repro", "repro.core", "repro.graph")
+PACKAGES = ("repro", "repro.core", "repro.graph", "repro.pattern")
 
 
 def _defining_objects(package):
