@@ -602,7 +602,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_backends(args) -> int:
-    table = Table(["name", "modes", "iep", "enumerates", "kernels", "traced",
+    table = Table(["name", "modes", "iep modes", "enumerates", "kernels", "traced",
                    "description"],
                   title="registered execution backends")
     for name, info in available_backends().items():
@@ -610,7 +610,7 @@ def cmd_backends(args) -> int:
         table.add_row([
             name,
             ",".join(sorted(caps.modes)) or "-",
-            "yes" if caps.iep else "no",
+            ",".join(sorted(caps.iep_modes)) or "-",
             "yes" if caps.enumeration else "no",
             "yes" if caps.generated_kernels else "no",
             "yes" if caps.traced else "no",

@@ -60,6 +60,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.core.backend import (
+    IEP_MODES,
     MODES,
     BackendCapabilities,
     ExecutionBackend,
@@ -474,14 +475,14 @@ class AutoBackend(ExecutionBackend):
     supports_enumeration = True
     #: a delegating pseudo-backend: never its own delegation candidate.
     is_meta = True
-    # IEP and kernel consumption are declared True so the planner keeps
-    # its default behaviour (IEP-suffix plans stay available, kernels
+    # Every IEP mode and kernel consumption are declared so the planner
+    # keeps its default behaviour (IEP-suffix plans stay available, kernels
     # are pre-generated for a compiled delegate); the session folds the
     # profile's *measured* IEP preference in before planning, which is
     # where an IEP-free plan for an IEP-free winner comes from.
     capabilities = BackendCapabilities(
         modes=frozenset(MODES),
-        iep=True,
+        iep_modes=IEP_MODES,
         enumeration=True,
         generated_kernels=True,
     )
@@ -707,7 +708,7 @@ def choice_applicable(choice: ProfileChoice, query: Any) -> bool:
     mode = fold_mode(query.mode, query.semantics)
     if not caps.supports_mode(mode):
         return False
-    if choice.use_iep and not caps.iep:
+    if choice.use_iep and not caps.supports_iep(mode):
         return False
     return True
 

@@ -55,6 +55,10 @@ if TYPE_CHECKING:
 #: matching semantics a context can carry; backends opt into each.
 MODES = ("plain", "induced", "labeled", "directed")
 
+#: the modes whose plans can carry an IEP suffix (induced cannot: its
+#: anti-edges make the inner candidate sets interact).
+IEP_MODES = frozenset({"plain", "labeled", "directed"})
+
 
 class BackendUnsupportedError(ValueError):
     """Raised when a backend is asked to execute a context it cannot."""
@@ -147,7 +151,7 @@ class BackendCapabilities:
     ``supports(ctx)`` answers "can you run *this* context" (it may
     inspect the concrete plan); capabilities answer the coarser
     questions planners and UIs need *before* a context exists — which
-    matching modes the backend covers, whether it can execute an
+    matching modes the backend covers, in which modes it can execute an
     IEP-suffix plan, whether it enumerates, and whether it consumes
     generated kernels (so the planner knows codegen would be wasted).
     :class:`~repro.core.session.MatchSession` uses these to plan for the
@@ -157,8 +161,9 @@ class BackendCapabilities:
 
     #: matching modes (subset of :data:`MODES`) the backend executes.
     modes: frozenset = frozenset()
-    #: can execute plans compiled with an IEP suffix (``iep_k > 0``).
-    iep: bool = True
+    #: modes whose plans the backend executes with an IEP suffix
+    #: (``iep_k > 0``); elsewhere the session plans IEP-free for it.
+    iep_modes: frozenset = frozenset()
     #: implements :meth:`ExecutionBackend.enumerate_embeddings`.
     enumeration: bool = False
     #: consumes pre-generated kernels (``MatchContext.generated``).
@@ -173,6 +178,9 @@ class BackendCapabilities:
 
     def supports_mode(self, mode: str) -> bool:
         return mode in self.modes
+
+    def supports_iep(self, mode: str) -> bool:
+        return mode in self.iep_modes
 
 
 class ExecutionBackend:
@@ -261,10 +269,10 @@ def available_backends() -> dict[str, BackendInfo]:
     """Registered backends with their capability flags (name -> info).
 
     The authoritative answer to "which backend can serve this context":
-    each entry reports the modes it executes, IEP-plan support,
-    enumeration support and whether it consumes generated kernels —
-    consumers (session planning, the CLI ``backends`` command) read
-    these flags instead of probing backend instances.
+    each entry reports the modes it executes, the modes it runs IEP
+    plans in, enumeration support and whether it consumes generated
+    kernels — consumers (session planning, the CLI ``backends`` command)
+    read these flags instead of probing backend instances.
     """
     classes = {name: _backend_class(name) for name in backend_names()}
     return {
@@ -301,12 +309,13 @@ def candidate_backends(
     """Registry entries whose *declared* capabilities cover a context.
 
     Capability-aware pre-filtering for selectors (notably the ``auto``
-    backend's profile-choice walk): mode coverage, IEP-plan support when
-    the plan carries an IEP suffix, and enumeration support when the
-    caller needs embeddings.  Delegating pseudo-backends (``is_meta``)
-    are excluded — a selector must land on a backend that executes.
-    The definitive per-plan answer remains ``instance.supports(ctx)``;
-    this filter only rules out what the flags already rule out.
+    backend's profile-choice walk): mode coverage, IEP-plan support in
+    the context's mode when the plan carries an IEP suffix, and
+    enumeration support when the caller needs embeddings.  Delegating
+    pseudo-backends (``is_meta``) are excluded — a selector must land on
+    a backend that executes.  The definitive per-plan answer remains
+    ``instance.supports(ctx)``; this filter only rules out what the
+    flags already rule out.
     """
     plan_iep = getattr(ctx.plan, "iep_k", 0) > 0
     out: list[BackendInfo] = []
@@ -316,7 +325,7 @@ def candidate_backends(
         caps = info.capabilities
         if not caps.supports_mode(ctx.mode):
             continue
-        if plan_iep and not caps.iep:
+        if plan_iep and not caps.supports_iep(ctx.mode):
             continue
         if for_enumeration and not info.supports_enumeration:
             continue
@@ -411,7 +420,9 @@ class InterpreterBackend(ExecutionBackend):
     name = "interpreter"
     supports_enumeration = True
     capabilities = BackendCapabilities(
-        modes=frozenset(MODES), iep=True, enumeration=True
+        modes=frozenset(MODES),
+        iep_modes=IEP_MODES,
+        enumeration=True,
     )
 
     def supports(self, ctx: MatchContext) -> bool:
@@ -461,7 +472,7 @@ class CompiledBackend(ExecutionBackend):
     name = "compiled"
     capabilities = BackendCapabilities(
         modes=frozenset({"plain", "induced", "labeled", "directed"}),
-        iep=True,
+        iep_modes=frozenset({"plain"}),
         generated_kernels=True,
     )
 
@@ -469,7 +480,8 @@ class CompiledBackend(ExecutionBackend):
         if ctx.mode == "directed":
             # Directed kernels are innermost-count variants like the
             # labeled/induced ones: IEP-suffix plans fall back (the
-            # session plans directed queries IEP-free anyway).
+            # session plans IEP-free for a compiled preference, see
+            # ``iep_modes``).
             return isinstance(ctx.plan, DirectedPlan) and ctx.plan.iep_k == 0
         if not isinstance(ctx.plan, ExecutionPlan):
             return False
@@ -477,7 +489,7 @@ class CompiledBackend(ExecutionBackend):
             return True
         # Labeled/induced kernels are innermost-count variants: the IEP
         # arithmetic assumes plain edge semantics, so an IEP-suffix plan
-        # must fall back (the session plans these IEP-free anyway).
+        # must fall back (the session plans these IEP-free for it).
         return ctx.mode in ("induced", "labeled") and ctx.plan.iep_k == 0
 
     def count(self, ctx: MatchContext) -> int:
@@ -508,7 +520,9 @@ class ParallelBackend(ExecutionBackend):
     # generated_kernels stays False: workers compile their own *prefix*
     # kernels (make_prefix_counter); a whole-plan kernel shipped in the
     # context is never executed, so planning one would be pure waste.
-    capabilities = BackendCapabilities(modes=frozenset(MODES), iep=True)
+    # Prefix workers are interpreter engines outside plain mode, and
+    # every engine family but the induced one runs an IEP suffix.
+    capabilities = BackendCapabilities(modes=frozenset(MODES), iep_modes=IEP_MODES)
 
     def __init__(
         self,

@@ -435,9 +435,9 @@ def generate_directed_source(
     rows of ``v{j}`` — and restriction bounds inline exactly as in the
     undirected generator (they compare ids, never directions).
 
-    IEP plans are rejected: the session plans directed queries IEP-free
-    (``MatchQuery.resolved_use_iep`` is ``False`` outside plain mode),
-    and the overcount expansion has no directed generator.
+    IEP plans are rejected: the session plans IEP-free for a compiled
+    preference (its ``iep_modes`` is plain only), and the overcount
+    expansion has no directed generator.
     """
     if plan.iep_k > 0:
         raise ValueError("directed kernels require an IEP-free plan (iep_k == 0)")

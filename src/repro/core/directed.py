@@ -25,10 +25,12 @@ Every GraphPi component carries over with a local twist:
   that preserves the ranking signal the model actually uses
   (cardinalities of closed wedges and restriction filter factors).
 
-IEP counting is not offered for directed patterns: the independent-
-suffix candidate sets are still plain finite sets, but the paper's
-overcount correction assumes the undirected orbit structure; directed
-counting uses plain enumeration.
+* **IEP** (§IV-D) carries over as well: the independent suffix is read
+  off the skeleton, each inner vertex's candidate set intersects the
+  out- or in-neighbourhoods its arcs need, and the overcount divisor is
+  computed over the directed group (XMiner counts directed patterns by
+  set cardinalities the same way).  Directed counting plans with IEP by
+  default; enumeration uses the IEP-free plan.
 """
 
 from __future__ import annotations
@@ -534,7 +536,7 @@ class DirectedMatcher:
             seconds_total=t.elapsed,
         )
 
-    def _query(self, *, use_iep: bool):
+    def _query(self, *, use_iep: bool | None):
         from repro.core.query import MatchQuery
 
         return MatchQuery(
@@ -548,16 +550,19 @@ class DirectedMatcher:
         self,
         graph: DiGraph,
         *,
-        use_iep: bool = False,
+        use_iep: bool | None = None,
         report: DirectedPlanReport | None = None,
         backend=None,
     ) -> int:
         """Count distinct directed embeddings.
 
+        ``use_iep=None`` takes the query default (IEP on, unless the
+        backend preference cannot run directed IEP plans).
+
         Dispatches through the unified session facade and its backend
-        registry (:mod:`repro.core.backend`); IEP-free directed plans
-        run on the vectorised frontier engine by default (or the
-        compiled kernels when asked for), with
+        registry (:mod:`repro.core.backend`); directed plans, IEP suffix
+        included, run on the vectorised frontier engine by default (the
+        compiled kernels, when asked for, get an IEP-free plan), with
         ``backend="parallel"`` distributing prefix tasks over worker
         processes.  An explicit ``report`` executes that exact plan;
         otherwise plans are cached on the graph's shared session.

@@ -27,7 +27,7 @@ preference itself is deliberately excluded from the fingerprint: it
 changes how a plan *runs*, not which plan is chosen.  What *is*
 fingerprinted is the resolved IEP choice, which consults the preferred
 backend's declared capabilities (a backend that declares it cannot
-execute IEP-suffix plans defaults to an IEP-free plan), so
+execute the mode's IEP-suffix plans defaults to an IEP-free plan), so
 capability-driven planning still caches correctly.
 
 Execution returns a :class:`MatchResult` — a structured record (count,
@@ -85,9 +85,11 @@ class MatchQuery:
         defined for plain undirected patterns.
     use_iep:
         ``None`` picks the mode default (IEP on for plain edge-semantics
-        counting, off elsewhere); an explicit bool forces it.  Induced
-        semantics cannot use IEP (anti-edges make the inner candidate
-        sets interact, see :mod:`repro.core.induced`).
+        and directed counting, off for labeled queries); an explicit
+        bool forces it.  The default is also off when the ``backend``
+        preference declares it cannot run that mode's IEP plans.
+        Induced semantics cannot use IEP (anti-edges make the inner
+        candidate sets interact, see :mod:`repro.core.induced`).
     backend:
         Execution preference — a registered backend name, an
         :class:`~repro.core.backend.ExecutionBackend` instance, or
@@ -152,21 +154,19 @@ class MatchQuery:
     def resolved_use_iep(self) -> bool:
         """The effective IEP choice after applying mode defaults.
 
-        The mode default (IEP on for plain edge-semantics counting) is
-        additionally gated on the backend preference's declared
-        capabilities: a backend that declares it cannot execute
-        IEP-suffix plans gets an IEP-free plan rather than a plan it
-        would have to bounce to the interpreter.  An explicit
-        ``use_iep=True`` still wins — and then the fallback applies.
+        The mode default (IEP on for plain edge-semantics and directed
+        counting) is additionally gated on the backend preference's
+        declared capabilities: a backend whose ``iep_modes`` lacks the
+        query's mode gets an IEP-free plan rather than a plan it would
+        have to bounce to the interpreter.  An explicit ``use_iep=True``
+        still wins — and then the fallback applies.
         """
         if self.use_iep is not None:
             return bool(self.use_iep)
-        if self.mode != "plain" or self.semantics != "edge":
+        if self.mode == "labeled" or self.semantics != "edge":
             return False
         caps = capabilities_of(self.backend)
-        if caps is not None and not caps.iep:
-            return False
-        return True
+        return caps is None or caps.supports_iep(self.mode)
 
     @property
     def fingerprint(self) -> tuple:

@@ -571,8 +571,9 @@ class MatchSession:
         the session default.  Folding it in *before* planning lets the
         capability-aware knobs (IEP resolution, codegen skip) see the
         preference regardless of which channel supplied it — a
-        session-default or per-call ``"vectorised"`` gets the IEP-free
-        plan it can execute, not a silent interpreter fallback.
+        session-default or per-call ``"compiled"`` on a directed query
+        gets the IEP-free plan it can execute, not a silent interpreter
+        fallback.
         """
         effective = backend if backend is not None else query.backend
         if effective is None:

@@ -89,12 +89,17 @@ engine — each CSR carries its own sorted ``u * n + v`` key array, so
 "is ``c`` a successor/predecessor of ``x``" is the same ``x * n + c``
 probe against the matching key array.
 
+Directed plans carry IEP suffixes too, counted by the same layout and
+combine: a block signature is its out-, in-, lower and upper columns,
+and each per-row column is ``|∩ out-rows ∩ in-rows ∩ window − bound|``
+(:meth:`DirectedFrontierEngine._row_counts`).  A 1-vertex suffix drops
+no restriction, so it simply runs as the last loop.
+
 What the backend deliberately does **not** cover (the fallback chain
 in :func:`~repro.core.backend.select_backend` handles these): IEP
-suffixes outside plain edge semantics (labeled, induced and directed
-plans run IEP-free; the planners only build such plans on an explicit
-``use_iep=True``) and schedules with a disconnected prefix (the
-phase-1 generator never emits these).
+suffixes of labeled and induced plans (the session plans labeled
+queries IEP-free; induced queries cannot use IEP) and schedules with a
+disconnected prefix (the phase-1 generator never emits these).
 
 Frontiers grow multiplicatively with depth, so :class:`FrontierEngine`
 bounds peak memory by processing the root vertices in chunks
@@ -194,15 +199,20 @@ def _window(
     return lo, hi
 
 
-def _iep_layout(plan: ExecutionPlan) -> tuple[tuple, tuple]:
+def _iep_layout(
+    plan: "ExecutionPlan | DirectedPlan", families: Sequence[Sequence[Sequence[int]]]
+) -> tuple[tuple, tuple]:
     """The IEP suffix as ``(signatures, terms)``.
 
-    ``signatures`` are the distinct ``(deps, lower, upper)`` column sets
-    of the partition blocks (a block's candidate set is the intersection
-    of its members' sets, so it depends on the unions only); ``terms``
-    are ``(coefficient, signature indices)`` pairs, one per distinct
-    multiset of block signatures with the partitions' Möbius weights
-    summed — a star's Bell(k) partitions collapse to k terms.
+    ``families`` are the plan's per-position column families —
+    ``(deps, lower, upper)`` undirected, ``(out_deps, in_deps, lower,
+    upper)`` directed.  ``signatures`` are the distinct per-family
+    column unions of the partition blocks (a block's candidate set is
+    the intersection of its members' sets, so it depends on the unions
+    only); ``terms`` are ``(coefficient, signature indices)`` pairs, one
+    per distinct multiset of block signatures with the partitions'
+    Möbius weights summed — a star's Bell(k) partitions collapse to k
+    terms.
     """
     k, base = plan.iep_k, plan.n - plan.iep_k
     signatures: dict[tuple, int] = {}
@@ -213,7 +223,7 @@ def _iep_layout(plan: ExecutionPlan) -> tuple[tuple, tuple]:
             positions = [base + i for i in block]
             sig = tuple(
                 tuple(sorted({j for p in positions for j in cols[p]}))
-                for cols in (plan.deps, plan.lower, plan.upper)
+                for cols in families
             )
             idx.append(signatures.setdefault(sig, len(signatures)))
         key = tuple(sorted(idx))
@@ -426,7 +436,9 @@ class FrontierEngine:
         else:
             self._antideps = None
         if plan.iep_k > 0:
-            self._iep_signatures, self._iep_terms = _iep_layout(plan)
+            self._iep_signatures, self._iep_terms = _iep_layout(
+                plan, (plan.deps, plan.lower, plan.upper)
+            )
 
     # ------------------------------------------------------------------
     # bounded candidate ranges (the bulk form of ``bounded_slice``)
@@ -1025,7 +1037,7 @@ class _DepRef:
 
 
 class DirectedFrontierEngine:
-    """Bulk frontier execution of one IEP-free :class:`DirectedPlan`.
+    """Bulk frontier execution of one :class:`DirectedPlan`.
 
     The directed counterpart of :class:`FrontierEngine` and the
     vectorised counterpart of
@@ -1036,6 +1048,14 @@ class DirectedFrontierEngine:
     restriction machinery (per-row windows via keyed binary search) is
     unchanged from the undirected engine because restrictions only
     compare vertex ids, never directions.
+
+    An IEP suffix of ``k >= 2`` vertices is counted in bulk exactly as
+    the undirected engine counts one: the frontier stops at depth
+    ``n - k``, every distinct block signature (out-, in-, lower and
+    upper columns) gets one per-row cardinality column
+    (:meth:`_row_counts`) and :func:`_iep_combine` evaluates the
+    partitions.  A 1-vertex suffix drops no restriction, so it runs as
+    the ordinary last loop.
     """
 
     def __init__(
@@ -1045,11 +1065,6 @@ class DirectedFrontierEngine:
         *,
         root_chunk: int = DEFAULT_ROOT_CHUNK,
     ):
-        if plan.iep_k > 0:
-            raise ValueError(
-                "the frontier engine requires an IEP-free plan (iep_k=0); "
-                "plan with use_iep=False or fall back to the interpreter"
-            )
         if any(
             not (plan.out_deps[d] or plan.in_deps[d]) for d in range(1, plan.n)
         ):
@@ -1063,23 +1078,31 @@ class DirectedFrontierEngine:
         self.plan = plan
         self.root_chunk = root_chunk
         self._n = graph.n_vertices
-        out_keys, in_keys = _digraph_edge_keys(graph)
-        refs: list[tuple[_DepRef, ...]] = []
-        dep_cols: list[frozenset[int]] = []
-        for d in range(plan.n):
-            refs.append(
-                tuple(
-                    _DepRef(j, graph.out_indptr, graph.out_indices, out_keys)
-                    for j in plan.out_deps[d]
-                )
-                + tuple(
-                    _DepRef(j, graph.in_indptr, graph.in_indices, in_keys)
-                    for j in plan.in_deps[d]
-                )
+        self._keys = _digraph_edge_keys(graph)
+        self._refs = tuple(
+            self._make_refs(plan.out_deps[d], plan.in_deps[d]) for d in range(plan.n)
+        )
+        self._dep_cols = tuple(
+            frozenset(plan.out_deps[d]) | frozenset(plan.in_deps[d])
+            for d in range(plan.n)
+        )
+        # k = 1 drops no restriction: the suffix is just the last loop.
+        self._iep_k = plan.iep_k if plan.iep_k >= 2 else 0
+        if self._iep_k:
+            signatures, self._iep_terms = _iep_layout(
+                plan, (plan.out_deps, plan.in_deps, plan.lower, plan.upper)
             )
-            dep_cols.append(frozenset(plan.out_deps[d]) | frozenset(plan.in_deps[d]))
-        self._refs = tuple(refs)
-        self._dep_cols = tuple(dep_cols)
+            self._iep_blocks = tuple(
+                (self._make_refs(out_cols, in_cols), lower, upper)
+                for out_cols, in_cols, lower, upper in signatures
+            )
+
+    def _make_refs(self, out_cols, in_cols) -> tuple[_DepRef, ...]:
+        graph = self.graph
+        out_keys, in_keys = self._keys
+        out = [_DepRef(j, graph.out_indptr, graph.out_indices, out_keys) for j in out_cols]
+        into = [_DepRef(j, graph.in_indptr, graph.in_indices, in_keys) for j in in_cols]
+        return tuple(out + into)
 
     def _ref_ranges(
         self,
@@ -1103,20 +1126,18 @@ class DirectedFrontierEngine:
         )
         return starts, np.maximum(ends - starts, 0)
 
-    def _extend(
-        self, front: np.ndarray, depth: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All valid ``(owner, candidate)`` extensions of ``front``.
+    def _probe(
+        self, front: np.ndarray, refs: Sequence[_DepRef], lo, hi
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(owner, candidate, mask)`` over the pivot ref's windowed rows.
 
-        The pivot is the dependency ref whose windowed rows expand to
-        the fewest pairs (chosen by ref, not by column — an
-        antiparallel column carries one ref per direction and both
-        probes must run); the remaining refs become bulk membership
-        filters against their own key arrays.
+        The pivot is the ref whose windowed rows expand to the fewest
+        pairs (chosen by ref, not by column — an antiparallel column
+        carries one ref per direction and both probes must run); ``mask``
+        marks the candidates every other ref's row also holds, one bulk
+        membership probe per ref against its own key array.
         """
         n = self._n
-        refs = self._refs[depth]
-        lo, hi = _window(front, self.plan.lower[depth], self.plan.upper[depth])
         best = None
         for i, ref in enumerate(refs):
             starts, counts = self._ref_ranges(ref, front[:, ref.col], lo, hi)
@@ -1125,16 +1146,24 @@ class DirectedFrontierEngine:
                 best = (total, i, starts, counts)
         _, pivot_i, starts, counts = best
         owner, cand = gather_ranges(refs[pivot_i].indices, starts, counts)
+        mask = np.ones(len(cand), dtype=bool)
+        for i, ref in enumerate(refs):
+            if i != pivot_i:
+                mask &= bulk_contains_sorted(ref.keys, front[owner, ref.col] * n + cand)
+        return owner, cand, mask
+
+    def _extend(
+        self, front: np.ndarray, depth: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """All valid ``(owner, candidate)`` extensions of ``front``."""
+        refs = self._refs[depth]
+        lo, hi = _window(front, self.plan.lower[depth], self.plan.upper[depth])
+        owner, cand, mask = self._probe(front, refs, lo, hi)
         obs_metrics.FRONTIER_ROWS.inc(len(cand))
         if len(refs) > 1:
             obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="directed").inc(
                 len(refs) - 1
             )
-        mask = np.ones(len(cand), dtype=bool)
-        for i, ref in enumerate(refs):
-            if i == pivot_i:
-                continue
-            mask &= bulk_contains_sorted(ref.keys, front[owner, ref.col] * n + cand)
         # Injectivity: adjacency rules out the dependency columns (no
         # self-loops), only non-adjacent bound vertices remain.
         deps = self._dep_cols[depth]
@@ -1142,6 +1171,51 @@ class DirectedFrontierEngine:
             if j not in deps:
                 mask &= cand != front[owner, j]
         return owner[mask], cand[mask]
+
+    def _row_counts(
+        self,
+        front: np.ndarray,
+        refs: Sequence[_DepRef],
+        lower: Sequence[int],
+        upper: Sequence[int],
+    ) -> np.ndarray:
+        """Per-row ``|∩ out-rows ∩ in-rows ∩ window − row|`` (int64).
+
+        One ref needs no gather: the windowed row length is the count.
+        With more, the probed pivot pairs are tallied per row.  Every
+        bound vertex of the row that falls inside the windowed set is
+        then subtracted (a dependency column cannot, there are no
+        self-loops).
+        """
+        n = self._n
+        lo, hi = _window(front, lower, upper)
+        if len(refs) == 1:
+            _, counts = self._ref_ranges(refs[0], front[:, refs[0].col], lo, hi)
+        else:
+            owner, _, mask = self._probe(front, refs, lo, hi)
+            counts = np.bincount(owner[mask], minlength=len(front))
+        deps = {ref.col for ref in refs}
+        rows = np.arange(len(front))
+        for k in range(front.shape[1]):
+            if k in deps:
+                continue
+            used = front[:, k]
+            hit = restriction_mask(front, rows, used, lower, upper)
+            for ref in refs:
+                hit &= bulk_contains_sorted(ref.keys, front[:, ref.col] * n + used)
+            counts = counts - hit
+        return counts
+
+    def _count_iep(self, front: np.ndarray) -> int:
+        """The raw IEP suffix over a frontier of outer assignments: one
+        :meth:`_row_counts` column per block signature, combined exactly;
+        the ``iep_overcount`` division is left to :meth:`count`."""
+        cards = [
+            self._row_counts(front, refs, lower, upper)
+            for refs, lower, upper in self._iep_blocks
+        ]
+        obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="iep").inc(len(cards))
+        return _iep_combine(cards, self._iep_terms)
 
     def _root_chunks(self, first: int | None = None) -> Iterator[np.ndarray]:
         roots = self.graph.vertices()
@@ -1153,21 +1227,23 @@ class DirectedFrontierEngine:
 
     def count(self) -> int:
         """Total embeddings under this plan (cf. ``DirectedEngine.count``)."""
-        return self.count_roots(self.graph.vertices())
+        return apply_overcount(self.plan, self.count_roots(self.graph.vertices()))
 
     def count_roots(self, roots) -> int:
-        """Embeddings rooted in ``roots`` — the distributed task entry
-        point, summing to :meth:`count` over any partition."""
+        """Raw embeddings rooted in ``roots`` — the distributed task entry
+        point: summed over any partition of the roots and divided once
+        by ``plan.iep_overcount``, the partials equal :meth:`count`."""
         plan = self.plan
         if plan.n > self._n:
             return 0
         roots = np.asarray(roots, dtype=np.int64)
         if plan.n == 1:
             return len(roots)
+        loops = plan.n - self._iep_k
         total = 0
         for start in range(0, len(roots), self.root_chunk):
             front = roots[start : start + self.root_chunk, None]
-            for depth in range(1, plan.n):
+            for depth in range(1, loops):
                 with span("depth", depth=depth) as sp:
                     owner, cand = self._extend(front, depth)
                     sp.set(rows=len(front), kept=len(cand))
@@ -1175,8 +1251,14 @@ class DirectedFrontierEngine:
                     total += len(cand)
                     break
                 if len(cand) == 0:
+                    front = front[:0]
                     break
                 front = np.concatenate([front[owner], cand[:, None]], axis=1)
+            if self._iep_k and len(front):
+                with span("depth", depth=loops, iep=self._iep_k) as sp:
+                    c = self._count_iep(front)
+                    sp.set(rows=len(front), blocks=len(self._iep_blocks), count=c)
+                total += c
         return total
 
     def enumerate_embeddings(
@@ -1185,6 +1267,8 @@ class DirectedFrontierEngine:
         """Yield embeddings as tuples indexed by pattern vertex (lazy,
         chunked like :meth:`FrontierEngine.enumerate_embeddings`)."""
         plan = self.plan
+        if plan.iep_k > 0:
+            raise ValueError("enumeration requires a plan compiled with iep_k=0")
         if plan.n > self._n:
             return
         schedule = plan.schedule
@@ -1251,7 +1335,7 @@ def frontier_engine_for(
 
 @register_backend
 class VectorisedBackend(ExecutionBackend):
-    """Bulk frontier execution over numpy arrays (bulk IEP in plain mode).
+    """Bulk frontier execution over numpy arrays (bulk IEP in plain and directed mode).
 
     Constructor options: ``root_chunk`` — root vertices per frontier
     sweep (peak-memory bound; default ``DEFAULT_ROOT_CHUNK``); ``aux``
@@ -1263,7 +1347,7 @@ class VectorisedBackend(ExecutionBackend):
     supports_enumeration = True
     capabilities = BackendCapabilities(
         modes=frozenset(_FRONTIER_MODES | {"directed"}),
-        iep=True,
+        iep_modes=frozenset({"plain", "directed"}),
         enumeration=True,
         traced=True,
     )
@@ -1276,13 +1360,9 @@ class VectorisedBackend(ExecutionBackend):
 
     def supports(self, ctx: MatchContext) -> bool:
         if ctx.mode == "directed":
-            return (
-                isinstance(ctx.plan, DirectedPlan)
-                and ctx.plan.iep_k == 0
-                and all(
-                    ctx.plan.out_deps[d] or ctx.plan.in_deps[d]
-                    for d in range(1, ctx.plan.n)
-                )
+            return isinstance(ctx.plan, DirectedPlan) and all(
+                ctx.plan.out_deps[d] or ctx.plan.in_deps[d]
+                for d in range(1, ctx.plan.n)
             )
         return (
             ctx.mode in _FRONTIER_MODES

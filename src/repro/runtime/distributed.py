@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.backend import (
+    IEP_MODES,
     INNER_BACKENDS,
     MODES,
     BackendCapabilities,
@@ -145,8 +146,8 @@ def make_task_counter(
     root-range task, with a fallback chain applied where the preferred
     strategy cannot serve the context:
 
-    * ``"vectorised"`` — one bulk frontier sweep per range (plain plans
-      with or without an IEP suffix; labeled, induced or directed
+    * ``"vectorised"`` — one bulk frontier sweep per range (plain and
+      directed plans with or without an IEP suffix; labeled or induced
       IEP-free plans; connected-prefix schedules); otherwise falls
       through to
     * ``"compiled"`` — the generated depth-1 prefix kernel, summed per
@@ -286,7 +287,7 @@ class DistributedBackend(ExecutionBackend):
     name = "distributed"
     supports_enumeration = False
     capabilities = BackendCapabilities(
-        modes=frozenset(MODES), iep=True, traced=True
+        modes=frozenset(MODES), iep_modes=IEP_MODES, traced=True
     )
 
     def __init__(

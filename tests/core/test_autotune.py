@@ -287,7 +287,7 @@ class TestSweep:
         assert choice_applicable(iep_choice, plain)
         assert not choice_applicable(ProfileChoice.make("ghost"), plain)
         vect_iep = ProfileChoice.make("vectorised", use_iep=True)
-        assert choice_applicable(vect_iep, plain)  # bulk IEP: caps.iep
+        assert choice_applicable(vect_iep, plain)  # bulk IEP: caps.iep_modes
         assert not choice_applicable(vect_iep, induced)
 
     def test_default_grid_heavy_superset(self):

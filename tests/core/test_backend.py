@@ -76,7 +76,8 @@ class TestRegistry:
         assert infos["compiled"].capabilities.supports_mode("directed")
         assert infos["vectorised"].capabilities.supports_mode("directed")
         assert infos["compiled"].capabilities.generated_kernels
-        assert infos["vectorised"].capabilities.iep  # bulk IEP suffix
+        assert infos["vectorised"].capabilities.supports_iep("plain")  # bulk IEP
+        assert not infos["compiled"].capabilities.supports_iep("directed")
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(ValueError, match="unknown backend"):

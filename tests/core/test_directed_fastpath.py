@@ -119,12 +119,16 @@ class TestDirectedFrontierEngine:
         engine = DirectedFrontierEngine(dig, ctx.plan)
         assert len(list(engine.enumerate_embeddings(limit=5))) == 5
 
-    def test_rejects_iep_plan(self, dig):
-        rep = DirectedMatcher(bi_fan()).plan(dig, use_iep=True)
-        if rep.plan.iep_k == 0:
-            pytest.skip("no IEP suffix realised")
-        with pytest.raises(ValueError, match="iep"):
-            DirectedFrontierEngine(dig, rep.plan)
+    @pytest.mark.parametrize(
+        "pattern", [bi_fan(), directed_path(4), out_star(3)], ids=lambda p: p.name
+    )
+    def test_counts_iep_plan_exactly(self, dig, pattern):
+        # bifan realises k = 1 (the plain last loop), dpath-4 and the
+        # out-star k >= 2 (the bulk suffix, the star with a divisor).
+        plan = DirectedMatcher(pattern).plan(dig, use_iep=True).plan
+        assert plan.iep_k >= 1
+        engine = DirectedFrontierEngine(dig, plan)
+        assert engine.count() == bruteforce_directed_count(dig, pattern)
 
     def test_rejects_disconnected_prefix(self, dig):
         # Schedule bi-fan as (0, 1, 2, 3): vertices 0 and 1 are the two
@@ -181,7 +185,7 @@ class TestDirectedKernels:
         assert first.count == second.count
         assert first.backend == second.backend == "compiled"
         assert second.cache_hit
-        # the same cached plan with no preference runs on the frontier
+        # with no preference the query plans with IEP, on the frontier
         default = session.count(query)
         assert default.backend == "vectorised"
         assert default.count == first.count

@@ -217,6 +217,13 @@ def test_planner_output_matches_golden(snapshot, golden, section):
         assert snapshot[section][key] == golden[section][key], f"{section}/{key}"
 
 
+@pytest.mark.parametrize("name", DIRECTED)
+def test_session_directed_plan_is_the_iep_plan(golden, name):
+    """A first-seen directed query plans with IEP on: its session row is
+    the pinned ``use_iep=True`` planner row, so the two cannot drift."""
+    assert golden["session"][f"directed.{name}"] == golden["directed"][name]["plan_iep1"]
+
+
 # ---------------------------------------------------------------------------
 # no_conflict: bitmask peel vs the original Kahn's-algorithm oracle
 # ---------------------------------------------------------------------------

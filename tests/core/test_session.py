@@ -71,7 +71,8 @@ class TestMatchQuery:
     def test_use_iep_defaults(self):
         assert MatchQuery(house()).resolved_use_iep is True
         assert MatchQuery(house(), semantics="induced").resolved_use_iep is False
-        assert MatchQuery(directed_cycle(3)).resolved_use_iep is False
+        assert MatchQuery(directed_cycle(3)).resolved_use_iep is True
+        assert MatchQuery(directed_cycle(3), backend="compiled").resolved_use_iep is False
         assert MatchQuery(house(), use_iep=False).resolved_use_iep is False
 
     def test_fingerprint_excludes_backend(self):

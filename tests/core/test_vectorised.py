@@ -168,7 +168,7 @@ class TestCrossBackendEquivalence:
         assert caps.supports_mode("labeled")
         assert caps.supports_mode("induced")
         assert caps.supports_mode("directed")
-        assert caps.iep
+        assert caps.iep_modes == {"plain", "directed"}
         assert caps.enumeration
 
     @pytest.mark.parametrize("pattern", FIG2_PATTERNS, ids=lambda p: p.name)
@@ -304,7 +304,7 @@ class TestFallbacks:
         assert capabilities_of("no-such-backend") is None
         inst = get_backend("vectorised")
         assert capabilities_of(inst) is inst.capabilities
-        assert capabilities_of("vectorised").iep is True
+        assert capabilities_of("vectorised").supports_iep("directed")
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,38 @@ class TestSessionTracing:
         assert moved.get("repro_frontier_rows_total", 0) > 0
 
 
+class TestDirectedIEPTracing:
+    """The directed frontier engine's bulk IEP suffix is its own span."""
+
+    def test_dpath4_count_shows_the_iep_span(self, tracing):
+        from repro.graph.digraph import random_digraph
+        from repro.pattern.directed import get_directed_pattern
+
+        before = obs_metrics.REGISTRY.snapshot()
+        result = MatchSession(random_digraph(40, 0.1, seed=2)).count(
+            MatchQuery(get_directed_pattern("dpath-4"))
+        )
+        assert result.backend == "vectorised"
+        [execute] = result.trace.find("execute")
+        [iep] = [s for s in execute.find("depth") if "iep" in s.attrs]
+        assert iep.attrs["iep"] == 2
+        assert iep.attrs["count"] == int(result)
+        assert iep.attrs["rows"] > 0 and iep.attrs["blocks"] == 3
+        moved = obs_metrics.REGISTRY.delta(before)
+        assert moved.get('repro_frontier_intersections_total{kernel="iep"}') == 3
+
+    def test_explain_prints_the_iep_span(self, capsys):
+        from repro.cli import main
+
+        args = "count --mode directed --pattern dpath-4 --dataset wiki-vote"
+        assert main(args.split() + ["--scale", "0.05", "--seed", "3", "--explain"]) == 0
+        out = capsys.readouterr().out
+        tree = out.split("where the time went:")[1]
+        execute = tree.split("execute [")[1]
+        assert "depth [depth=2 iep=2 rows=" in execute
+        assert "blocks=3" in execute
+
+
 class TestStreamingTracing:
     def test_delta_spans_compose_under_an_ambient_collection(self, tracing):
         stream = StreamSession(

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.baselines.bruteforce import bruteforce_count
 from repro.core.api import count_pattern, match_query
 from repro.core.backend import (
+    IEP_MODES,
     BackendUnsupportedError,
     MatchContext,
     get_backend,
@@ -354,11 +355,11 @@ class TestCapabilityFallbacks:
     def test_capability_aware_iep_resolution(self):
         """Every inner executor runs IEP plans, so every channel keeps
         the IEP suffix."""
-        assert DistributedBackend.capabilities.iep is True
+        assert DistributedBackend.capabilities.iep_modes == IEP_MODES
         assert MatchQuery(house(), backend="distributed").resolved_use_iep is True
         for inner in ("vectorised", "compiled", "interpreter"):
             backend = DistributedBackend(inner=inner)
-            assert backend.capabilities.iep is True
+            assert backend.capabilities.iep_modes == IEP_MODES
             assert MatchQuery(house(), backend=backend).resolved_use_iep is True
 
     def test_session_iep_plan_divides_once(self, er_small):

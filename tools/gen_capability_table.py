@@ -36,8 +36,8 @@ DEFAULT_TARGET = Path(__file__).resolve().parent.parent / "docs" / "backends.md"
 def render_table() -> str:
     """The capability/fallback table as GitHub-flavoured markdown."""
     rows = [
-        "| backend | modes | IEP plans | enumerates | kernels | traced | role |",
-        "|---------|-------|-----------|------------|---------|--------|------|",
+        "| backend | modes | IEP plans in | enumerates | kernels | traced | role |",
+        "|---------|-------|--------------|------------|---------|--------|------|",
     ]
     for name, info in available_backends().items():
         caps = info.capabilities
@@ -50,7 +50,7 @@ def render_table() -> str:
             "| {} | {} | {} | {} | {} | {} | {} |".format(
                 name,
                 ", ".join(sorted(caps.modes)),
-                "yes" if caps.iep else "no",
+                ", ".join(sorted(caps.iep_modes)) or "none",
                 "yes" if caps.enumeration else "no",
                 "yes" if caps.generated_kernels else "no",
                 "yes" if caps.traced else "no",
