@@ -10,9 +10,9 @@ graph.
 The bench replays one deterministic mixed insert/delete churn sequence
 per batch size (1 / 16 / 256) through a :class:`StreamSession` watching
 the pattern suite, and compares against the strongest honest recount
-baseline: a *warm* compiled plan replayed on each post-update snapshot
-(planning excluded, kernel pre-generated — only snapshot + execution
-are timed).  Recount cost per update is flat, so the baseline is
+baseline: the default counting path (the vectorised frontier engine)
+replaying *warm* plans on each post-update snapshot (planning excluded
+— only snapshot + execution are timed).  Recount cost per update is flat, so the baseline is
 measured over the first ``RECOUNT_SAMPLE`` updates and extrapolated;
 exactness is asserted separately by comparing every maintained count
 against a full recount after each replay (the delta == recount gate the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.backend import MatchContext, get_backend
+from repro.core.backend import select_backend
 from repro.core.session import MatchSession
 from repro.graph.dynamic import DynamicGraph
 from repro.pattern.catalog import house, rectangle, triangle
@@ -75,18 +75,17 @@ def time_delta(base, updates, batch_size):
 
 
 def time_recount_baseline(base, updates, sample):
-    """Seconds for `sample` snapshot+recount updates, with warm plans.
+    """(seconds for `sample` snapshot+recount updates, backend name).
 
-    The strongest honest baseline: plans are prepared (and kernels
-    generated) once on the initial graph, so the measured cost is pure
-    snapshot freeze + compiled execution per update — what a service
-    without delta maintenance would pay at best.
+    The strongest honest baseline: plans are prepared once on the
+    initial graph and executed by the backend the default selection
+    picks for them, so the measured cost is pure snapshot freeze +
+    default-path execution per update — what a service without delta
+    maintenance would pay at best.
     """
     session = MatchSession(base)
-    entries = {
-        name: session.plan_for(builder()) for name, builder in PATTERNS.items()
-    }
-    backend = get_backend("compiled")
+    entries = [session.plan_for(builder()) for builder in PATTERNS.values()]
+    backend = select_backend(entries[0].context(base))
     dyn = DynamicGraph.from_graph(base)
     t0 = time.perf_counter()
     for up in updates[:sample]:
@@ -95,17 +94,17 @@ def time_recount_baseline(base, updates, sample):
         else:
             dyn.remove_edge(up.u, up.v)
         snap = dyn.snapshot()
-        for entry in entries.values():
-            backend.count(
-                MatchContext(graph=snap, plan=entry.plan, generated=entry.generated)
-            )
-    return time.perf_counter() - t0
+        for entry in entries:
+            backend.count(entry.context(snap))
+    return time.perf_counter() - t0, backend.name
 
 
 def run_streaming_bench() -> dict:
     base = bench_graph(DATASET, scale=SCALE)
     updates = random_churn(base, N_UPDATES, seed=CHURN_SEED)
-    recount_sample_s = time_recount_baseline(base, updates, RECOUNT_SAMPLE)
+    recount_sample_s, recount_backend = time_recount_baseline(
+        base, updates, RECOUNT_SAMPLE
+    )
     recount_per_update = recount_sample_s / RECOUNT_SAMPLE
     recount_total = recount_per_update * len(updates)
 
@@ -126,6 +125,7 @@ def run_streaming_bench() -> dict:
         "quick": QUICK,
         "n_updates": len(updates),
         "recount_sample": RECOUNT_SAMPLE,
+        "recount_backend": recount_backend,
         "recount_seconds_per_update": recount_per_update,
         "patterns": sorted(PATTERNS),
         "batches": rows,

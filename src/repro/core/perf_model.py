@@ -24,6 +24,7 @@ enough to rank thousands of configurations (Table III).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import factorial
 
@@ -140,6 +141,15 @@ def _nested_cost(plan: ExecutionPlan, ls, fs, cs) -> float:
     return float(cost)
 
 
+def _memoised_filters(memo: dict, plan: ExecutionPlan) -> list[float]:
+    """:func:`filter_probabilities`, memoised by the plan's bound lists."""
+    bounds = (plan.lower, plan.upper)
+    fs = memo.get(bounds)
+    if fs is None:
+        fs = memo[bounds] = filter_probabilities(plan)
+    return fs
+
+
 class CostMemo:
     """:func:`estimate_cost` for the many plans of one planning call.
 
@@ -156,7 +166,9 @@ class CostMemo:
         self._sizes: dict[tuple[int, ...], tuple[list[float], list[float]]] = {}
         self._filters: dict[tuple, list[float]] = {}
 
-    def cost(self, plan: ExecutionPlan) -> float:
+    def cost(self, plan: ExecutionPlan, fs: list[float] | None = None) -> float:
+        """The plan's cost; ``fs`` supplies its filter probabilities when
+        the caller already holds them."""
         counts = tuple(len(deps) for deps in plan.deps)
         sizes = self._sizes.get(counts)
         if sizes is None:
@@ -164,11 +176,58 @@ class CostMemo:
                 loop_size_estimates(plan, self.stats),
                 intersection_cost_estimates(plan, self.stats),
             )
-        bounds = (plan.lower, plan.upper)
-        fs = self._filters.get(bounds)
         if fs is None:
-            fs = self._filters[bounds] = filter_probabilities(plan)
+            fs = _memoised_filters(self._filters, plan)
         return _nested_cost(plan, sizes[0], fs, sizes[1])
+
+
+class ConfigurationSet:
+    """Configurations plus the graph-independent half of ranking them.
+
+    A configuration's compiled plan (with its largest feasible IEP
+    suffix) and its filter probabilities depend on the pattern alone;
+    only the loop-size and intersection terms read the data graph's
+    statistics.  The set compiles and scores each configuration once
+    per ``iep_k`` and keeps the result, so ranking it again for another
+    graph evaluates only the stats-dependent terms.  ``auts`` is the
+    automorphism group of the configurations' pattern (for the IEP
+    overcount).  Thread-safe: concurrent rankings of one set compile it
+    once.
+    """
+
+    def __init__(self, configurations, *, auts: list | None = None):
+        self.configurations = tuple(configurations)
+        self._auts = auts
+        #: filter probabilities by (lower, upper) bounds, shared by every iep_k
+        self._filters: dict[tuple, list[float]] = {}
+        self._scored: dict[int, tuple[tuple[ExecutionPlan, ...], tuple[list[float], ...]]] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.configurations)
+
+    def __iter__(self):
+        return iter(self.configurations)
+
+    def scored(self, iep_k: int) -> tuple[tuple[ExecutionPlan, ...], tuple[list[float], ...]]:
+        """(plan, filter probabilities) per configuration, in order."""
+        with self._lock:
+            scored = self._scored.get(iep_k)
+            if scored is None:
+                groups: dict = {}
+                plans = []
+                for config in self.configurations:
+                    group = None
+                    if iep_k > 0:
+                        group = groups.get(config.pattern)
+                        if group is None:
+                            group = groups[config.pattern] = symmetry_group(
+                                config.pattern, self._auts
+                            )
+                    plans.append(_compile_best_effort(config, iep_k, group))
+                filters = tuple(_memoised_filters(self._filters, p) for p in plans)
+                scored = self._scored[iep_k] = (tuple(plans), filters)
+            return scored
 
 
 @dataclass(frozen=True)
@@ -201,18 +260,21 @@ class PerformanceModel:
         automorphism group (of the configurations' one pattern) to the
         IEP overcount; without it each pattern's group is enumerated once
         per call.
+
+        ``configurations`` may be a :class:`ConfigurationSet`, whose
+        compiled plans and filter probabilities carry over between calls
+        (its own ``auts`` then applies); any other iterable is scored
+        through a set that lives only for this call.  Ties keep the
+        input order.
         """
+        if not isinstance(configurations, ConfigurationSet):
+            configurations = ConfigurationSet(configurations, auts=auts)
+        plans, filters = configurations.scored(iep_k)
         memo = CostMemo(self.stats)
-        groups: dict = {}
-        ranked: list[RankedConfiguration] = []
-        for config in configurations:
-            group = None
-            if iep_k > 0:
-                group = groups.get(config.pattern)
-                if group is None:
-                    group = groups[config.pattern] = symmetry_group(config.pattern, auts)
-            plan = _compile_best_effort(config, iep_k, group)
-            ranked.append(RankedConfiguration(config, plan, memo.cost(plan)))
+        ranked = [
+            RankedConfiguration(config, plan, memo.cost(plan, fs))
+            for config, plan, fs in zip(configurations, plans, filters)
+        ]
         ranked.sort(key=lambda r: r.predicted_cost)
         return ranked
 

@@ -25,20 +25,37 @@ binds the whole pipeline to a graph:
 
 Cache key and invalidation
 --------------------------
-The cache key is ``(MatchQuery.fingerprint, stats_signature)``.  The
-stats signature is derived from the graph's structural statistics
-(|V|, |E|, triangle count, max degree — exactly what the §IV-C
-performance model consumes — plus the label array digest for labeled
-graphs and the arc count for digraphs).  It is computed **once per
-session**, which is sound because every graph type in this repository
-is immutable; a session offers no invalidation hooks for in-place
-mutation (don't mutate CSR arrays behind a session's back).  Updated
-data arrives as a *new* graph object (e.g. a
+Plans are cached at two levels.
+
+*Per session (the plan cache).*  The key is ``(MatchQuery.fingerprint,
+stats_signature)``.  The stats signature is derived from the graph's
+structural statistics (|V|, |E|, triangle count, max degree — exactly
+what the §IV-C performance model consumes — plus the label array
+digest for labeled graphs and the arc count for digraphs).  It is
+computed **once per session**, which is sound because every graph type
+in this repository is immutable; a session offers no invalidation hooks
+for in-place mutation (don't mutate CSR arrays behind a session's
+back).  Updated data arrives as a *new* graph object (e.g. a
 :class:`~repro.graph.dynamic.DynamicGraph` snapshot), which gets its
 own session — and because the signature participates in every key,
 entries from different graphs can never collide even if plan caches
 are merged or shared externally.  ``clear_cache()`` drops all entries
 explicitly.
+
+*Per pattern, shared by the registry (the pattern plans).*  Plain
+planning splits into a graph-independent half — Algorithm 1's
+restriction sets, the 2-phase schedules, their configurations and
+(per ``iep_k``) each configuration's compiled plan and filter
+probabilities, a :class:`PatternPlan` — and a per-graph half, the model
+ranking on the graph's statistics.  Every session handed out by
+:func:`get_session` reads and fills one bounded, locked LRU of pattern
+plans keyed by ``(pattern, max_restriction_sets, dedup_schedules)``, so
+a plan miss on a new snapshot of a churning graph costs only the
+re-rank; the ranking itself is exact, so the chosen plan is the one a
+from-scratch plan would pick.  A private ``MatchSession(graph)`` never
+touches it and plans from scratch: its caches live exactly as long as
+the session its owner controls.  :func:`clear_sessions` empties both
+the registry and the shared pattern plans.
 """
 
 from __future__ import annotations
@@ -59,10 +76,15 @@ from repro.core.backend import (
     select_backend,
 )
 from repro.core.config import ExecutionPlan, enumerate_configurations
-from repro.core.perf_model import PerformanceModel, RankedConfiguration
+from repro.core.perf_model import (
+    ConfigurationSet,
+    PerformanceModel,
+    RankedConfiguration,
+)
 from repro.core.query import MatchQuery, MatchResult, as_query
 from repro.core.restrictions import (
     RestrictionSet,
+    SymmetryGroup,
     generate_restriction_sets,
     symmetry_group,
 )
@@ -98,6 +120,9 @@ class PlanReport:
     seconds_schedules: float
     seconds_model: float
     seconds_codegen: float
+    #: True when the restriction sets and schedules came from a pattern
+    #: plan built by an earlier call (their seconds are then 0)
+    pattern_hit: bool = False
 
     @property
     def plan(self) -> ExecutionPlan:
@@ -123,23 +148,39 @@ class PlanReport:
         )
 
 
-def plan_plain(
+@dataclass(frozen=True)
+class PatternPlan:
+    """The graph-independent half of plain planning for one pattern.
+
+    Algorithm 1's restriction sets, the 2-phase schedules and their
+    configurations depend on the pattern and the planner knobs alone;
+    only the §IV-C ranking reads the data graph.  ``configurations``
+    also keeps each configuration's compiled plan and filter
+    probabilities per ``iep_k`` once a ranking has computed them (see
+    :class:`~repro.core.perf_model.ConfigurationSet`), so ranking the
+    same pattern on another graph re-evaluates only the stats-dependent
+    terms.  ``seconds_*`` record what building it cost.
+    """
+
+    group: SymmetryGroup
+    restriction_sets: tuple[RestrictionSet, ...]
+    n_schedules: int
+    configurations: ConfigurationSet
+    seconds_restrictions: float
+    seconds_schedules: float
+    seconds_configurations: float
+
+
+def _plan_pattern(
     pattern: Pattern,
-    stats: GraphStats,
     *,
-    use_iep: bool = False,
     max_restriction_sets: int | None = 64,
     dedup_schedules: bool = True,
-    codegen: bool = True,
-) -> PlanReport:
-    """Run the full plain-mode preprocessing pipeline and pick a plan.
-
-    ``use_iep`` asks the model to score configurations with the
-    innermost independent loops replaced by IEP.
+) -> PatternPlan:
+    """Build the graph-independent half of :func:`plan_plain`.
 
     The automorphism group is enumerated once, here, and handed to every
-    stage (validation, schedule dedup, the IEP overcount); it lives only
-    for this call.
+    stage (validation, schedule dedup, the IEP overcount).
     """
     with Timer() as t_res, span("restrictions") as sp:
         group = symmetry_group(pattern)
@@ -152,11 +193,68 @@ def plan_plain(
             pattern, dedup_automorphic=dedup_schedules, auts=group
         )
         sp.set(n_schedules=len(schedules))
+    with Timer() as t_conf:
+        configurations = ConfigurationSet(
+            enumerate_configurations(pattern, schedules, restriction_sets),
+            auts=group,
+        )
+    return PatternPlan(
+        group=group,
+        restriction_sets=tuple(restriction_sets),
+        n_schedules=len(schedules),
+        configurations=configurations,
+        seconds_restrictions=t_res.elapsed,
+        seconds_schedules=t_sched.elapsed,
+        seconds_configurations=t_conf.elapsed,
+    )
+
+
+def plan_plain(
+    pattern: Pattern,
+    stats: GraphStats,
+    *,
+    use_iep: bool = False,
+    max_restriction_sets: int | None = 64,
+    dedup_schedules: bool = True,
+    codegen: bool = True,
+) -> PlanReport:
+    """Run the full plain-mode preprocessing pipeline and pick a plan.
+
+    ``use_iep`` asks the model to score configurations with the
+    innermost independent loops replaced by IEP.  The pattern half
+    is built for this call only.
+    """
+    pattern_plan = _plan_pattern(
+        pattern,
+        max_restriction_sets=max_restriction_sets,
+        dedup_schedules=dedup_schedules,
+    )
+    return _rank_pattern_plan(
+        pattern, pattern_plan, stats, use_iep=use_iep, codegen=codegen
+    )
+
+
+def _rank_pattern_plan(
+    pattern: Pattern,
+    pattern_plan: PatternPlan,
+    stats: GraphStats,
+    *,
+    use_iep: bool = False,
+    codegen: bool = True,
+    reused: bool = False,
+) -> PlanReport:
+    """The per-graph half of :func:`plan_plain`: rank ``pattern_plan``'s
+    configurations on ``stats`` and pick a plan.
+
+    ``reused`` marks a pattern plan built by an earlier call: the report
+    then charges none of its building time (``pattern_hit``).
+    """
     with Timer() as t_model, span("model") as sp:
-        configs = enumerate_configurations(pattern, schedules, restriction_sets)
-        model = PerformanceModel(stats)
+        configs = pattern_plan.configurations
         iep_k = independent_suffix_size(pattern) if use_iep else 0
-        ranking = model.rank(configs, iep_k=iep_k, auts=group)
+        ranking = PerformanceModel(stats).rank(
+            configs, iep_k=iep_k, auts=pattern_plan.group
+        )
         sp.set(n_configs=len(configs), iep_k=iep_k)
     chosen = ranking[0]
     generated = None
@@ -168,15 +266,17 @@ def plan_plain(
     return PlanReport(
         pattern=pattern,
         stats=stats,
-        restriction_sets=tuple(restriction_sets),
-        n_schedules=len(schedules),
+        restriction_sets=pattern_plan.restriction_sets,
+        n_schedules=pattern_plan.n_schedules,
         ranking=tuple(ranking),
         chosen=chosen,
         generated=generated,
-        seconds_restrictions=t_res.elapsed,
-        seconds_schedules=t_sched.elapsed,
-        seconds_model=t_model.elapsed,
+        seconds_restrictions=0.0 if reused else pattern_plan.seconds_restrictions,
+        seconds_schedules=0.0 if reused else pattern_plan.seconds_schedules,
+        seconds_model=t_model.elapsed
+        + (0.0 if reused else pattern_plan.seconds_configurations),
         seconds_codegen=t_gen.elapsed,
+        pattern_hit=reused,
     )
 
 
@@ -313,6 +413,9 @@ class MatchSession:
         self._cache: OrderedDict[tuple, PlanEntry] = OrderedDict()
         self._hits = 0
         self._misses = 0
+        #: whether plain planning reads and fills the registry's shared
+        #: pattern plans (set by get_session only)
+        self._shares_patterns = False
         # One reentrant lock guards the plan cache, the hit/miss
         # counters and the lazy stats/signature memos.  Concurrent
         # service workers share sessions; without it, two threads
@@ -466,13 +569,23 @@ class MatchSession:
         # fallback onto compiled, still gets a kernel on demand via
         # _ensure_kernel.
         wants_kernel = _wants_kernel(query)
-        report = plan_plain(
+        if self._shares_patterns:
+            pattern_plan, reused = _shared_pattern_plan(query)
+        else:
+            pattern_plan, reused = _plan_pattern(
+                query.pattern,
+                max_restriction_sets=query.max_restriction_sets,
+                dedup_schedules=query.dedup_schedules,
+            ), False
+        if reused:
+            obs_metrics.PLAN_PATTERN_HITS.inc()
+        report = _rank_pattern_plan(
             query.pattern,
+            pattern_plan,
             self.stats,
             use_iep=query.resolved_use_iep,
-            max_restriction_sets=query.max_restriction_sets,
-            dedup_schedules=query.dedup_schedules,
             codegen=query.use_codegen and not induced and wants_kernel,
+            reused=reused,
         )
         generated = report.generated
         if (
@@ -656,7 +769,13 @@ class MatchSession:
             graph = self._execution_graph(query)
             with span("plan") as sp:
                 entry, was_hit = self._lookup_or_plan(query)
-                sp.set(cache_hit=was_hit, provenance=entry.provenance)
+                sp.set(
+                    cache_hit=was_hit,
+                    pattern_hit=not was_hit
+                    and isinstance(entry.report, PlanReport)
+                    and entry.report.pattern_hit,
+                    provenance=entry.provenance,
+                )
             ctx = entry.context(graph)
             chosen = self._select(ctx, query, backend)
             ctx = self._ensure_kernel(entry, chosen, ctx)
@@ -856,7 +975,10 @@ def get_session(graph: Any) -> MatchSession:
 
     Thread-safe: concurrent callers for the same graph get the *same*
     session object (whose plan cache is itself locked), so a serving
-    worker pool shares plans instead of racing to build them.
+    worker pool shares plans instead of racing to build them.  Registry
+    sessions also share the pattern plans (see the module docstring):
+    a new graph object's first plain plan of a known pattern only
+    re-ranks it.
 
     Note the retention trade-off: a registered session keeps its graph
     alive until displaced, so a one-shot count on a huge transient graph
@@ -871,6 +993,7 @@ def get_session(graph: Any) -> MatchSession:
             _SESSIONS.move_to_end(key)
             return session
         session = MatchSession(graph)
+        session._shares_patterns = True
         _SESSIONS[key] = session
         _SESSIONS.move_to_end(key)
         while len(_SESSIONS) > _MAX_SESSIONS:
@@ -895,6 +1018,41 @@ def set_session_cache_size(n: int) -> None:
 
 
 def clear_sessions() -> None:
-    """Drop every registered session (test isolation / memory pressure)."""
+    """Drop every registered session and the pattern plans they share
+    (test isolation / memory pressure)."""
     with _SESSIONS_LOCK:
         _SESSIONS.clear()
+    with _PATTERN_PLANS_LOCK:
+        _PATTERN_PLANS.clear()
+
+
+#: (pattern, max_restriction_sets, dedup_schedules) -> its PatternPlan,
+#: LRU-ordered and shared by every registry session.  Registry sessions
+#: come and go with graph objects (each DynamicGraph snapshot gets its
+#: own), while a pattern's restriction sets and schedules do not depend
+#: on the graph: sharing them makes a plan miss on a new snapshot cost
+#: only the re-rank.  Private MatchSessions never touch it.
+_PATTERN_PLANS: OrderedDict[tuple, PatternPlan] = OrderedDict()
+_MAX_PATTERN_PLANS = 64
+#: guards _PATTERN_PLANS; a pattern plan is built under it, so two
+#: sessions missing on one pattern build it once.
+_PATTERN_PLANS_LOCK = threading.Lock()
+
+
+def _shared_pattern_plan(query: MatchQuery) -> tuple[PatternPlan, bool]:
+    """(the registry's pattern plan for a plain query, whether it existed)."""
+    key = (query.pattern, query.max_restriction_sets, query.dedup_schedules)
+    with _PATTERN_PLANS_LOCK:
+        pattern_plan = _PATTERN_PLANS.get(key)
+        if pattern_plan is not None:
+            _PATTERN_PLANS.move_to_end(key)
+            return pattern_plan, True
+        pattern_plan = _plan_pattern(
+            query.pattern,
+            max_restriction_sets=query.max_restriction_sets,
+            dedup_schedules=query.dedup_schedules,
+        )
+        _PATTERN_PLANS[key] = pattern_plan
+        while len(_PATTERN_PLANS) > _MAX_PATTERN_PLANS:
+            _PATTERN_PLANS.popitem(last=False)
+        return pattern_plan, False

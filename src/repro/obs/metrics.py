@@ -335,7 +335,11 @@ PLAN_CACHE_HITS = REGISTRY.counter(
 )
 PLAN_CACHE_MISSES = REGISTRY.counter(
     "repro_plan_cache_misses_total",
-    "MatchSession plan-cache lookups that ran the full planning pipeline.",
+    "MatchSession plan-cache lookups that planned (fully, or by re-ranking a shared pattern plan).",
+)
+PLAN_PATTERN_HITS = REGISTRY.counter(
+    "repro_plan_pattern_hits_total",
+    "Plan-cache misses that reused a shared pattern plan and only re-ranked it.",
 )
 KERNELS_COMPILED = REGISTRY.counter(
     "repro_kernels_compiled_total",
@@ -398,7 +402,7 @@ SERVICE_JOB_SECONDS = REGISTRY.histogram(
 )
 SERVICE_QUEUE_WAIT_SECONDS = REGISTRY.histogram(
     "repro_service_queue_wait_seconds",
-    "Time serving jobs spent queued before a worker picked them, seconds.",
+    "Time serving jobs spent queued before they started running, seconds.",
 )
 STREAM_DELTAS = REGISTRY.counter(
     "repro_stream_deltas_total",

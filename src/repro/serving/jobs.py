@@ -197,7 +197,7 @@ class Job:
         self.t_submit: float = 0.0
         self.t_start: float = 0.0
         self.t_done: float = 0.0
-        #: the worker-side span tree (a :class:`repro.obs.trace.Trace`)
+        #: the execution-side span tree (a :class:`repro.obs.trace.Trace`)
         #: when tracing was enabled while the job ran; None otherwise.
         self.trace: Any = None
 
@@ -211,7 +211,9 @@ class JobHandle:
 
     * ``result(timeout=None)`` blocks until the job finishes and returns
       the value (or raises the job's error / :class:`JobCancelled` /
-      :class:`JobTimeout`).
+      :class:`JobTimeout`).  With no timeout it may run the job itself
+      when an idle worker would take it next (see
+      :mod:`repro.serving.service`).
     * The handle is *awaitable* — ``await handle`` inside a coroutine is
       the asyncio front door (the blocking wait is pushed to a thread,
       so the event loop stays responsive); ``aresult()`` is the explicit
@@ -266,7 +268,7 @@ class JobHandle:
     @property
     def trace(self) -> Any:
         """The job's span tree (populated only when tracing was enabled
-        while a worker ran this job; followers share the primary's)."""
+        while this job ran; followers share the primary's)."""
         return self._job.trace
 
     @property
@@ -285,6 +287,8 @@ class JobHandle:
 
     def result(self, timeout: float | None = None) -> Any:
         """The job's value; blocks, raises the job's failure if it lost."""
+        if timeout is None:
+            self._service._run_in_caller(self._job)
         if not self._job._finished.wait(timeout):
             raise TimeoutError(
                 f"job {self._job.id} still {self._job.state} after {timeout}s"

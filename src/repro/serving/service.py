@@ -28,11 +28,21 @@ Design decisions, in the order they bite:
   threads share every cache for free; the thread-safe session layer
   (PR 7) is what makes that sound.  The asyncio front door is the
   handle itself: ``await handle`` parks the blocking wait on a thread.
+* **The waiting caller runs its own job.**  ``handle.result()`` with
+  no timeout, on a job with no deadline that is next in the queue
+  while a worker is idle, runs the job on the calling thread instead
+  of waiting for that worker to wake.  A closed-loop client then
+  skips two cross-thread hand-offs (wake the worker, wake the
+  caller), whose latency on a loaded host is both large and erratic.
+  Queue order and the ``n_workers`` bound on running jobs hold: the
+  job is the one an idle worker would take next, and it holds that
+  worker's slot until it finishes.
 * **Cooperative cancellation.**  A cancelled or timed-out RUNNING job
   is finalised immediately (callers unblock, followers resolve) and the
   worker's computation is disowned — its result is discarded on
   arrival.  ``job.cancel_event`` is set for executors that can stop
-  early.
+  early.  The one caller that cannot unblock early is the one running
+  the job itself (above): it returns when the executor does.
 * **Callbacks under the service lock.**  ``on_status``/``on_result``
   fire in transition order, exactly once per transition (the
   openreview-matcher coordinator contract).  They must be quick and
@@ -381,6 +391,7 @@ class MatchService:
             job.timer = None
         if was_running:
             self._running -= 1
+            self._not_empty.notify()  # a slot is free for a waiting worker
         if state == DONE:
             self._completed += 1
         elif state == CANCELLED:
@@ -411,23 +422,61 @@ class MatchService:
                 self._finalize(fjob, state, value=value, error=error)
 
     def _next_job(self) -> Job | None:
-        """Pop the next live job (worker thread, under the lock)."""
+        """Pop the next live job (worker thread, under the lock).
+
+        Waits while the queue is empty or ``n_workers`` jobs already run
+        (callers running their own jobs take slots too).
+        """
         while True:
-            while not self._heap and not self._closed:
+            while (not self._heap and not self._closed) or (
+                self._heap and self._running >= len(self._workers)
+            ):
                 self._not_empty.wait()
             if not self._heap:
                 return None  # closed and drained
             _, _, job = heapq.heappop(self._heap)
             if job.finished:
                 continue  # cancelled/expired while queued; slot already freed
-            job.enqueued = False
-            self._queued -= 1
-            obs_metrics.SERVICE_QUEUE_DEPTH.dec()
-            job.state = RUNNING
-            job.t_start = time.perf_counter()
-            self._running += 1
-            self._fire_status(job)
+            self._start(job)
             return job
+
+    def _start(self, job: Job) -> None:
+        """QUEUED -> RUNNING for a job just popped off the heap (under
+        the lock)."""
+        job.enqueued = False
+        self._queued -= 1
+        obs_metrics.SERVICE_QUEUE_DEPTH.dec()
+        job.state = RUNNING
+        job.t_start = time.perf_counter()
+        self._running += 1
+        self._fire_status(job)
+
+    def _run_in_caller(self, job: Job) -> None:
+        """Run ``job`` on the calling thread if an idle worker would
+        take it next anyway (see the module docstring).
+
+        Called by :meth:`JobHandle.result` with no timeout; otherwise
+        returns at once and the job stays with the workers.  A job with
+        a deadline is left to them too, since its caller must unblock
+        when the deadline fires.
+        """
+        with self._lock:
+            if (
+                not job.enqueued
+                or job.timeout is not None
+                or self._running >= len(self._workers)
+                or self._heap[0][2] is not job
+            ):
+                return
+            heapq.heappop(self._heap)
+            self._start(job)
+        try:
+            self._run(job)
+        except BaseException as exc:  # e.g. KeyboardInterrupt on this thread
+            with self._lock:
+                if not job.finished:
+                    self._finalize(job, FAILED, error=exc)
+            raise
 
     def _worker_loop(self) -> None:
         while True:
@@ -435,34 +484,39 @@ class MatchService:
                 job = self._next_job()
             if job is None:
                 return
-            trace = None
-            try:
-                with collect(
-                    "serve.job",
-                    job=job.id,
-                    kind=job.request.kind,
-                    graph=job.request.graph,
-                ) as trace:
-                    # the time this job sat QUEUED, as a sibling interval
-                    # of the execution work — the wait/run split in one
-                    # trace (Perfetto shows it as a leading child slice).
-                    record_span("serve.queue_wait", job.t_submit, job.t_start)
-                    value = self._executor(
-                        job.graph, job.request, job.cancel_event
-                    )
-            except Exception as exc:  # noqa: BLE001 — job-scoped failure wall
-                with self._lock:
-                    job.trace = trace
-                    if not job.finished:
-                        self._finalize(job, FAILED, error=exc)
-            else:
-                if trace is not None:
-                    obs_metrics.TRACES_COLLECTED.inc()
-                with self._lock:
-                    job.trace = trace
-                    if not job.finished:
-                        self._finalize(job, DONE, value=value)
-                    # else: cancelled/timed out mid-run — result disowned.
+            self._run(job)
+
+    def _run(self, job: Job) -> None:
+        """Execute a RUNNING job and finalise it (on a worker, or on the
+        caller through :meth:`_run_in_caller`)."""
+        trace = None
+        try:
+            with collect(
+                "serve.job",
+                job=job.id,
+                kind=job.request.kind,
+                graph=job.request.graph,
+            ) as trace:
+                # the time this job sat QUEUED, as a sibling interval
+                # of the execution work — the wait/run split in one
+                # trace (Perfetto shows it as a leading child slice).
+                record_span("serve.queue_wait", job.t_submit, job.t_start)
+                value = self._executor(
+                    job.graph, job.request, job.cancel_event
+                )
+        except Exception as exc:  # noqa: BLE001 — job-scoped failure wall
+            with self._lock:
+                job.trace = trace
+                if not job.finished:
+                    self._finalize(job, FAILED, error=exc)
+        else:
+            if trace is not None:
+                obs_metrics.TRACES_COLLECTED.inc()
+            with self._lock:
+                job.trace = trace
+                if not job.finished:
+                    self._finalize(job, DONE, value=value)
+                # else: cancelled/timed out mid-run — result disowned.
 
     # ------------------------------------------------------------------
     # introspection / shutdown

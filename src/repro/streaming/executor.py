@@ -31,7 +31,6 @@ from repro.graph.dynamic import DynamicGraph
 from repro.graph.intersection import (
     VERTEX_DTYPE,
     bounded_slice,
-    contains,
     intersect_many,
 )
 from repro.streaming.delta_plan import AnchoredPlan, DeltaPlan
@@ -119,25 +118,27 @@ class DeltaExecutor:
             ups = [bound[j] for j in ap.upper[depth]]
             return lo, (min(ups) if ups else None)
 
-        def admissible(w: int, others: list[set[int]],
-                       lo: int | None, hi: int | None) -> bool:
-            if (lo is not None and w <= lo) or (hi is not None and w >= hi):
-                return False
-            if w == a or w == b or w in bound:
-                return False
-            return all(w in s for s in others)
-
         last = ap.n_free - 1
 
         def rec(depth: int) -> int:
+            # candidate intersection and exclusion are set operations, so
+            # the per-candidate work runs in C, not in a Python predicate
             base, others = candidates(depth)
+            cands = base.intersection(*others) if others else base
+            used = {a, b, *bound}
             lo, hi = bounds(depth)
-            if depth == last:
-                return sum(1 for w in base if admissible(w, others, lo, hi))
+            if lo is None and hi is None:
+                if depth == last:
+                    return len(cands) - len(used & cands)
+                picks = cands - used
+            else:
+                lo = -1 if lo is None else lo
+                hi = float("inf") if hi is None else hi
+                picks = [w for w in cands if lo < w < hi and w not in used]
+                if depth == last:
+                    return len(picks)
             total = 0
-            for w in base:
-                if not admissible(w, others, lo, hi):
-                    continue
+            for w in picks:
                 bound.append(w)
                 total += rec(depth + 1)
                 bound.pop()
@@ -172,17 +173,16 @@ class DeltaExecutor:
             cand = candidates(depth)
             if len(cand) == 0:
                 return 0
+            used = {a, b, *bound}
             if depth == last:
                 # last-loop shortcut: count candidates, subtracting the
                 # already-used vertices present in the window.
-                used = sum(1 for w in (a, b, *bound) if contains(cand, w))
-                return len(cand) - used
+                return len(cand) - len(used.intersection(cand.tolist()))
             total = 0
-            for w in cand:
-                wi = int(w)
-                if wi == a or wi == b or wi in bound:
+            for w in cand.tolist():
+                if w in used:
                     continue
-                bound.append(wi)
+                bound.append(w)
                 total += rec(depth + 1)
                 bound.pop()
             return total

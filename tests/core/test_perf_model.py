@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import Configuration, enumerate_configurations
 from repro.core.perf_model import (
+    ConfigurationSet,
     PerformanceModel,
     cost_breakdown,
     estimate_cost,
@@ -145,6 +146,38 @@ class TestModelRanking:
         )
         ranked = PerformanceModel(stats).rank(configs, iep_k=2)
         assert any(r.plan.iep_k > 0 for r in ranked)
+
+    @pytest.mark.parametrize("iep_k", [0, 2])
+    def test_configuration_set_reranks_exactly_without_recompiling(
+        self, stats, iep_k, monkeypatch
+    ):
+        """A ConfigurationSet ranked on a second graph yields exactly the
+        ranking of a fresh list, compiling nothing the second time."""
+        import repro.core.perf_model as perf_model
+
+        pattern = house()
+        configs = enumerate_configurations(
+            pattern,
+            generate_schedules(pattern, dedup_automorphic=True),
+            generate_restriction_sets(pattern),
+        )
+        other = GraphStats.of(erdos_renyi(200, 0.12, seed=5))
+        shared = ConfigurationSet(configs)
+        PerformanceModel(stats).rank(shared, iep_k=iep_k)
+        compiled = []
+        real = perf_model._compile_best_effort
+        monkeypatch.setattr(
+            perf_model,
+            "_compile_best_effort",
+            lambda *a: compiled.append(a) or real(*a),
+        )
+        again = PerformanceModel(other).rank(shared, iep_k=iep_k)
+        assert compiled == []
+        monkeypatch.undo()
+        fresh = PerformanceModel(other).rank(configs, iep_k=iep_k)
+        assert [(r.config, r.plan, r.predicted_cost) for r in again] == [
+            (r.config, r.plan, r.predicted_cost) for r in fresh
+        ]
 
     def test_model_prefers_selective_schedule_on_clustered_graph(self):
         """The model must use triangle information: on a triangle-free

@@ -32,6 +32,8 @@ class FakeBackend:
         self.result = result
         self.cond = threading.Condition()
         self.started: list = []
+        #: label -> the thread that ran the job
+        self.threads: dict = {}
         self.finished: list = []
         self.gate = threading.Event()
         self.cancel_waiters: set = set()
@@ -41,6 +43,7 @@ class FakeBackend:
         label = request.limit
         with self.cond:
             self.started.append(label)
+            self.threads[label] = threading.current_thread()
             self.cond.notify_all()
         if label in self.cancel_waiters:
             assert cancel_event.wait(10), "cancel event never fired"

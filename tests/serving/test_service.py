@@ -2,13 +2,17 @@
 
 Everything here runs against the event-gated :class:`FakeBackend`
 (tests/serving/conftest.py) so states are held deterministically — no
-sleeps, no timing races.
+sleeps, no timing races.  The exceptions are in ``TestCallerRuns``: its
+stress test yields with ``time.sleep(0)``, and one test polls, with a
+deadline, until the worker has parked.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
+import time
 
 import pytest
 
@@ -182,6 +186,183 @@ class TestTimeouts:
         handle = service.submit(job(0), timeout=30.0)
         assert handle.result(timeout=10) == 7
         assert handle.state == DONE  # timer cancelled on completion
+
+
+class TestCallerRuns:
+    """``result()`` with no timeout runs a job that an idle worker would
+    take next on the calling thread.  Holding the service lock keeps the
+    worker off the queue, so which thread runs a job is deterministic;
+    the lock is never held across a blocking wait."""
+
+    @staticmethod
+    def on_worker(service, thread) -> bool:
+        return thread.name.startswith(f"{service.name}-worker")
+
+    def test_result_without_timeout_offers_the_job_to_its_caller(
+        self, service, fake_backend, monkeypatch
+    ):
+        offered = []
+        run_in_caller = service._run_in_caller
+
+        def spy(queued):
+            offered.append(queued)
+            run_in_caller(queued)
+
+        monkeypatch.setattr(service, "_run_in_caller", spy)
+        fake_backend.gate.set()
+        plain = service.submit(job(0))
+        assert plain.result() == 7
+        timed = service.submit(job(1))
+        assert timed.result(timeout=10) == 7
+        assert offered == [plain._job]
+
+    def test_next_job_runs_on_the_calling_thread(self, service, fake_backend):
+        fake_backend.gate.set()
+        with service._lock:  # the idle worker cannot pop the job first
+            handle = service.submit(job(0))
+            service._run_in_caller(handle._job)
+            assert handle.state == DONE
+        assert handle.result() == 7
+        assert fake_backend.threads[0] is threading.current_thread()
+        stats = service.stats()
+        assert (stats.completed, stats.running, stats.queue_depth) == (1, 0, 0)
+        assert handle.latency >= handle.queue_seconds >= 0.0
+
+    def test_result_with_a_timeout_leaves_the_job_to_a_worker(
+        self, service, fake_backend
+    ):
+        fake_backend.gate.set()
+        handle = service.submit(job(0))
+        assert handle.result(timeout=10) == 7
+        assert self.on_worker(service, fake_backend.threads[0])
+
+    def test_job_with_a_deadline_stays_with_the_workers(self, service, fake_backend):
+        fake_backend.gate.set()
+        with service._lock:
+            handle = service.submit(job(0), timeout=10)
+            service._run_in_caller(handle._job)
+            assert handle.state == QUEUED
+        assert handle.result() == 7
+        assert self.on_worker(service, fake_backend.threads[0])
+
+    def test_no_caller_run_while_every_worker_is_busy(self, service, fake_backend):
+        service.submit(job(0))
+        fake_backend.wait_started(1)  # the only worker is pinned
+        queued = service.submit(job(1))
+        service._run_in_caller(queued._job)  # returns at once
+        assert queued.state == QUEUED
+        assert fake_backend.started == [0]
+        fake_backend.gate.set()
+        assert queued.result(timeout=10) == 7
+        assert self.on_worker(service, fake_backend.threads[1])
+
+    def test_queue_order_is_kept(self, service, fake_backend):
+        fake_backend.gate.set()
+        with service._lock:
+            low = service.submit(job(0))
+            high = service.submit(job(1), priority=5)
+            service._run_in_caller(low._job)  # not next in the queue
+            assert low.state == QUEUED
+            service._run_in_caller(high._job)  # next: runs here
+            assert high.state == DONE
+        assert low.result(timeout=10) == 7
+        assert fake_backend.started == [1, 0]
+        assert fake_backend.threads[1] is threading.current_thread()
+        assert self.on_worker(service, fake_backend.threads[0])
+
+    def test_a_slot_freed_by_the_caller_wakes_a_waiting_worker(
+        self, service, fake_backend, monkeypatch
+    ):
+        fake_backend.gate.set()
+        with service._lock:
+            first = service.submit(job(0))
+            # claim it as a caller would, without running it yet
+            monkeypatch.setattr(service, "_run", lambda job: None)
+            service._run_in_caller(first._job)
+            monkeypatch.undo()
+            assert first.state == RUNNING
+        second = service.submit(job(1))
+        # the only slot is taken: the worker parks with the job queued
+        deadline = time.monotonic() + 10
+        while not (service._not_empty._waiters and second.state == QUEUED):
+            assert time.monotonic() < deadline, "worker never parked"
+            time.sleep(0.001)
+        with service._lock:
+            service._finalize(first._job, DONE, value=7)
+        assert second.result(timeout=10) == 7
+        assert self.on_worker(service, fake_backend.threads[1])
+
+    def test_closed_loop_clients_keep_the_worker_bound(self, triangle_graph):
+        """More clients than workers, more workers than cores: every
+        answer is right, no more jobs run at once than there are
+        workers, and the counters balance."""
+        n_workers, clients, per_client = 3, 6, 40
+        lock = threading.Lock()
+        running = [0, 0]  # now, peak
+
+        def executor(graph, request, cancel_event):
+            with lock:
+                running[0] += 1
+                running[1] = max(running[1], running[0])
+            time.sleep(0)  # let the other threads in
+            with lock:
+                running[0] -= 1
+            return request.limit
+
+        svc = MatchService(
+            n_workers=n_workers,
+            queue_limit=clients * per_client,
+            memoise=False,
+            executor=executor,
+        )
+        svc.add_graph("default", triangle_graph)
+        wrong = []
+
+        def client(c):
+            for i in range(per_client):
+                label = c * per_client + i
+                if svc.submit(job(label)).result() != label:
+                    wrong.append(label)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(c,)) for c in range(clients)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        assert wrong == []
+        assert 1 <= running[1] <= n_workers
+        stats = svc.stats()
+        assert (stats.completed, stats.running, stats.queue_depth) == (
+            clients * per_client, 0, 0
+        )
+
+    def test_an_interrupt_fails_the_job_and_propagates(self, triangle_graph):
+        class Interrupt(BaseException):
+            pass
+
+        def executor(graph, request, cancel_event):
+            raise Interrupt
+
+        svc = MatchService(n_workers=1, memoise=False, executor=executor)
+        svc.add_graph("default", triangle_graph)
+        try:
+            with svc._lock:
+                handle = svc.submit(job(0))
+                with pytest.raises(Interrupt):
+                    svc._run_in_caller(handle._job)
+            assert handle.state == FAILED
+            with pytest.raises(Interrupt):
+                handle.result()
+            assert svc.stats().running == 0
+        finally:
+            svc.close()
 
 
 class TestLifecycleAndCallbacks:
