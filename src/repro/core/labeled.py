@@ -33,7 +33,11 @@ from repro.core.restrictions import (
     RestrictionSet,
     SymmetryGroup,
 )
-from repro.core.schedule import generate_schedules, intersection_free_suffix_length
+from repro.core.schedule import (
+    generate_schedules,
+    intersection_free_suffix_length,
+    schedule_dependencies,
+)
 from repro.graph.labeled import LabeledGraph
 from repro.graph.stats import GraphStats
 from repro.pattern.labeled import LabeledPattern, labeled_automorphisms
@@ -158,7 +162,11 @@ class LabeledMatcher:
         memo = CostMemo(stats)
         hist = lgraph.label_histogram()
         n = max(1, lgraph.n_vertices)
+        pattern = self.lpattern.pattern
 
+        # Configurations are priced from their loops' dependency counts
+        # and the depths their restrictions compare; only the winner is
+        # compiled.
         best = None
         for schedule in self._schedules:
             # Label-frequency weight: product of per-depth frequencies
@@ -166,14 +174,17 @@ class LabeledMatcher:
             weight = 1.0
             for v in schedule:
                 weight *= hist.get(self.lpattern.labels[v], 0) / n
+            dep_counts = tuple(len(d) for d in schedule_dependencies(pattern, schedule))
+            depth = {v: i for i, v in enumerate(schedule)}
             for rs in self._rsets:
-                config = Configuration(self.lpattern.pattern, schedule, rs)
-                plan = config.compile()
-                cost = memo.cost(plan) * max(weight, 1e-12)
+                orders = frozenset((depth[g], depth[s]) for g, s in rs)
+                cost = memo.order_cost(dep_counts, orders) * max(weight, 1e-12)
                 if best is None or cost < best[0]:
-                    best = (cost, config, plan)
+                    best = (cost, schedule, rs)
         assert best is not None
-        cost, config, plan = best
+        cost, schedule, rs = best
+        config = Configuration(pattern, schedule, rs)
+        plan = config.compile()
         if use_iep:
             # Recompile the winner with the largest uniform-overcount IEP
             # suffix; the divisor group is the *labeled* subgroup, whose

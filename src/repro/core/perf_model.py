@@ -51,20 +51,33 @@ def filter_probabilities(plan: ExecutionPlan) -> list[float]:
     (row r gives the rank of the vertex bound at each schedule position),
     held as bitsets (:func:`~repro.core.restrictions.rank_order_bits`).
     """
-    n = plan.n
+    return _filter_probabilities(plan.n, _depth_orders(plan))
+
+
+def _depth_orders(plan: ExecutionPlan) -> frozenset[tuple[int, int]]:
+    """The plan's loop bounds as depth pairs ``(a, b)``: the id bound at
+    depth ``a`` must exceed the id bound at depth ``b``."""
+    return frozenset(
+        [(d, j) for d, js in enumerate(plan.lower) for j in js]
+        + [(j, d) for d, js in enumerate(plan.upper) for j in js]
+    )
+
+
+def _filter_probabilities(n: int, orders) -> list[float]:
+    """f_i for ``n`` loops bounded by the depth pairs ``orders`` (see
+    :func:`_depth_orders`); a pair is checked at its deeper depth."""
     bits = rank_order_bits(n)
     alive = (1 << factorial(n)) - 1
+    passing = [alive] * n
+    for a, b in orders:
+        passing[max(a, b)] &= bits[a][b]
     fs: list[float] = []
     for depth in range(n):
         before = alive.bit_count()
         if before == 0:
             fs.append(0.0)
             continue
-        mask = alive
-        for j in plan.lower[depth]:
-            mask &= bits[depth][j]
-        for j in plan.upper[depth]:
-            mask &= bits[j][depth]
+        mask = alive & passing[depth]
         after = mask.bit_count()
         fs.append((before - after) / before)
         alive = mask
@@ -85,9 +98,12 @@ def intersection_cost_estimates(plan: ExecutionPlan, stats: GraphStats) -> list[
     Loops with ≤ 1 dependency perform no intersection (a neighbourhood
     is used directly), so c_i = 0.
     """
+    return _intersection_costs([len(deps) for deps in plan.deps], stats)
+
+
+def _intersection_costs(dep_counts, stats: GraphStats) -> list[float]:
     costs: list[float] = []
-    for deps in plan.deps:
-        x = len(deps)
+    for x in dep_counts:
         if x <= 1:
             costs.append(0.0)
             continue
@@ -117,13 +133,13 @@ def cost_breakdown(plan: ExecutionPlan, stats: GraphStats) -> CostBreakdown:
     ls = loop_size_estimates(plan, stats)
     fs = filter_probabilities(plan)
     cs = intersection_cost_estimates(plan, stats)
-    return CostBreakdown(tuple(ls), tuple(fs), tuple(cs), _nested_cost(plan, ls, fs, cs))
+    return CostBreakdown(tuple(ls), tuple(fs), tuple(cs), _nested_cost(plan.iep_k, ls, fs, cs))
 
 
-def _nested_cost(plan: ExecutionPlan, ls, fs, cs) -> float:
-    n = plan.n
-    n_loops = plan.n_loops
-    if plan.iep_k > 0:
+def _nested_cost(iep_k: int, ls, fs, cs) -> float:
+    n = len(ls)
+    n_loops = n - iep_k
+    if iep_k > 0:
         # The k inner loops are replaced by one IEP evaluation whose cost
         # is the block-intersection work: every inner vertex's candidate
         # set must be materialised (its c_i), plus Bell(k)-bounded
@@ -141,12 +157,12 @@ def _nested_cost(plan: ExecutionPlan, ls, fs, cs) -> float:
     return float(cost)
 
 
-def _memoised_filters(memo: dict, plan: ExecutionPlan) -> list[float]:
-    """:func:`filter_probabilities`, memoised by the plan's bound lists."""
-    bounds = (plan.lower, plan.upper)
-    fs = memo.get(bounds)
+def _memoised_filters(memo: dict, n: int, orders: frozenset[tuple[int, int]]) -> list[float]:
+    """:func:`_filter_probabilities`, memoised by loop count and bounds."""
+    key = (n, orders)
+    fs = memo.get(key)
     if fs is None:
-        fs = memo[bounds] = filter_probabilities(plan)
+        fs = memo[key] = _filter_probabilities(n, orders)
     return fs
 
 
@@ -155,7 +171,7 @@ class CostMemo:
 
     Plans of one pattern share few distinct shapes: the loop-size and
     intersection estimates depend only on each loop's dependency count,
-    the filter probabilities only on the ``(lower, upper)`` bound lists.
+    the filter probabilities only on the loops' bounds.
     The memo computes each shape's factors once and yields exactly
     ``estimate_cost``'s value; it lives only as long as the call that
     made it.
@@ -166,19 +182,32 @@ class CostMemo:
         self._sizes: dict[tuple[int, ...], tuple[list[float], list[float]]] = {}
         self._filters: dict[tuple, list[float]] = {}
 
-    def cost(self, plan: ExecutionPlan, fs: list[float] | None = None) -> float:
-        """The plan's cost; ``fs`` supplies its filter probabilities when
-        the caller already holds them."""
-        counts = tuple(len(deps) for deps in plan.deps)
-        sizes = self._sizes.get(counts)
-        if sizes is None:
-            sizes = self._sizes[counts] = (
-                loop_size_estimates(plan, self.stats),
-                intersection_cost_estimates(plan, self.stats),
+    def cost(self, plan: ExecutionPlan, fs: list[float]) -> float:
+        """The plan's cost, given its filter probabilities ``fs``."""
+        ls, cs = self._loop_terms(tuple(len(deps) for deps in plan.deps))
+        return _nested_cost(plan.iep_k, ls, fs, cs)
+
+    def order_cost(
+        self, dep_counts: tuple[int, ...], orders: frozenset[tuple[int, int]]
+    ) -> float:
+        """What :meth:`cost` returns for a plan without IEP whose loops
+        have ``dep_counts`` dependencies and whose bounds are the depth
+        pairs ``orders`` (``(a, b)``: the id bound at depth ``a`` exceeds
+        the one at depth ``b``) — for planners that price configurations
+        before compiling one."""
+        ls, cs = self._loop_terms(dep_counts)
+        fs = _memoised_filters(self._filters, len(dep_counts), orders)
+        return _nested_cost(0, ls, fs, cs)
+
+    def _loop_terms(self, dep_counts: tuple[int, ...]) -> tuple[list[float], list[float]]:
+        """(l_i, c_i) per loop, memoised by the dependency counts."""
+        terms = self._sizes.get(dep_counts)
+        if terms is None:
+            terms = self._sizes[dep_counts] = (
+                [self.stats.expected_candidate_size(x) for x in dep_counts],
+                _intersection_costs(dep_counts, self.stats),
             )
-        if fs is None:
-            fs = _memoised_filters(self._filters, plan)
-        return _nested_cost(plan, sizes[0], fs, sizes[1])
+        return terms
 
 
 class ConfigurationSet:
@@ -198,7 +227,7 @@ class ConfigurationSet:
     def __init__(self, configurations, *, auts: list | None = None):
         self.configurations = tuple(configurations)
         self._auts = auts
-        #: filter probabilities by (lower, upper) bounds, shared by every iep_k
+        #: filter probabilities by (n, depth orders), shared by every iep_k
         self._filters: dict[tuple, list[float]] = {}
         self._scored: dict[int, tuple[tuple[ExecutionPlan, ...], tuple[list[float], ...]]] = {}
         self._lock = threading.Lock()
@@ -225,7 +254,9 @@ class ConfigurationSet:
                                 config.pattern, self._auts
                             )
                     plans.append(_compile_best_effort(config, iep_k, group))
-                filters = tuple(_memoised_filters(self._filters, p) for p in plans)
+                filters = tuple(
+                    _memoised_filters(self._filters, p.n, _depth_orders(p)) for p in plans
+                )
                 scored = self._scored[iep_k] = (tuple(plans), filters)
             return scored
 

@@ -23,7 +23,14 @@ The algorithm mirrors the paper exactly:
    (``no_conflict``, lines 24–29);
 4. when only the identity survives, ``validate`` the set by counting on
    an n-vertex complete graph: with restrictions the count must be
-   ``n!/|Aut|`` (lines 19–23).
+   ``n!/|Aut|`` (lines 19–23).  The count is carried down the recursion
+   instead of taken at the leaf: each node holds, as one n!-bit int, the
+   relative orderings of K_n's vertex ids that satisfy its set, and a
+   child ANDs in its new restrictions' orderings.  Adding restrictions
+   only removes orderings, so a child left with fewer than ``n!/|Aut|``
+   has no superset that validates and its subtree is skipped.  Only
+   subtrees without an accepted leaf are cut, so the accepted sets, their
+   order and the ``max_sets`` cap are those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -35,9 +42,10 @@ from math import factorial
 
 import numpy as np
 
+from repro.obs.trace import annotate
 from repro.pattern.automorphism import automorphisms
 from repro.pattern.pattern import Pattern
-from repro.pattern.permutation import Perm, is_identity
+from repro.pattern.permutation import Perm
 
 #: ``(g, s)`` means ``id(g) > id(s)``.
 Restriction = tuple[int, int]
@@ -208,15 +216,48 @@ def validate_restriction_set(
     return rows.bit_count() == expected
 
 
+def _closed(reach: list[int], perm: Perm, added: RestrictionSet) -> list[int] | None:
+    """``perm``'s :func:`no_conflict` digraph, held as its transitive
+    closure ``reach`` (bit ``w`` of ``reach[v]``: some path leads from
+    ``v`` to ``w``), after adding the arcs ``g → s`` and
+    ``perm[g] → perm[s]`` of each restriction in ``added``; ``None``
+    once an arc closes a cycle.  ``reach`` itself is left unchanged."""
+    for g, s in added:
+        for a, b in ((g, s), (perm[g], perm[s])):
+            rb = reach[b]
+            if rb >> a & 1:
+                return None
+            add = rb | 1 << b
+            reach = [r | add if r >> a & 1 else r for r in reach]
+            reach[a] |= add
+    return reach
+
+
 @dataclass
 class RestrictionGenerator:
-    """Algorithm 1 driver with memoised branch exploration.
+    """Algorithm 1 driver with memoised, count-pruned branch exploration.
 
     The paper's recursion revisits identical partial restriction sets
     through different permutation orders; ``_seen`` collapses those.
     ``max_sets`` caps the enumeration for patterns with huge automorphism
     groups (a 7-clique has 5 040), exactly like a production system
     would bound preprocessing.
+
+    With ``validate`` on, every branch carries its K_n validation count
+    (module docstring, step 4) and is cut as soon as that count drops
+    below ``n!/|Aut|``.  The cut is exact: a pruned set's supersets are
+    all pruned too, wherever the search reaches them, so only branches
+    that could never accept a leaf are skipped.  ``explored`` and
+    ``pruned`` count the branches the last :meth:`generate` descended
+    into and cut.  Without ``validate`` nothing is pruned and no
+    orderings are built, so patterns past the rank matrix's 9 vertices
+    still run.
+
+    Each surviving permutation also carries the transitive closure of
+    its ``no_conflict`` digraph, so a child tests only the arcs its new
+    restrictions add: the permutation is eliminated exactly when one of
+    them closes a cycle, which is what re-peeling the whole set in
+    :func:`no_conflict` would find.
     """
 
     pattern: Pattern
@@ -225,57 +266,94 @@ class RestrictionGenerator:
     #: Override the automorphism group (the directed and labeled planners
     #: pass their subgroups; ``None`` = the full undirected group).
     auts: list[Perm] | None = None
+    explored: int = field(default=0, init=False)
+    pruned: int = field(default=0, init=False)
     _seen: set[RestrictionSet] = field(default_factory=set, repr=False)
     _results: list[RestrictionSet] = field(default_factory=list, repr=False)
-    _group: SymmetryGroup | None = field(default=None, repr=False)
+    _order_bits: list[list[int]] | None = field(default=None, repr=False)
+    _expected: int = field(default=0, repr=False)
 
     def generate(self) -> list[RestrictionSet]:
         """All (deduplicated) restriction sets that reduce Aut to identity."""
         self._seen.clear()
         self._results.clear()
-        # Enumerated once; every accepted leaf validates against it.
-        perms = self._group = symmetry_group(self.pattern, self.auts)
+        self.explored = self.pruned = 0
+        perms = symmetry_group(self.pattern, self.auts)
         if len(perms) == 1:
             # Asymmetric pattern: the empty set is already complete.
             return [frozenset()]
-        self._generate(perms, frozenset())
+        n = self.pattern.n_vertices
+        rows = None
+        if self.validate:
+            self._order_bits = rank_order_bits(n)
+            self._expected = factorial(n) // len(perms)
+            rows = (1 << factorial(n)) - 1
+        # (permutation, its 2-cycles as (vertex, image) in vertex order,
+        # closure of its no_conflict digraph) per surviving permutation
+        survivors = [
+            (perm, tuple((v, w) for v, w in enumerate(perm) if w != v and perm[w] == v), [0] * n)
+            for perm in perms
+        ]
+        self._generate(survivors, frozenset(), rows)
         # Deterministic order: smaller sets first, then lexicographic.
         uniq = sorted(set(self._results), key=lambda rs: (len(rs), sorted(rs)))
         return uniq
 
+    def _capped(self) -> bool:
+        return self.max_sets is not None and len(self._results) >= self.max_sets
+
     # -- the recursive `generate` of Algorithm 1 -------------------------
-    def _generate(self, pg: list[Perm], res_set: RestrictionSet) -> None:
-        if self.max_sets is not None and len(self._results) >= self.max_sets:
+    def _generate(self, survivors: list, res_set: RestrictionSet, rows: int | None) -> None:
+        """Extend ``res_set``, which ``survivors`` survive and whose
+        satisfying K_n orderings are ``rows`` (``None``: not validating)."""
+        if self._capped():
             return
-        if len(pg) <= 1:
+        if len(survivors) <= 1:
             # Only the identity survives; keep the set if it validates.
-            if not self.validate or validate_restriction_set(
-                self.pattern, res_set, auts=self._group
-            ):
+            if rows is None or rows.bit_count() == self._expected:
                 self._results.append(res_set)
             return
         found_2cycle = False
-        for perm in pg:
-            if is_identity(perm):
-                continue
-            for vertex, image in enumerate(perm):
-                # line 11: a 2-cycle — vertex == perm[perm[vertex]],
-                # excluding fixed points.
-                if image == vertex or perm[image] != vertex:
-                    continue
+        for _, swaps, _ in survivors:
+            # line 11: every 2-cycle of every surviving permutation
+            for swap in swaps:
                 found_2cycle = True
-                new_set = frozenset(res_set | {(vertex, image)})
-                if new_set in self._seen:
-                    continue
-                self._seen.add(new_set)
-                remaining = surviving_permutations(pg, new_set)
-                self._generate(remaining, new_set)
-                if self.max_sets is not None and len(self._results) >= self.max_sets:
+                self._branch(survivors, res_set, rows, frozenset((swap,)))
+                if self._capped():
                     return
         if not found_2cycle:
-            self._generate_orbit_anchor(pg, res_set)
+            self._generate_orbit_anchor(survivors, res_set, rows)
 
-    def _generate_orbit_anchor(self, pg: list[Perm], res_set: RestrictionSet) -> None:
+    def _branch(
+        self,
+        survivors: list,
+        res_set: RestrictionSet,
+        rows: int | None,
+        added: RestrictionSet,
+    ) -> None:
+        """Recurse into ``res_set | added`` unless it was seen before or
+        its validation count already rules out every superset."""
+        new_set = res_set | added
+        if new_set in self._seen:
+            return
+        self._seen.add(new_set)
+        if rows is not None:
+            for g, s in added:
+                rows &= self._order_bits[g][s]
+            if rows.bit_count() < self._expected:
+                self.pruned += 1
+                return
+        self.explored += 1
+        remaining = []
+        for perm, swaps, reach in survivors:
+            reach = _closed(reach, perm, added)
+            if reach is not None:
+                remaining.append((perm, swaps, reach))
+        self._generate(remaining, new_set, rows)
+
+    def _generate_orbit_anchor(
+        self, survivors: list, res_set: RestrictionSet, rows: int | None
+    ) -> None:
         """Fallback when no surviving permutation contains a 2-cycle.
 
         The paper's scan (lines 9–12) assumes some survivor exposes a
@@ -299,19 +377,14 @@ class RestrictionGenerator:
         """
         from repro.pattern.automorphism import orbits
 
-        for orbit in orbits(pg):
+        for orbit in orbits([perm for perm, _, _ in survivors]):
             if len(orbit) <= 1:
                 continue
             for v in orbit:
-                new_set = frozenset(res_set | {(u, v) for u in orbit if u != v})
-                if new_set in self._seen:
-                    continue
-                self._seen.add(new_set)
-                remaining = surviving_permutations(pg, new_set)
-                if len(remaining) >= len(pg):  # pragma: no cover - defensive
-                    continue
-                self._generate(remaining, new_set)
-                if self.max_sets is not None and len(self._results) >= self.max_sets:
+                self._branch(
+                    survivors, res_set, rows, frozenset((u, v) for u in orbit if u != v)
+                )
+                if self._capped():
                     return
 
 
@@ -326,11 +399,13 @@ def generate_restriction_sets(
 
     Returns at least one set for any pattern (the empty set when the
     pattern is asymmetric).  ``auts`` passes the planning call's
-    already-enumerated automorphism group.
+    already-enumerated automorphism group.  The branches the search
+    descended into and cut (``explored``, ``pruned``) annotate the
+    caller's open trace span.
     """
-    sets = RestrictionGenerator(
-        pattern, validate=validate, max_sets=max_sets, auts=auts
-    ).generate()
+    gen = RestrictionGenerator(pattern, validate=validate, max_sets=max_sets, auts=auts)
+    sets = gen.generate()
+    annotate(explored=gen.explored, pruned=gen.pruned)
     if not sets:
         raise RuntimeError(
             f"Algorithm 1 produced no valid restriction set for {pattern!r}; "

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+
 from repro.core.restrictions import (
     NonUniformOvercountError,
     RestrictionGenerator,
@@ -15,16 +16,30 @@ from repro.core.restrictions import (
     surviving_permutations,
     validate_restriction_set,
 )
-from repro.pattern.automorphism import automorphism_count, automorphisms
+from repro.pattern.automorphism import (
+    automorphism_count,
+    automorphisms,
+    orbits,
+    pointwise_stabilizer,
+)
 from repro.pattern.catalog import (
+    NAMED_PATTERNS,
     clique,
+    cycle,
     cycle_6_tri,
+    get_pattern,
     house,
+    path,
     pentagon,
     rectangle,
+    star,
     triangle,
 )
+from repro.pattern.directed import directed_automorphisms, get_directed_pattern
+from repro.pattern.labeled import LabeledPattern, labeled_automorphisms
 from repro.pattern.pattern import Pattern
+from repro.pattern.permutation import is_identity
+from repro.streaming.delta_plan import dart_orbits
 
 
 class TestNoConflict:
@@ -269,3 +284,136 @@ class TestOrbitAnchorFallback:
         # e.g. {id(A)>id(B), id(A)>id(C), id(B)>id(D)}
         assert min(len(rs) for rs in sets) == 3
         assert frozenset({(0, 1), (0, 2), (1, 3)}) in sets
+
+
+# ---------------------------------------------------------------------------
+# the count prune vs the unpruned search
+# ---------------------------------------------------------------------------
+def unpruned_restriction_sets(pattern, auts, max_sets=None, validate=True) -> list:
+    """Algorithm 1 without the count prune, kept as the oracle: every
+    branch re-peels its whole set with ``no_conflict`` and a leaf is
+    validated from scratch on K_n."""
+    seen, results = set(), []
+
+    def capped():
+        return max_sets is not None and len(results) >= max_sets
+
+    def descend(pg, new_set):
+        if new_set in seen:
+            return False
+        seen.add(new_set)
+        recurse(surviving_permutations(pg, new_set), new_set)
+        return capped()
+
+    def recurse(pg, res_set):
+        if capped():
+            return
+        if len(pg) <= 1:
+            if not validate or validate_restriction_set(pattern, res_set, auts=auts):
+                results.append(res_set)
+            return
+        found_2cycle = False
+        for perm in pg:
+            if is_identity(perm):
+                continue
+            for vertex, image in enumerate(perm):
+                if image == vertex or perm[image] != vertex:
+                    continue
+                found_2cycle = True
+                if descend(pg, res_set | {(vertex, image)}):
+                    return
+        if not found_2cycle:
+            for orbit in orbits(pg):
+                if len(orbit) <= 1:
+                    continue
+                for v in orbit:
+                    if descend(pg, res_set | {(u, v) for u in orbit if u != v}):
+                        return
+
+    if len(auts) == 1:
+        return [frozenset()]
+    recurse(list(auts), frozenset())
+    return sorted(set(results), key=lambda rs: (len(rs), sorted(rs)))
+
+
+def _prune_cases() -> dict:
+    """(pattern, group) per case: plain catalogue patterns up to 6
+    vertices, the labeled and directed subgroups the planners use, and
+    the dart stabilisers of streaming's anchored plans."""
+    plain = {name: make() for name, make in NAMED_PATTERNS.items()}
+    plain.update({name: get_pattern(name) for name in ("P1", "P2", "P3", "P4")})
+    for n in range(3, 7):
+        plain.update({
+            f"clique-{n}": clique(n), f"star-{n}": star(n - 1),
+            f"cycle-{n}": cycle(n), f"path-{n}": path(n),
+        })
+    cases = {}
+    for name, p in plain.items():
+        if p.n_vertices > 6:
+            continue
+        auts = automorphisms(p)
+        cases[f"plain/{name}"] = (p, auts)
+        if name in ("house", "pentagon", "clique-4", "cycle-6", "P2"):
+            for orbit in dart_orbits(p, auts):
+                stab = pointwise_stabilizer(auts, list(orbit[0]))
+                cases[f"stab/{name}/{orbit[0]}"] = (p, stab)
+    for name, labels in (
+        ("house", (0, 1, 0, 1, 2)), ("house", (0, 0, 0, 1, 1)),
+        ("clique-5", (0, 0, 0, 1, 1)), ("clique-4", (0, 0, 0, 0)),
+        ("cycle-6", (0, 1, 0, 1, 0, 1)), ("P3", (0, 0, 1, 1, 2, 2)),
+    ):
+        lp = LabeledPattern(get_pattern(name), labels)
+        cases[f"labeled/{name}/{labels}"] = (lp.pattern, labeled_automorphisms(lp))
+    for name in (
+        "ffl", "bifan", "transitive-triangle", "dcycle-3", "dcycle-4", "dcycle-5",
+        "dpath-4", "outstar-4", "outstar-5", "dclique-4",
+    ):
+        dp = get_directed_pattern(name)
+        cases[f"directed/{name}"] = (dp.skeleton(), directed_automorphisms(dp))
+    return cases
+
+
+PRUNE_CASES = _prune_cases()
+
+
+@pytest.mark.parametrize("key", sorted(PRUNE_CASES))
+def test_count_prune_matches_unpruned_search(key):
+    """Same sets in the same order at every cap — the cap is where the
+    search order decides which sets are kept."""
+    pattern, auts = PRUNE_CASES[key]
+    caps = [1, 8, 64] + ([None] if pattern.n_vertices <= 5 else [])
+    for cap in caps:
+        gen = RestrictionGenerator(pattern, auts=auts, max_sets=cap)
+        assert gen.generate() == unpruned_restriction_sets(pattern, auts, cap), (key, cap)
+
+
+def test_orbit_anchor_path_is_pruned_too():
+    """dcycle-4's rotation group has no 2-cycles, so its first branches
+    are orbit anchors, and the count cuts some of what follows."""
+    dp = get_directed_pattern("dcycle-4")
+    auts = directed_automorphisms(dp)
+    gen = RestrictionGenerator(dp.skeleton(), auts=auts)
+    assert gen.generate() == unpruned_restriction_sets(dp.skeleton(), auts)
+    assert gen.explored > 0 and gen.pruned > 0
+
+
+def test_prune_cuts_most_pentagon_branches():
+    gen = RestrictionGenerator(pentagon(), max_sets=64)
+    assert len(gen.generate()) == 64
+    assert gen.pruned > gen.explored > 0
+
+
+class TestLargePatterns:
+    """The rank matrix stops at 9 vertices; only validation needs it."""
+
+    def test_unvalidated_ten_vertex_cycle_runs(self):
+        pattern = cycle(10)
+        sets = generate_restriction_sets(pattern, validate=False, max_sets=4)
+        assert len(sets) == 4
+        assert sets == unpruned_restriction_sets(
+            pattern, automorphisms(pattern), 4, validate=False
+        )
+
+    def test_validated_ten_vertex_cycle_raises(self):
+        with pytest.raises(ValueError, match="too large"):
+            generate_restriction_sets(cycle(10), max_sets=4)

@@ -48,6 +48,14 @@ class TestSessionTracing:
         assert execute.attrs["count"] == int(result)
         assert trace.find("depth")
 
+    def test_restrictions_span_counts_algorithm_1_branches(self, tracing, graph):
+        """A pentagon's search cuts branches whose K_n count cannot
+        validate; the span reports both kinds of branch."""
+        result = MatchSession(graph).count(MatchQuery(get_pattern("pentagon")))
+        [res] = result.trace.find("restrictions")
+        assert res.attrs["n_sets"] == 64
+        assert res.attrs["explored"] > 0 and res.attrs["pruned"] > 0
+
     def test_warm_plan_marks_the_cache_hit(self, tracing, graph):
         session = MatchSession(graph)
         query = MatchQuery(get_pattern("triangle"))
