@@ -36,14 +36,13 @@ Every GraphPi component carries over with a local twist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.config import Configuration
 from repro.core.iep import IEPCounter, apply_overcount, set_partitions
-from repro.core.perf_model import PerformanceModel
 from repro.core.restrictions import (
     Restriction,
     RestrictionGenerator,
@@ -51,13 +50,15 @@ from repro.core.restrictions import (
     SymmetryGroup,
     check_restrictions_applicable,
 )
-from repro.core.schedule import Schedule, dedup_schedules, generate_schedules
+from repro.core.schedule import Schedule, generate_schedules
 from repro.graph.digraph import DiGraph
 from repro.graph.intersection import bounded_slice, intersect_many
 from repro.graph.stats import GraphStats
 from repro.pattern.directed import DiPattern, directed_automorphisms
 from repro.pattern.permutation import Perm
-from repro.utils.timing import Timer
+
+if TYPE_CHECKING:
+    from repro.core.session import PlanReport
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +100,20 @@ def generate_directed_schedules(
     survives.  ``auts`` passes the directed group when the caller
     already holds it.
     """
-    skeleton = pattern.skeleton()
-    schedules = generate_schedules(skeleton, dedup_automorphic=False)
-    if not dedup_automorphic:
-        return schedules
-    if auts is None:
+    if dedup_automorphic and auts is None:
         auts = directed_automorphisms(pattern)
-    return dedup_schedules(skeleton, schedules, auts=auts)
+    return generate_schedules(
+        pattern.skeleton(), dedup_automorphic=dedup_automorphic, auts=auts
+    )
+
+
+def directed_plan_inputs(pattern: DiPattern, max_sets: int | None):
+    """(skeleton, group, restriction sets, compile function) for the
+    session planner: configurations are priced on the skeleton and the
+    winner lowers to a :class:`DirectedPlan`."""
+    group = SymmetryGroup(directed_automorphisms(pattern))
+    sets = generate_directed_restriction_sets(pattern, max_sets=max_sets, auts=group)
+    return pattern.skeleton(), group, sets, partial(_compile_skeleton_config, pattern)
 
 
 @dataclass(frozen=True)
@@ -223,6 +231,15 @@ def compile_directed_plan(
         iep_k=iep_k,
         iep_overcount=overcount,
         dropped_restrictions=frozenset(dropped),
+    )
+
+
+def _compile_skeleton_config(
+    pattern: DiPattern, config: Configuration, *, iep_k: int = 0, auts=None
+) -> DirectedPlan:
+    """:func:`compile_directed_plan` of a configuration on the skeleton."""
+    return compile_directed_plan(
+        pattern, config.schedule, config.restrictions, iep_k=iep_k, auts=auts
     )
 
 
@@ -422,20 +439,6 @@ class DirectedEngine:
 # ---------------------------------------------------------------------------
 # the user-facing matcher
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DirectedPlanReport:
-    """Preprocessing output of :meth:`DirectedMatcher.plan`."""
-
-    pattern: DiPattern
-    restriction_sets: tuple[RestrictionSet, ...]
-    n_schedules: int
-    chosen_schedule: Schedule
-    chosen_restrictions: RestrictionSet
-    predicted_cost: float
-    plan: DirectedPlan
-    seconds_total: float
-
-
 class DirectedMatcher:
     """Plan and execute directed pattern matching (GraphPi pipeline)
     for :class:`~repro.pattern.directed.DiPattern` on
@@ -454,27 +457,6 @@ class DirectedMatcher:
             raise ValueError("pattern matching requires a (weakly) connected pattern")
         self.pattern = pattern
         self.max_restriction_sets = max_restriction_sets
-        self._restriction_cache: list[RestrictionSet] | None = None
-        self._schedule_cache: list[Schedule] | None = None
-
-    @cached_property
-    def _group(self) -> SymmetryGroup:
-        """The direction-preserving group, enumerated once per matcher."""
-        return SymmetryGroup(directed_automorphisms(self.pattern))
-
-    def restriction_sets(self) -> list[RestrictionSet]:
-        if self._restriction_cache is None:
-            self._restriction_cache = generate_directed_restriction_sets(
-                self.pattern, max_sets=self.max_restriction_sets, auts=self._group
-            )
-        return self._restriction_cache
-
-    def schedules(self) -> list[Schedule]:
-        if self._schedule_cache is None:
-            self._schedule_cache = generate_directed_schedules(
-                self.pattern, auts=self._group
-            )
-        return self._schedule_cache
 
     def plan(
         self,
@@ -482,59 +464,17 @@ class DirectedMatcher:
         *,
         stats: GraphStats | None = None,
         use_iep: bool = False,
-    ) -> DirectedPlanReport:
-        """Rank all (schedule, restriction set) pairs and compile the best.
-
-        Ranking runs the undirected performance model on the skeleton
-        configuration against the symmetrised graph statistics (see the
-        module docstring for why this preserves the ranking signal).
-        ``use_iep`` compiles the chosen configuration with the largest
-        realisable IEP suffix, shrinking k until the overcount divisor
-        is uniform (mirroring the undirected planner).
+    ) -> PlanReport:
+        """Plan this pattern on ``graph`` from scratch (see
+        :func:`~repro.core.session.plan_query`): the model ranks the
+        skeleton configurations against the symmetrised graph
+        statistics (see the module docstring for why this preserves the
+        ranking signal), and ``use_iep`` compiles the winner with the
+        largest IEP suffix it supports.
         """
-        from repro.core.restrictions import NonUniformOvercountError
-        from repro.core.schedule import intersection_free_suffix_length
+        from repro.core.session import plan_query
 
-        with Timer() as t:
-            if stats is None:
-                stats = GraphStats.of(graph.to_undirected())
-            res_sets = self.restriction_sets()
-            schedules = self.schedules()
-            skeleton = self.pattern.skeleton()
-            configs = [
-                Configuration(skeleton, s, frozenset(r))
-                for s in schedules
-                for r in res_sets
-            ]
-            ranking = PerformanceModel(stats).rank(configs)
-            best = ranking[0]
-            iep_k = 0
-            if use_iep:
-                iep_k = intersection_free_suffix_length(
-                    skeleton, best.config.schedule
-                )
-            plan = None
-            while plan is None:
-                try:
-                    plan = compile_directed_plan(
-                        self.pattern,
-                        best.config.schedule,
-                        best.config.restrictions,
-                        iep_k=iep_k,
-                        auts=self._group,
-                    )
-                except NonUniformOvercountError:
-                    iep_k -= 1  # k = 1 drops nothing, so this terminates
-        return DirectedPlanReport(
-            pattern=self.pattern,
-            restriction_sets=tuple(res_sets),
-            n_schedules=len(schedules),
-            chosen_schedule=best.config.schedule,
-            chosen_restrictions=frozenset(best.config.restrictions),
-            predicted_cost=best.predicted_cost,
-            plan=plan,
-            seconds_total=t.elapsed,
-        )
+        return plan_query(self._query(use_iep=use_iep), graph, stats)
 
     def _query(self, *, use_iep: bool | None):
         from repro.core.query import MatchQuery
@@ -551,7 +491,7 @@ class DirectedMatcher:
         graph: DiGraph,
         *,
         use_iep: bool | None = None,
-        report: DirectedPlanReport | None = None,
+        report: PlanReport | None = None,
         backend=None,
     ) -> int:
         """Count distinct directed embeddings.
@@ -583,7 +523,7 @@ class DirectedMatcher:
         graph: DiGraph,
         *,
         limit: int | None = None,
-        report: DirectedPlanReport | None = None,
+        report: PlanReport | None = None,
         backend=None,
     ) -> Iterator[tuple[int, ...]]:
         """Yield distinct directed embeddings (tuples by pattern vertex)."""

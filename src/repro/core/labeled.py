@@ -10,9 +10,12 @@ The pipeline is the unlabeled one with three changes:
    its recursion on the labeled subgroup.
 2. **Candidates** are filtered by label at every depth (a vectorised
    mask on the sorted candidate array, preserving sortedness).
-3. **The cost model**'s loop sizes shrink by the label frequency; we
-   scale l_i by the data-graph frequency of the wanted label — the
-   obvious estimator, and enough to rank configurations.
+3. **The cost model**'s loop sizes shrink by the label frequency: the
+   session planner (:func:`~repro.core.session.plan_query`) prices each
+   configuration as for a plain pattern and scales it by
+   :func:`label_weight`, the product of the wanted labels' data-graph
+   frequencies — the obvious estimator, and enough to rank
+   configurations.
 
 IEP counting composes untouched: the inner candidate sets are
 label-filtered before the partition formula runs.
@@ -20,28 +23,23 @@ label-filtered before the partition formula runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import TYPE_CHECKING
 
-from repro.core.config import Configuration, ExecutionPlan, compile_plan
+from repro.core.config import ExecutionPlan, compile_plan
 from repro.core.engine import Engine
 from repro.core.iep import IEPCounter
-from repro.core.perf_model import CostMemo
 from repro.core.restrictions import (
-    NonUniformOvercountError,
     RestrictionGenerator,
     RestrictionSet,
     SymmetryGroup,
-)
-from repro.core.schedule import (
-    generate_schedules,
-    intersection_free_suffix_length,
-    schedule_dependencies,
 )
 from repro.graph.labeled import LabeledGraph
 from repro.graph.stats import GraphStats
 from repro.pattern.labeled import LabeledPattern, labeled_automorphisms
 from repro.pattern.permutation import Perm
+
+if TYPE_CHECKING:
+    from repro.core.session import PlanReport
 
 
 def labeled_restriction_sets(
@@ -61,6 +59,31 @@ def labeled_restriction_sets(
     if not sets:
         raise RuntimeError(f"no valid labeled restriction set for {lp!r}")
     return sets
+
+
+def labeled_plan_inputs(lp: LabeledPattern, max_sets: int | None):
+    """(structure, group, restriction sets, compile function) for the
+    session planner: the label-preserving subgroup, whose symmetry the
+    restriction sets break, also divides the IEP overcount."""
+    group = SymmetryGroup(labeled_automorphisms(lp))
+    sets = labeled_restriction_sets(lp, max_sets=max_sets, auts=group)
+    return lp.pattern, group, sets, compile_plan
+
+
+def label_weight(lp: LabeledPattern, lgraph: LabeledGraph):
+    """The cost factor of a schedule: the product, in schedule order, of
+    the data-graph frequencies of the labels its depths want (floored at
+    1e-12 so a missing label still ranks)."""
+    hist = lgraph.label_histogram()
+    n = max(1, lgraph.n_vertices)
+
+    def weight(schedule) -> float:
+        w = 1.0
+        for v in schedule:
+            w *= hist.get(lp.labels[v], 0) / n
+        return max(w, 1e-12)
+
+    return weight
 
 
 class LabeledIEPCounter(IEPCounter):
@@ -108,15 +131,6 @@ class LabeledEngine(Engine):
         return self.lgraph.filter_by_label(cand, self._depth_labels[depth])
 
 
-@dataclass(frozen=True)
-class LabeledPlanReport:
-    configuration: Configuration
-    plan: ExecutionPlan
-    predicted_cost: float
-    n_restriction_sets: int
-    n_schedules: int
-
-
 class LabeledMatcher:
     """Plan + execute labeled pattern matching."""
 
@@ -125,30 +139,6 @@ class LabeledMatcher:
             raise ValueError("pattern must be connected")
         self.lpattern = lpattern
         self.max_restriction_sets = max_restriction_sets
-        # Lazy: count()/match() route through the session layer, whose
-        # planner builds its own matcher — eager generation here would
-        # run Algorithm 1 twice per cold call.
-        self._rset_cache: list[RestrictionSet] | None = None
-        self._schedule_cache: list | None = None
-
-    @cached_property
-    def _group(self) -> SymmetryGroup:
-        """The label-preserving subgroup, enumerated once per matcher."""
-        return SymmetryGroup(labeled_automorphisms(self.lpattern))
-
-    @property
-    def _rsets(self) -> list[RestrictionSet]:
-        if self._rset_cache is None:
-            self._rset_cache = labeled_restriction_sets(
-                self.lpattern, max_sets=self.max_restriction_sets, auts=self._group
-            )
-        return self._rset_cache
-
-    @property
-    def _schedules(self) -> list:
-        if self._schedule_cache is None:
-            self._schedule_cache = generate_schedules(self.lpattern.pattern)
-        return self._schedule_cache
 
     def plan(
         self,
@@ -156,56 +146,12 @@ class LabeledMatcher:
         *,
         use_iep: bool = False,
         stats: GraphStats | None = None,
-    ) -> LabeledPlanReport:
-        if stats is None:
-            stats = GraphStats.of(lgraph.graph)
-        memo = CostMemo(stats)
-        hist = lgraph.label_histogram()
-        n = max(1, lgraph.n_vertices)
-        pattern = self.lpattern.pattern
+    ) -> PlanReport:
+        """Plan this pattern on ``lgraph`` from scratch (see
+        :func:`~repro.core.session.plan_query`)."""
+        from repro.core.session import plan_query
 
-        # Configurations are priced from their loops' dependency counts
-        # and the depths their restrictions compare; only the winner is
-        # compiled.
-        best = None
-        for schedule in self._schedules:
-            # Label-frequency weight: product of per-depth frequencies
-            # scales every loop size, so it scales total cost.
-            weight = 1.0
-            for v in schedule:
-                weight *= hist.get(self.lpattern.labels[v], 0) / n
-            dep_counts = tuple(len(d) for d in schedule_dependencies(pattern, schedule))
-            depth = {v: i for i, v in enumerate(schedule)}
-            for rs in self._rsets:
-                orders = frozenset((depth[g], depth[s]) for g, s in rs)
-                cost = memo.order_cost(dep_counts, orders) * max(weight, 1e-12)
-                if best is None or cost < best[0]:
-                    best = (cost, schedule, rs)
-        assert best is not None
-        cost, schedule, rs = best
-        config = Configuration(pattern, schedule, rs)
-        plan = config.compile()
-        if use_iep:
-            # Recompile the winner with the largest uniform-overcount IEP
-            # suffix; the divisor group is the *labeled* subgroup, whose
-            # symmetry our restriction sets break.
-            group = self._group
-            iep_k = intersection_free_suffix_length(
-                self.lpattern.pattern, config.schedule
-            )
-            while iep_k > 0:
-                try:
-                    plan = compile_plan(config, iep_k=iep_k, auts=group)
-                    break
-                except NonUniformOvercountError:
-                    iep_k -= 1  # k = 1 drops nothing, so this terminates
-        return LabeledPlanReport(
-            configuration=config,
-            plan=plan,
-            predicted_cost=cost,
-            n_restriction_sets=len(self._rsets),
-            n_schedules=len(self._schedules),
-        )
+        return plan_query(self._query(use_iep=use_iep), lgraph, stats)
 
     def _query(self, *, use_iep: bool):
         from repro.core.query import MatchQuery

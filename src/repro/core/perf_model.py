@@ -19,24 +19,32 @@ the generated nested-loop program:
 
 The model only needs |V|, |E| and the triangle count of the data graph
 (:class:`repro.graph.stats.GraphStats`), which is what makes it cheap
-enough to rank thousands of configurations (Table III).
+enough to rank thousands of configurations (Table III).  Ranking
+(:meth:`PerformanceModel.rank`) never compiles a configuration: each is
+priced from its shape — its loops' dependency counts, the depth pairs
+its kept restrictions compare and its largest feasible IEP suffix —
+which yields exactly :func:`estimate_cost` of the plan it would compile
+to.  Every planning mode ranks through it and compiles only the winner.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 from repro.core.config import Configuration, ExecutionPlan, compile_plan
 from repro.core.restrictions import (
     NonUniformOvercountError,
     SymmetryGroup,
+    iep_overcount_multiplicity,
     rank_order_bits,
     symmetry_group,
 )
-from repro.core.schedule import intersection_free_suffix_length
+from repro.core.schedule import intersection_free_suffix_length, schedule_dependencies
 from repro.graph.stats import GraphStats
+from repro.pattern.pattern import Pattern
 
 #: relative weight of the "other overhead" o_i term; the paper sets the
 #: per-iteration bookkeeping cost to a constant.
@@ -166,71 +174,36 @@ def _memoised_filters(memo: dict, n: int, orders: frozenset[tuple[int, int]]) ->
     return fs
 
 
-class CostMemo:
-    """:func:`estimate_cost` for the many plans of one planning call.
-
-    Plans of one pattern share few distinct shapes: the loop-size and
-    intersection estimates depend only on each loop's dependency count,
-    the filter probabilities only on the loops' bounds.
-    The memo computes each shape's factors once and yields exactly
-    ``estimate_cost``'s value; it lives only as long as the call that
-    made it.
-    """
-
-    def __init__(self, stats: GraphStats):
-        self.stats = stats
-        self._sizes: dict[tuple[int, ...], tuple[list[float], list[float]]] = {}
-        self._filters: dict[tuple, list[float]] = {}
-
-    def cost(self, plan: ExecutionPlan, fs: list[float]) -> float:
-        """The plan's cost, given its filter probabilities ``fs``."""
-        ls, cs = self._loop_terms(tuple(len(deps) for deps in plan.deps))
-        return _nested_cost(plan.iep_k, ls, fs, cs)
-
-    def order_cost(
-        self, dep_counts: tuple[int, ...], orders: frozenset[tuple[int, int]]
-    ) -> float:
-        """What :meth:`cost` returns for a plan without IEP whose loops
-        have ``dep_counts`` dependencies and whose bounds are the depth
-        pairs ``orders`` (``(a, b)``: the id bound at depth ``a`` exceeds
-        the one at depth ``b``) — for planners that price configurations
-        before compiling one."""
-        ls, cs = self._loop_terms(dep_counts)
-        fs = _memoised_filters(self._filters, len(dep_counts), orders)
-        return _nested_cost(0, ls, fs, cs)
-
-    def _loop_terms(self, dep_counts: tuple[int, ...]) -> tuple[list[float], list[float]]:
-        """(l_i, c_i) per loop, memoised by the dependency counts."""
-        terms = self._sizes.get(dep_counts)
-        if terms is None:
-            terms = self._sizes[dep_counts] = (
-                [self.stats.expected_candidate_size(x) for x in dep_counts],
-                _intersection_costs(dep_counts, self.stats),
-            )
-        return terms
-
-
 class ConfigurationSet:
-    """Configurations plus the graph-independent half of ranking them.
+    """Configurations plus the graph-independent half of pricing them.
 
-    A configuration's compiled plan (with its largest feasible IEP
-    suffix) and its filter probabilities depend on the pattern alone;
-    only the loop-size and intersection terms read the data graph's
-    statistics.  The set compiles and scores each configuration once
-    per ``iep_k`` and keeps the result, so ranking it again for another
-    graph evaluates only the stats-dependent terms.  ``auts`` is the
-    automorphism group of the configurations' pattern (for the IEP
-    overcount).  Thread-safe: concurrent rankings of one set compile it
-    once.
+    A configuration's price needs three things: its loops' dependency
+    counts, the depth pairs compared by the restrictions it keeps, and
+    its largest feasible IEP suffix.  None of them reads the data graph,
+    so the set works them out once per requested ``iep_k`` and keeps
+    them; ranking it again for another graph evaluates only the
+    stats-dependent loop terms.  Pricing compiles nothing:
+    :meth:`compile` lowers one configuration, normally the winner, with
+    the mode's compile function ``compile(config, iep_k=, auts=)``.
+    ``auts`` is the group the configurations' restriction sets break,
+    for the IEP overcount (``None``: each pattern's full automorphism
+    group).  Thread-safe: concurrent rankings of one set work its shapes
+    out once.
     """
 
-    def __init__(self, configurations, *, auts: list | None = None):
+    def __init__(self, configurations, *, auts: list | None = None, compile=compile_plan):
         self.configurations = tuple(configurations)
         self._auts = auts
+        self._compile = compile
+        self._groups: dict[Pattern, SymmetryGroup] = {}
+        #: (pattern, schedule) -> (dependency counts, realisable IEP suffix)
+        self._schedules: dict[tuple, tuple[tuple[int, ...], int]] = {}
         #: filter probabilities by (n, depth orders), shared by every iep_k
         self._filters: dict[tuple, list[float]] = {}
-        self._scored: dict[int, tuple[tuple[ExecutionPlan, ...], tuple[list[float], ...]]] = {}
-        self._lock = threading.Lock()
+        #: (pattern, kept restrictions) -> whether their overcount is uniform
+        self._uniform: dict[tuple, bool] = {}
+        self._shapes: dict[int, tuple[tuple[tuple[int, ...], int, list[float]], ...]] = {}
+        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self.configurations)
@@ -238,34 +211,89 @@ class ConfigurationSet:
     def __iter__(self):
         return iter(self.configurations)
 
-    def scored(self, iep_k: int) -> tuple[tuple[ExecutionPlan, ...], tuple[list[float], ...]]:
-        """(plan, filter probabilities) per configuration, in order."""
+    def _group(self, pattern: Pattern) -> SymmetryGroup:
+        group = self._groups.get(pattern)
+        if group is None:
+            group = self._groups[pattern] = symmetry_group(pattern, self._auts)
+        return group
+
+    def _schedule(self, config: Configuration) -> tuple[tuple[int, ...], int]:
+        key = (config.pattern, config.schedule)
+        shape = self._schedules.get(key)
+        if shape is None:
+            shape = self._schedules[key] = (
+                tuple(len(d) for d in schedule_dependencies(*key)),
+                intersection_free_suffix_length(*key),
+            )
+        return shape
+
+    def _kept(self, config: Configuration, iep_k: int) -> tuple[int, frozenset]:
+        """(k, the depth pairs of the restrictions the k-suffix keeps)
+        for the largest feasible IEP suffix k ≤ ``iep_k``.
+
+        k starts at the suffix the schedule realises and steps down
+        while the inner↔inner restrictions it drops leave a non-uniform
+        overcount (k = 1 drops nothing, so the ladder stops on a correct
+        plan); uniformity is memoised by kept set.
+        """
+        restrictions = list(config.restrictions)
+        position = {v: i for i, v in enumerate(config.schedule)}
+        pairs = [(position[g], position[s]) for g, s in restrictions]
         with self._lock:
-            scored = self._scored.get(iep_k)
-            if scored is None:
-                groups: dict = {}
-                plans = []
+            k = min(max(iep_k, 0), self._schedule(config)[1])
+            while True:
+                inner = len(position) - k
+                kept = [i for i, pair in enumerate(pairs) if min(pair) < inner]
+                if len(kept) == len(pairs) or self._is_uniform(
+                    config.pattern, frozenset(restrictions[i] for i in kept)
+                ):
+                    return k, frozenset(pairs[i] for i in kept)
+                k -= 1
+
+    def _is_uniform(self, pattern: Pattern, kept: frozenset) -> bool:
+        key = (pattern, kept)
+        uniform = self._uniform.get(key)
+        if uniform is None:
+            try:
+                iep_overcount_multiplicity(pattern, kept, auts=self._group(pattern))
+                uniform = True
+            except NonUniformOvercountError:
+                uniform = False
+            self._uniform[key] = uniform
+        return uniform
+
+    def shapes(self, iep_k: int) -> tuple[tuple[tuple[int, ...], int, list[float]], ...]:
+        """(dependency counts, feasible IEP k, filter probabilities of the
+        kept restrictions) per configuration, in order."""
+        with self._lock:
+            shapes = self._shapes.get(iep_k)
+            if shapes is None:
+                rows = []
                 for config in self.configurations:
-                    group = None
-                    if iep_k > 0:
-                        group = groups.get(config.pattern)
-                        if group is None:
-                            group = groups[config.pattern] = symmetry_group(
-                                config.pattern, self._auts
-                            )
-                    plans.append(_compile_best_effort(config, iep_k, group))
-                filters = tuple(
-                    _memoised_filters(self._filters, p.n, _depth_orders(p)) for p in plans
-                )
-                scored = self._scored[iep_k] = (tuple(plans), filters)
-            return scored
+                    k, orders = self._kept(config, iep_k)
+                    fs = _memoised_filters(self._filters, len(config.schedule), orders)
+                    rows.append((self._schedule(config)[0], k, fs))
+                shapes = self._shapes[iep_k] = tuple(rows)
+            return shapes
+
+    def compile(self, config: Configuration, iep_k: int = 0):
+        """``config`` compiled with its largest feasible IEP suffix ≤ ``iep_k``."""
+        k = self._kept(config, iep_k)[0]
+        return self._compile(config, iep_k=k, auts=self._group(config.pattern) if k else None)
 
 
 @dataclass(frozen=True)
 class RankedConfiguration:
+    """A priced configuration; ``plan`` compiles it on first read."""
+
     config: Configuration
-    plan: ExecutionPlan
+    iep_k: int
     predicted_cost: float
+    source: ConfigurationSet = field(repr=False, compare=False)
+
+    @cached_property
+    def plan(self):
+        return self.source.compile(self.config, self.iep_k)
 
 
 class PerformanceModel:
@@ -280,32 +308,41 @@ class PerformanceModel:
         *,
         iep_k: int = 0,
         auts: list | None = None,
+        scale=None,
     ) -> list[RankedConfiguration]:
-        """Score every configuration, cheapest first.
+        """Price every configuration, cheapest first, compiling none.
 
-        ``iep_k`` > 0 compiles each plan in IEP mode *when the schedule
-        supports it* (its realisable independent suffix is long enough);
-        schedules that do not support the requested k are scored without
-        IEP — mirroring GraphPi, which only applies IEP to configurations
-        of the right shape.  ``auts`` passes the planning call's
-        automorphism group (of the configurations' one pattern) to the
-        IEP overcount; without it each pattern's group is enumerated once
-        per call.
+        ``iep_k`` > 0 prices each configuration with the largest IEP
+        suffix ≤ ``iep_k`` it supports (see :class:`ConfigurationSet`);
+        schedules without one are priced without IEP — mirroring
+        GraphPi, which only applies IEP to configurations of the right
+        shape.  ``scale(schedule)``, when given, multiplies a
+        configuration's cost (the labeled planner's label frequencies).
 
         ``configurations`` may be a :class:`ConfigurationSet`, whose
-        compiled plans and filter probabilities carry over between calls
-        (its own ``auts`` then applies); any other iterable is scored
-        through a set that lives only for this call.  Ties keep the
-        input order.
+        shapes carry over between calls (its own group then applies);
+        any other iterable is priced through a set that lives only for
+        this call, with ``auts`` as its group.  Ties keep the input order.
         """
         if not isinstance(configurations, ConfigurationSet):
             configurations = ConfigurationSet(configurations, auts=auts)
-        plans, filters = configurations.scored(iep_k)
-        memo = CostMemo(self.stats)
-        ranked = [
-            RankedConfiguration(config, plan, memo.cost(plan, fs))
-            for config, plan, fs in zip(configurations, plans, filters)
-        ]
+        terms: dict[tuple[int, ...], tuple[list[float], list[float]]] = {}
+        factors: dict = {}
+        ranked = []
+        for config, (dep_counts, k, fs) in zip(configurations, configurations.shapes(iep_k)):
+            loop = terms.get(dep_counts)
+            if loop is None:
+                loop = terms[dep_counts] = (
+                    [self.stats.expected_candidate_size(x) for x in dep_counts],
+                    _intersection_costs(dep_counts, self.stats),
+                )
+            cost = _nested_cost(k, loop[0], fs, loop[1])
+            if scale is not None:
+                factor = factors.get(config.schedule)
+                if factor is None:
+                    factor = factors[config.schedule] = scale(config.schedule)
+                cost *= factor
+            ranked.append(RankedConfiguration(config, k, cost, configurations))
         ranked.sort(key=lambda r: r.predicted_cost)
         return ranked
 
@@ -314,25 +351,3 @@ class PerformanceModel:
         if not ranked:
             raise ValueError("no configurations to choose from")
         return ranked[0]
-
-
-def _compile_best_effort(
-    config: Configuration, iep_k: int, group: SymmetryGroup | None = None
-) -> ExecutionPlan:
-    """Compile with the largest feasible IEP suffix ≤ ``iep_k``.
-
-    Shrinks k when the schedule's independent suffix is shorter, and
-    again when dropped inner↔inner restrictions admit no uniform
-    overcount divisor (k = 1 never drops restrictions, so the ladder
-    always terminates on a correct plan).  ``group`` is the pattern's
-    automorphism group, for the overcount.
-    """
-    if iep_k > 0:
-        realisable = intersection_free_suffix_length(config.pattern, config.schedule)
-        k = min(iep_k, realisable)
-        while k > 0:
-            try:
-                return compile_plan(config, iep_k=k, auts=group)
-            except NonUniformOvercountError:
-                k -= 1
-    return config.compile()

@@ -15,9 +15,10 @@ binds the whole pipeline to a graph:
   ``enumerate(query, limit=)`` and ``count_many([queries])`` plan on
   first sight of a fingerprint and replay the compiled plan on every
   repeat — preprocessing is amortised to zero on cache hits.
-* :func:`plan_plain` — the plain-mode preprocessing pipeline (restriction
-  sets → schedules → configurations → model ranking → codegen) on
-  precomputed graph statistics.
+* :func:`plan_query` — the one preprocessing pipeline of every mode
+  (restriction sets → schedules → configurations → model ranking →
+  compile the winner → codegen) on precomputed graph statistics;
+  :func:`plan_plain` is its plain-mode shorthand.
 * :func:`get_session` — a per-process registry handing out one session
   per live graph object, so one-shot helpers (``count_pattern``,
   ``motif_census``, the CLI) share plans without threading a session
@@ -42,20 +43,24 @@ entries from different graphs can never collide even if plan caches
 are merged or shared externally.  ``clear_cache()`` drops all entries
 explicitly.
 
-*Per pattern, shared by the registry (the pattern plans).*  Plain
-planning splits into a graph-independent half — Algorithm 1's
-restriction sets, the 2-phase schedules, their configurations and
-(per ``iep_k``) each configuration's compiled plan and filter
-probabilities, a :class:`PatternPlan` — and a per-graph half, the model
-ranking on the graph's statistics.  Every session handed out by
-:func:`get_session` reads and fills one bounded, locked LRU of pattern
-plans keyed by ``(pattern, max_restriction_sets, dedup_schedules)``, so
-a plan miss on a new snapshot of a churning graph costs only the
-re-rank; the ranking itself is exact, so the chosen plan is the one a
-from-scratch plan would pick.  A private ``MatchSession(graph)`` never
-touches it and plans from scratch: its caches live exactly as long as
-the session its owner controls.  :func:`clear_sessions` empties both
-the registry and the shared pattern plans.
+*Per pattern, shared by the registry (the pattern plans).*  Planning
+splits into a graph-independent half — the mode's symmetry group,
+Algorithm 1's restriction sets, the 2-phase schedules, their
+configurations and (per ``iep_k``) each configuration's priced shape,
+a :class:`PatternPlan` — and a per-graph half, the model ranking on the
+graph's statistics plus compiling the winner.  Every mode splits the
+same way: plain and induced queries plan on the pattern's full group,
+labeled ones on the label-preserving subgroup, directed ones on the
+skeleton with the direction-preserving subgroup.  Every session handed
+out by :func:`get_session` reads and fills one bounded, locked LRU of
+pattern plans keyed by ``(mode, pattern, max_restriction_sets,
+dedup_schedules)``, so a plan miss on a new snapshot of a churning
+graph costs only the re-rank; the ranking itself is exact, so the
+chosen plan is the one a from-scratch plan would pick.  A private
+``MatchSession(graph)`` never touches it and plans from scratch: its
+caches live exactly as long as the session its owner controls.
+:func:`clear_sessions` empties both the registry and the shared
+pattern plans.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from repro.core.backend import (
     get_backend,
     select_backend,
 )
-from repro.core.config import ExecutionPlan, enumerate_configurations
+from repro.core.config import compile_plan, enumerate_configurations
 from repro.core.perf_model import (
     ConfigurationSet,
     PerformanceModel,
@@ -84,7 +89,6 @@ from repro.core.perf_model import (
 from repro.core.query import MatchQuery, MatchResult, as_query
 from repro.core.restrictions import (
     RestrictionSet,
-    SymmetryGroup,
     generate_restriction_sets,
     symmetry_group,
 )
@@ -103,18 +107,29 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# the plain-mode preprocessing pipeline (moved here from core.api)
+# the preprocessing pipeline, one for every mode
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PlanReport:
-    """Everything preprocessing produced, plus wall-clock timings."""
+    """Everything preprocessing produced, plus wall-clock timings.
 
-    pattern: Pattern
+    ``pattern`` is the query's pattern (a
+    :class:`~repro.pattern.pattern.Pattern`,
+    :class:`~repro.pattern.labeled.LabeledPattern` or
+    :class:`~repro.pattern.directed.DiPattern`); ``ranking`` holds the
+    configurations of its structure, cheapest first.  ``plan`` is the
+    winner compiled for the mode: an
+    :class:`~repro.core.config.ExecutionPlan`, or a
+    :class:`~repro.core.directed.DirectedPlan` for directed queries.
+    """
+
+    pattern: Any
     stats: GraphStats
     restriction_sets: tuple[RestrictionSet, ...]
     n_schedules: int
     ranking: tuple[RankedConfiguration, ...]
     chosen: RankedConfiguration
+    plan: Any
     generated: GeneratedCounter | None
     seconds_restrictions: float
     seconds_schedules: float
@@ -125,8 +140,8 @@ class PlanReport:
     pattern_hit: bool = False
 
     @property
-    def plan(self) -> ExecutionPlan:
-        return self.chosen.plan
+    def predicted_cost(self) -> float:
+        return self.chosen.predicted_cost
 
     @property
     def seconds_total(self) -> float:
@@ -150,19 +165,21 @@ class PlanReport:
 
 @dataclass(frozen=True)
 class PatternPlan:
-    """The graph-independent half of plain planning for one pattern.
+    """The graph-independent half of planning one pattern in one mode.
 
-    Algorithm 1's restriction sets, the 2-phase schedules and their
-    configurations depend on the pattern and the planner knobs alone;
-    only the §IV-C ranking reads the data graph.  ``configurations``
-    also keeps each configuration's compiled plan and filter
-    probabilities per ``iep_k`` once a ranking has computed them (see
+    The mode's symmetry group, Algorithm 1's restriction sets, the
+    2-phase schedules and their configurations depend on the pattern and
+    the planner knobs alone; only the §IV-C ranking reads the data
+    graph.  ``configurations`` (on the pattern's undirected structure,
+    ``skeleton``) also keeps each configuration's priced shape per
+    ``iep_k`` once a ranking has computed it and lowers the winner with
+    the mode's compile function (see
     :class:`~repro.core.perf_model.ConfigurationSet`), so ranking the
     same pattern on another graph re-evaluates only the stats-dependent
     terms.  ``seconds_*`` record what building it cost.
     """
 
-    group: SymmetryGroup
+    skeleton: Pattern
     restriction_sets: tuple[RestrictionSet, ...]
     n_schedules: int
     configurations: ConfigurationSet
@@ -171,35 +188,47 @@ class PatternPlan:
     seconds_configurations: float
 
 
+def _plain_inputs(pattern: Pattern, max_sets: int | None):
+    """(skeleton, group, restriction sets, compile function) of a plain pattern."""
+    group = symmetry_group(pattern)
+    sets = generate_restriction_sets(pattern, max_sets=max_sets, auts=group)
+    return pattern, group, sets, compile_plan
+
+
 def _plan_pattern(
-    pattern: Pattern,
+    mode: str,
+    pattern: Any,
     *,
     max_restriction_sets: int | None = 64,
     dedup_schedules: bool = True,
 ) -> PatternPlan:
-    """Build the graph-independent half of :func:`plan_plain`.
+    """Build the graph-independent half of :func:`plan_query`.
 
-    The automorphism group is enumerated once, here, and handed to every
-    stage (validation, schedule dedup, the IEP overcount).
+    The mode's group is enumerated once, here, and handed to every stage
+    (validation, schedule dedup, the IEP overcount).
     """
     with Timer() as t_res, span("restrictions") as sp:
-        group = symmetry_group(pattern)
-        restriction_sets = generate_restriction_sets(
-            pattern, max_sets=max_restriction_sets, auts=group
-        )
+        if mode == "labeled":
+            from repro.core.labeled import labeled_plan_inputs as inputs
+        elif mode == "directed":
+            from repro.core.directed import directed_plan_inputs as inputs
+        else:
+            inputs = _plain_inputs
+        skeleton, group, restriction_sets, compile = inputs(pattern, max_restriction_sets)
         sp.set(n_sets=len(restriction_sets))
     with Timer() as t_sched, span("schedules") as sp:
         schedules = generate_schedules(
-            pattern, dedup_automorphic=dedup_schedules, auts=group
+            skeleton, dedup_automorphic=dedup_schedules, auts=group
         )
         sp.set(n_schedules=len(schedules))
     with Timer() as t_conf:
         configurations = ConfigurationSet(
-            enumerate_configurations(pattern, schedules, restriction_sets),
+            enumerate_configurations(skeleton, schedules, restriction_sets),
             auts=group,
+            compile=compile,
         )
     return PatternPlan(
-        group=group,
+        skeleton=skeleton,
         restriction_sets=tuple(restriction_sets),
         n_schedules=len(schedules),
         configurations=configurations,
@@ -207,6 +236,104 @@ def _plan_pattern(
         seconds_schedules=t_sched.elapsed,
         seconds_configurations=t_conf.elapsed,
     )
+
+
+def graph_stats(graph: Any) -> GraphStats:
+    """The statistics the model ranks on: a labeled graph's structure,
+    a digraph's undirected view."""
+    if isinstance(graph, LabeledGraph):
+        graph = graph.graph
+    elif isinstance(graph, DiGraph):
+        graph = graph.to_undirected()
+    return GraphStats.of(graph)
+
+
+def plan_query(
+    query: MatchQuery,
+    graph: Any = None,
+    stats: GraphStats | None = None,
+    *,
+    kernel: bool = False,
+    shared: bool = False,
+) -> PlanReport:
+    """Run the preprocessing pipeline for ``query`` and pick a plan.
+
+    Every mode goes through it: the pattern plan (built here, or read
+    from the registry's shared pattern plans when ``shared``), one
+    :meth:`~repro.core.perf_model.PerformanceModel.rank` on ``stats``
+    (of ``graph`` when not given), and one compile of the winner.
+    Plain queries price each configuration with the IEP suffix
+    ``use_iep`` asks for; labeled and directed ones price without IEP
+    (labeled: scaled by the wanted labels' frequencies in ``graph``)
+    and compile the winner with the longest suffix it supports.
+    ``kernel`` also generates the winner's kernel.
+    """
+    if stats is None:
+        stats = graph_stats(graph)
+    if shared:
+        pattern_plan, reused = _shared_pattern_plan(query)
+    else:
+        pattern_plan, reused = _plan_pattern(
+            query.mode,
+            query.pattern,
+            max_restriction_sets=query.max_restriction_sets,
+            dedup_schedules=query.dedup_schedules,
+        ), False
+    configs = pattern_plan.configurations
+    use_iep = query.resolved_use_iep
+    with Timer() as t_model, span("model") as sp:
+        iep_k, scale = 0, None
+        if query.mode == "plain" and use_iep:
+            iep_k = independent_suffix_size(query.pattern)
+        elif query.mode == "labeled":
+            from repro.core.labeled import label_weight
+
+            scale = label_weight(query.pattern, graph)
+        ranking = PerformanceModel(stats).rank(configs, iep_k=iep_k, scale=scale)
+        sp.set(n_configs=len(configs), iep_k=iep_k)
+    chosen = ranking[0]
+    generated = None
+    with Timer() as t_gen, span("codegen") as sp:
+        if query.mode != "plain" and use_iep:
+            # priced without IEP: the winner takes the longest suffix it supports
+            plan = configs.compile(chosen.config, pattern_plan.skeleton.n_vertices - 1)
+        else:
+            plan = chosen.plan
+        if kernel:
+            generated = _generate_kernel(query, plan)
+        sp.set(iep_k=plan.iep_k, kernel=generated is not None)
+    return PlanReport(
+        pattern=query.pattern,
+        stats=stats,
+        restriction_sets=pattern_plan.restriction_sets,
+        n_schedules=pattern_plan.n_schedules,
+        ranking=tuple(ranking),
+        chosen=chosen,
+        plan=plan,
+        generated=generated,
+        seconds_restrictions=0.0 if reused else pattern_plan.seconds_restrictions,
+        seconds_schedules=0.0 if reused else pattern_plan.seconds_schedules,
+        seconds_model=t_model.elapsed
+        + (0.0 if reused else pattern_plan.seconds_configurations),
+        seconds_codegen=t_gen.elapsed,
+        pattern_hit=reused,
+    )
+
+
+def _generate_kernel(query: MatchQuery, plan: Any) -> GeneratedCounter | None:
+    """The query's generated kernel for ``plan`` (none for an IEP plan
+    outside plain edge semantics, which no kernel runs)."""
+    from repro.core import codegen
+
+    if query.mode == "plain" and query.semantics == "edge":
+        return codegen.compile_plan_function(plan)
+    if plan.iep_k:
+        return None
+    if query.mode == "labeled":
+        return codegen.compile_labeled_function(plan, query.pattern)
+    if query.mode == "directed":
+        return codegen.compile_directed_function(plan)
+    return codegen.compile_induced_function(plan)
 
 
 def plan_plain(
@@ -218,66 +345,19 @@ def plan_plain(
     dedup_schedules: bool = True,
     codegen: bool = True,
 ) -> PlanReport:
-    """Run the full plain-mode preprocessing pipeline and pick a plan.
+    """:func:`plan_query` for a plain pattern on precomputed statistics.
 
     ``use_iep`` asks the model to score configurations with the
-    innermost independent loops replaced by IEP.  The pattern half
-    is built for this call only.
+    innermost independent loops replaced by IEP; ``codegen`` generates
+    the winner's kernel.  The pattern half is built for this call only.
     """
-    pattern_plan = _plan_pattern(
+    query = MatchQuery(
         pattern,
+        use_iep=use_iep,
         max_restriction_sets=max_restriction_sets,
         dedup_schedules=dedup_schedules,
     )
-    return _rank_pattern_plan(
-        pattern, pattern_plan, stats, use_iep=use_iep, codegen=codegen
-    )
-
-
-def _rank_pattern_plan(
-    pattern: Pattern,
-    pattern_plan: PatternPlan,
-    stats: GraphStats,
-    *,
-    use_iep: bool = False,
-    codegen: bool = True,
-    reused: bool = False,
-) -> PlanReport:
-    """The per-graph half of :func:`plan_plain`: rank ``pattern_plan``'s
-    configurations on ``stats`` and pick a plan.
-
-    ``reused`` marks a pattern plan built by an earlier call: the report
-    then charges none of its building time (``pattern_hit``).
-    """
-    with Timer() as t_model, span("model") as sp:
-        configs = pattern_plan.configurations
-        iep_k = independent_suffix_size(pattern) if use_iep else 0
-        ranking = PerformanceModel(stats).rank(
-            configs, iep_k=iep_k, auts=pattern_plan.group
-        )
-        sp.set(n_configs=len(configs), iep_k=iep_k)
-    chosen = ranking[0]
-    generated = None
-    with Timer() as t_gen, span("codegen", enabled=codegen):
-        if codegen:
-            from repro.core.codegen import compile_plan_function
-
-            generated = compile_plan_function(chosen.plan)
-    return PlanReport(
-        pattern=pattern,
-        stats=stats,
-        restriction_sets=pattern_plan.restriction_sets,
-        n_schedules=pattern_plan.n_schedules,
-        ranking=tuple(ranking),
-        chosen=chosen,
-        generated=generated,
-        seconds_restrictions=0.0 if reused else pattern_plan.seconds_restrictions,
-        seconds_schedules=0.0 if reused else pattern_plan.seconds_schedules,
-        seconds_model=t_model.elapsed
-        + (0.0 if reused else pattern_plan.seconds_configurations),
-        seconds_codegen=t_gen.elapsed,
-        pattern_hit=reused,
-    )
+    return plan_query(query, stats=stats, kernel=codegen)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +367,9 @@ def _rank_pattern_plan(
 class PlanEntry:
     """One cached, executable plan: everything needed to build a context.
 
-    ``report`` keeps the mode-specific plan report (a :class:`PlanReport`,
-    :class:`~repro.core.labeled.LabeledPlanReport` or
-    :class:`~repro.core.directed.DirectedPlanReport`) for provenance and
-    introspection — including, for plain plans, the full configuration
-    ranking that ``repro plan`` prints.  Retention is bounded:
+    ``report`` keeps the :class:`PlanReport` for provenance and
+    introspection — including the full configuration ranking that
+    ``repro plan`` prints.  Retention is bounded:
     at most ``MatchSession.max_plans`` entries per session (LRU) and at
     most :func:`session_cache_size` registry sessions process-wide.
     ``seconds_plan`` records what the cold planning cost — the time a
@@ -307,7 +385,7 @@ class PlanEntry:
     provenance: str
     predicted_cost: float
     seconds_plan: float
-    report: Any
+    report: PlanReport
 
     def context(self, graph: Any) -> MatchContext:
         ctx_mode = "induced" if self.semantics == "induced" else self.mode
@@ -413,7 +491,7 @@ class MatchSession:
         self._cache: OrderedDict[tuple, PlanEntry] = OrderedDict()
         self._hits = 0
         self._misses = 0
-        #: whether plain planning reads and fills the registry's shared
+        #: whether planning reads and fills the registry's shared
         #: pattern plans (set by get_session only)
         self._shares_patterns = False
         # One reentrant lock guards the plan cache, the hit/miss
@@ -433,12 +511,7 @@ class MatchSession:
         if self._stats is None:
             with self._lock:
                 if self._stats is None:
-                    g = self.graph
-                    if isinstance(g, LabeledGraph):
-                        g = g.graph
-                    elif isinstance(g, DiGraph):
-                        g = g.to_undirected()
-                    self._stats = GraphStats.of(g)
+                    self._stats = graph_stats(self.graph)
         return self._stats
 
     @property
@@ -552,123 +625,28 @@ class MatchSession:
             return entry, False
 
     def _plan(self, query: MatchQuery, key: tuple) -> PlanEntry:
-        if query.mode == "plain":
-            return self._plan_plain(query, key)
-        if query.mode == "labeled":
-            return self._plan_labeled(query, key)
-        return self._plan_directed(query, key)
-
-    def _plan_plain(self, query: MatchQuery, key: tuple) -> PlanEntry:
-        induced = query.semantics == "induced"
-        # The pipeline's internal codegen emits plain-semantics kernels;
-        # induced entries get their anti-edge kernel compiled right
-        # after, from the same chosen plan.  Backend preferences whose
-        # declared capabilities say they never consume generated kernels
-        # (vectorised, and so no preference at all) skip the wasted
-        # generation — a later explicit backend="compiled" call, or a
-        # fallback onto compiled, still gets a kernel on demand via
-        # _ensure_kernel.
-        wants_kernel = _wants_kernel(query)
-        if self._shares_patterns:
-            pattern_plan, reused = _shared_pattern_plan(query)
-        else:
-            pattern_plan, reused = _plan_pattern(
-                query.pattern,
-                max_restriction_sets=query.max_restriction_sets,
-                dedup_schedules=query.dedup_schedules,
-            ), False
-        if reused:
-            obs_metrics.PLAN_PATTERN_HITS.inc()
-        report = _rank_pattern_plan(
-            query.pattern,
-            pattern_plan,
+        # Backend preferences whose declared capabilities say they never
+        # consume generated kernels (vectorised, and so no preference at
+        # all) skip the wasted generation — a later explicit
+        # backend="compiled" call, or a fallback onto compiled, still
+        # gets a kernel on demand via _ensure_kernel.
+        report = plan_query(
+            query,
+            self._execution_graph(query),
             self.stats,
-            use_iep=query.resolved_use_iep,
-            codegen=query.use_codegen and not induced and wants_kernel,
-            reused=reused,
+            kernel=query.use_codegen and _wants_kernel(query),
+            shared=self._shares_patterns,
         )
-        generated = report.generated
-        if (
-            induced
-            and query.use_codegen
-            and wants_kernel
-            and report.plan.iep_k == 0
-        ):
-            from repro.core.codegen import compile_induced_function
-
-            generated = compile_induced_function(report.plan)
+        if report.pattern_hit:
+            obs_metrics.PLAN_PATTERN_HITS.inc()
         return PlanEntry(
             key=key,
-            mode="plain",
+            mode=query.mode,
             semantics=query.semantics,
             plan=report.plan,
-            generated=generated,
-            lpattern=None,
+            generated=report.generated,
+            lpattern=query.pattern if query.mode == "labeled" else None,
             provenance=report.chosen.config.describe(),
-            predicted_cost=report.chosen.predicted_cost,
-            seconds_plan=0.0,
-            report=report,
-        )
-
-    def _plan_labeled(self, query: MatchQuery, key: tuple) -> PlanEntry:
-        from repro.core.labeled import LabeledMatcher
-
-        matcher = LabeledMatcher(
-            query.pattern, max_restriction_sets=query.max_restriction_sets
-        )
-        report = matcher.plan(
-            self.graph, use_iep=query.resolved_use_iep, stats=self.stats
-        )
-        wants_kernel = _wants_kernel(query)
-        generated = None
-        if (
-            query.use_codegen
-            and wants_kernel
-            and isinstance(report.plan, ExecutionPlan)
-            and report.plan.iep_k == 0
-        ):
-            from repro.core.codegen import compile_labeled_function
-
-            generated = compile_labeled_function(report.plan, query.pattern)
-        return PlanEntry(
-            key=key,
-            mode="labeled",
-            semantics=query.semantics,
-            plan=report.plan,
-            generated=generated,
-            lpattern=query.pattern,
-            provenance=report.configuration.describe(),
-            predicted_cost=report.predicted_cost,
-            seconds_plan=0.0,
-            report=report,
-        )
-
-    def _plan_directed(self, query: MatchQuery, key: tuple) -> PlanEntry:
-        from repro.core.directed import DirectedMatcher
-
-        matcher = DirectedMatcher(
-            query.pattern, max_restriction_sets=query.max_restriction_sets
-        )
-        report = matcher.plan(
-            self.graph, use_iep=query.resolved_use_iep, stats=self.stats
-        )
-        wants_kernel = _wants_kernel(query)
-        generated = None
-        if query.use_codegen and wants_kernel and report.plan.iep_k == 0:
-            from repro.core.codegen import compile_directed_function
-
-            generated = compile_directed_function(report.plan)
-        return PlanEntry(
-            key=key,
-            mode="directed",
-            semantics=query.semantics,
-            plan=report.plan,
-            generated=generated,
-            lpattern=None,
-            provenance=(
-                f"schedule={report.chosen_schedule} "
-                f"restrictions={sorted(report.chosen_restrictions)}"
-            ),
             predicted_cost=report.predicted_cost,
             seconds_plan=0.0,
             report=report,
@@ -741,9 +719,7 @@ class MatchSession:
         with span("compile", mode=ctx.mode):
             generated = compile_for_context(ctx)
         obs_metrics.KERNELS_COMPILED.inc()
-        report = entry.report
-        if isinstance(report, PlanReport) and entry.semantics == "edge":
-            report = dataclasses.replace(report, generated=generated)
+        report = dataclasses.replace(entry.report, generated=generated)
         updated = dataclasses.replace(entry, generated=generated, report=report)
         with self._lock:
             if entry.key in self._cache:
@@ -771,9 +747,7 @@ class MatchSession:
                 entry, was_hit = self._lookup_or_plan(query)
                 sp.set(
                     cache_hit=was_hit,
-                    pattern_hit=not was_hit
-                    and isinstance(entry.report, PlanReport)
-                    and entry.report.pattern_hit,
+                    pattern_hit=not was_hit and entry.report.pattern_hit,
                     provenance=entry.provenance,
                 )
             ctx = entry.context(graph)
@@ -977,8 +951,8 @@ def get_session(graph: Any) -> MatchSession:
     session object (whose plan cache is itself locked), so a serving
     worker pool shares plans instead of racing to build them.  Registry
     sessions also share the pattern plans (see the module docstring):
-    a new graph object's first plain plan of a known pattern only
-    re-ranks it.
+    a new graph object's first plan of a known pattern only re-ranks
+    it.
 
     Note the retention trade-off: a registered session keeps its graph
     alive until displaced, so a one-shot count on a huge transient graph
@@ -1026,12 +1000,13 @@ def clear_sessions() -> None:
         _PATTERN_PLANS.clear()
 
 
-#: (pattern, max_restriction_sets, dedup_schedules) -> its PatternPlan,
-#: LRU-ordered and shared by every registry session.  Registry sessions
-#: come and go with graph objects (each DynamicGraph snapshot gets its
-#: own), while a pattern's restriction sets and schedules do not depend
-#: on the graph: sharing them makes a plan miss on a new snapshot cost
-#: only the re-rank.  Private MatchSessions never touch it.
+#: (mode, pattern, max_restriction_sets, dedup_schedules) -> its
+#: PatternPlan, LRU-ordered and shared by every registry session.
+#: Registry sessions come and go with graph objects (each DynamicGraph
+#: snapshot gets its own), while a pattern's restriction sets and
+#: schedules do not depend on the graph: sharing them makes a plan miss
+#: on a new snapshot cost only the re-rank.  Private MatchSessions never
+#: touch it.
 _PATTERN_PLANS: OrderedDict[tuple, PatternPlan] = OrderedDict()
 _MAX_PATTERN_PLANS = 64
 #: guards _PATTERN_PLANS; a pattern plan is built under it, so two
@@ -1040,14 +1015,15 @@ _PATTERN_PLANS_LOCK = threading.Lock()
 
 
 def _shared_pattern_plan(query: MatchQuery) -> tuple[PatternPlan, bool]:
-    """(the registry's pattern plan for a plain query, whether it existed)."""
-    key = (query.pattern, query.max_restriction_sets, query.dedup_schedules)
+    """(the registry's pattern plan for a query, whether it existed)."""
+    key = (query.mode, query.pattern, query.max_restriction_sets, query.dedup_schedules)
     with _PATTERN_PLANS_LOCK:
         pattern_plan = _PATTERN_PLANS.get(key)
         if pattern_plan is not None:
             _PATTERN_PLANS.move_to_end(key)
             return pattern_plan, True
         pattern_plan = _plan_pattern(
+            query.mode,
             query.pattern,
             max_restriction_sets=query.max_restriction_sets,
             dedup_schedules=query.dedup_schedules,

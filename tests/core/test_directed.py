@@ -182,9 +182,8 @@ class TestCounting:
         """Every (schedule, restriction set) must produce the same count."""
         p = directed_cycle(4)
         expected = bruteforce_directed_count(dig_small, p)
-        matcher = DirectedMatcher(p)
-        for s in matcher.schedules():
-            for rs in matcher.restriction_sets():
+        for s in generate_directed_schedules(p):
+            for rs in generate_directed_restriction_sets(p, max_sets=64):
                 plan = compile_directed_plan(p, s, rs)
                 assert DirectedEngine(dig_small, plan).count() == expected
 
@@ -236,7 +235,7 @@ class TestMatcher:
         assert len(rep.restriction_sets) >= 1
         assert rep.predicted_cost > 0
         assert rep.seconds_total >= 0
-        assert sorted(rep.chosen_schedule) == [0, 1, 2, 3]
+        assert sorted(rep.plan.schedule) == [0, 1, 2, 3]
 
     def test_count_with_precomputed_report(self, dig_small):
         m = DirectedMatcher(directed_cycle(3))

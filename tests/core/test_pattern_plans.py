@@ -1,12 +1,14 @@
 """The registry's shared pattern plans: exactness, isolation, bound, threads.
 
 Sessions handed out by ``get_session`` share the graph-independent half
-of plain planning (restriction sets, schedules, configurations and
-their compiled plans) and only re-rank it on a new graph.  These tests
-pin that the re-ranked plan is exactly the from-scratch plan on every
-snapshot of a churning graph, that private sessions never touch the
-shared plans, that the LRU bound and ``clear_sessions`` hold, and that
-two threads missing on one pattern build its pattern plan once.
+of planning (restriction sets, schedules, configurations and their
+priced shapes) and only re-rank it on a new graph.  These tests pin
+that the re-ranked plan is exactly the from-scratch plan on every
+snapshot of a churning graph and on a second labeled or directed graph,
+that private sessions never touch the shared plans, that modes never
+share a pattern plan, that the LRU bound and ``clear_sessions`` hold,
+that two threads missing on one pattern build its pattern plan once,
+and that every mode honours ``dedup_schedules``.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def test_clear_sessions_empties_the_shared_plans_and_the_bound_holds(monkeypatch
     for name in ("triangle", "rectangle", "house"):
         session.plan_for(MatchQuery(get_pattern(name)))
         assert len(session_mod._PATTERN_PLANS) <= 2
-    kept = [key[0] for key in session_mod._PATTERN_PLANS]
+    kept = [key[1] for key in session_mod._PATTERN_PLANS]
     assert kept == [get_pattern("rectangle"), get_pattern("house")]
     # an IEP-free enumerate of house shares house's pattern plan
     list(session.enumerate(MatchQuery(get_pattern("house")), limit=1))
@@ -217,3 +219,96 @@ def test_two_threads_missing_on_one_pattern_build_it_once(monkeypatch):
     assert entries["b"].report.pattern_hit
     assert_same_plan(entries["a"].report, fresh_plan(query, first))
     assert_same_plan(entries["b"].report, fresh_plan(query, second))
+
+
+# ---------------------------------------------------------------------------
+# labeled and directed queries share pattern plans the same way
+# ---------------------------------------------------------------------------
+def _labeled_inputs():
+    from repro.graph.labeled import assign_random_labels
+    from repro.pattern.labeled import LabeledPattern
+
+    query = MatchQuery(LabeledPattern(get_pattern("house"), (0, 1, 0, 1, 2)))
+    first = assign_random_labels(erdos_renyi(40, 0.2, seed=1), 3, seed=2)
+    second = assign_random_labels(erdos_renyi(40, 0.25, seed=3), 3, seed=4)
+    return query, first, second
+
+
+def _directed_inputs():
+    from repro.graph.digraph import random_digraph
+    from repro.pattern.directed import get_directed_pattern
+
+    query = MatchQuery(get_directed_pattern("bifan"))
+    return query, random_digraph(40, 0.1, seed=1), random_digraph(40, 0.15, seed=2)
+
+
+@pytest.mark.parametrize("inputs", [_labeled_inputs, _directed_inputs], ids=["labeled", "directed"])
+def test_second_graph_reranks_a_shared_labeled_or_directed_pattern_plan(inputs):
+    query, first, second = inputs()
+    assert not get_session(first).plan_for(query).report.pattern_hit
+    obs_trace.enable()
+    try:
+        result = get_session(second).count(query)
+    finally:
+        obs_trace.disable()
+    (plan_span,) = result.trace.find("plan")
+    assert plan_span.attrs["pattern_hit"] is True
+    assert result.trace.find("restrictions") == []
+    registry = get_session(second).plan_for(query)
+    private = MatchSession(second).plan_for(query)
+    assert_same_plan(registry.report, private.report)
+    assert registry.plan == private.plan
+    assert result.count == MatchSession(second).count(query).count
+
+
+def test_labeled_and_bare_patterns_do_not_share_a_pattern_plan():
+    query, lgraph, _ = _labeled_inputs()
+    get_session(lgraph).plan_for(query)
+    bare = get_session(lgraph).plan_for(MatchQuery(query.pattern.pattern))
+    assert not bare.report.pattern_hit
+    assert len(session_mod._PATTERN_PLANS) == 2
+
+
+def test_directed_pattern_and_its_skeleton_do_not_share_a_pattern_plan():
+    query, digraph, _ = _directed_inputs()
+    get_session(digraph).plan_for(query)
+    skeleton = get_session(digraph.to_undirected()).plan_for(
+        MatchQuery(query.pattern.skeleton())
+    )
+    assert not skeleton.report.pattern_hit
+    assert len(session_mod._PATTERN_PLANS) == 2
+
+
+# ---------------------------------------------------------------------------
+# dedup_schedules holds in every mode
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "mode,name,labels,deduped,raw",
+    [
+        ("plain", "house", None, 8, 16),
+        ("labeled", "clique-5", (0, 0, 0, 1, 1), 10, 120),
+        ("labeled", "clique-4", (0, 0, 0, 0), 1, 24),
+        ("labeled", "cycle-6", (0, 1, 0, 1, 0, 1), 16, 96),
+        ("directed", "dcycle-4", None, 4, 16),
+        ("directed", "outstar-4", None, 1, 24),
+    ],
+)
+def test_every_mode_dedups_schedules_by_its_group_when_asked(mode, name, labels, deduped, raw):
+    """Dedup keeps one schedule per orbit of the mode's group (labeled:
+    label-preserving, directed: direction-preserving), and only then."""
+    from repro.graph.digraph import random_digraph
+    from repro.graph.labeled import assign_random_labels
+    from repro.pattern.directed import get_directed_pattern
+    from repro.pattern.labeled import LabeledPattern
+
+    graph = erdos_renyi(30, 0.3, seed=5)
+    pattern = get_pattern(name) if mode != "directed" else get_directed_pattern(name)
+    if mode == "labeled":
+        graph = assign_random_labels(graph, 2, seed=6)
+        pattern = LabeledPattern(pattern, labels)
+    elif mode == "directed":
+        graph = random_digraph(30, 0.15, seed=7)
+    for dedup, expected in ((True, deduped), (False, raw)):
+        report = MatchSession(graph).plan_for(MatchQuery(pattern, dedup_schedules=dedup)).report
+        assert report.n_schedules == expected
+        assert len(report.ranking) == expected * len(report.restriction_sets)

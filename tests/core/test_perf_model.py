@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import Configuration, enumerate_configurations
+from repro.core.config import Configuration, compile_plan, enumerate_configurations
 from repro.core.perf_model import (
     ConfigurationSet,
     PerformanceModel,
@@ -152,7 +152,8 @@ class TestModelRanking:
         self, stats, iep_k, monkeypatch
     ):
         """A ConfigurationSet ranked on a second graph yields exactly the
-        ranking of a fresh list, compiling nothing the second time."""
+        ranking of a fresh list; neither ranking compiles a configuration
+        and the second works out no shape again."""
         import repro.core.perf_model as perf_model
 
         pattern = house()
@@ -162,22 +163,27 @@ class TestModelRanking:
             generate_restriction_sets(pattern),
         )
         other = GraphStats.of(erdos_renyi(200, 0.12, seed=5))
-        shared = ConfigurationSet(configs)
-        PerformanceModel(stats).rank(shared, iep_k=iep_k)
         compiled = []
-        real = perf_model._compile_best_effort
+        shared = ConfigurationSet(
+            configs, compile=lambda *a, **kw: compiled.append(a) or compile_plan(*a, **kw)
+        )
+        PerformanceModel(stats).rank(shared, iep_k=iep_k)
+        worked = []
+        real = perf_model._filter_probabilities
         monkeypatch.setattr(
             perf_model,
-            "_compile_best_effort",
-            lambda *a: compiled.append(a) or real(*a),
+            "_filter_probabilities",
+            lambda *a: worked.append(a) or real(*a),
         )
         again = PerformanceModel(other).rank(shared, iep_k=iep_k)
-        assert compiled == []
+        assert compiled == [] and worked == []
         monkeypatch.undo()
         fresh = PerformanceModel(other).rank(configs, iep_k=iep_k)
-        assert [(r.config, r.plan, r.predicted_cost) for r in again] == [
-            (r.config, r.plan, r.predicted_cost) for r in fresh
+        assert [(r.config, r.iep_k, r.predicted_cost) for r in again] == [
+            (r.config, r.iep_k, r.predicted_cost) for r in fresh
         ]
+        assert [r.plan for r in again] == [r.plan for r in fresh]
+        assert len(compiled) == len(configs)
 
     def test_model_prefers_selective_schedule_on_clustered_graph(self):
         """The model must use triangle information: on a triangle-free
@@ -222,3 +228,117 @@ class TestModelAccuracy:
         # The paper reports 32% from oracle on average; leave slack for
         # timing noise at this tiny scale.
         assert chosen_time <= max(4.0 * oracle, oracle + 0.05)
+
+
+# ---------------------------------------------------------------------------
+# pricing from shapes vs compiling: the oracle
+# ---------------------------------------------------------------------------
+def _compiled_oracle(config, iep_k, group):
+    """The largest feasible IEP plan ≤ ``iep_k``, found the slow way:
+    compile, and step k down while the overcount is not uniform."""
+    from repro.core.restrictions import NonUniformOvercountError
+    from repro.core.schedule import intersection_free_suffix_length
+
+    k = min(iep_k, intersection_free_suffix_length(config.pattern, config.schedule))
+    while k > 0:
+        try:
+            return compile_plan(config, iep_k=k, auts=group)
+        except NonUniformOvercountError:
+            k -= 1
+    return compile_plan(config)
+
+
+def _mode_cases():
+    """(case id, mode, pattern) for the planner goldens' plain patterns,
+    labelings and directed patterns."""
+    from repro.pattern.catalog import get_pattern
+    from repro.pattern.directed import get_directed_pattern
+    from repro.pattern.labeled import LabeledPattern
+    from tests.core.test_planner_identity import DIRECTED, LABELED, _plain_patterns
+
+    cases = [(f"plain.{n}", "plain", p) for n, p in _plain_patterns().items()]
+    cases += [
+        (f"labeled.{key}", "labeled", LabeledPattern(get_pattern(n), labels))
+        for key, (n, labels) in LABELED.items()
+    ]
+    cases += [(f"directed.{n}", "directed", get_directed_pattern(n)) for n in DIRECTED]
+    return cases
+
+
+class TestPricingOracle:
+    """Pricing a configuration from its shape — dependency counts, the
+    depth pairs of the restrictions it keeps, its largest feasible IEP k
+    — must give exactly the compiled plan's ``iep_k`` and
+    ``estimate_cost``, for every configuration each mode ranks."""
+
+    @pytest.mark.parametrize("case", _mode_cases(), ids=lambda c: c[0])
+    def test_priced_k_and_cost_equal_the_compiled_plan(self, stats, case):
+        from repro.core.schedule import independent_suffix_size
+        from repro.core.session import _plan_pattern
+
+        _, mode, pattern = case
+        pattern_plan = _plan_pattern(mode, pattern)
+        configs = pattern_plan.configurations
+        group = configs._group(pattern_plan.skeleton)
+        model = PerformanceModel(stats)
+        for iep_k in sorted({0, independent_suffix_size(pattern_plan.skeleton)}):
+            ranked = model.rank(configs, iep_k=iep_k)
+            assert len(ranked) == len(configs)
+            for r in ranked:
+                plan = _compiled_oracle(r.config, iep_k, group)
+                assert (r.iep_k, r.predicted_cost) == (
+                    plan.iep_k,
+                    estimate_cost(plan, stats),
+                ), r.config.describe()
+                # the mode's own compile lands on the same suffix
+                assert r.plan.iep_k == plan.iep_k
+
+
+class TestOneCompilePerPlan:
+    """A cold plan compiles the winner and nothing else, in every mode."""
+
+    @pytest.mark.parametrize(
+        "mode,use_iep",
+        [
+            ("plain", True),
+            ("plain", False),
+            ("induced", None),
+            ("labeled", True),
+            ("labeled", False),
+            ("directed", True),
+            ("directed", False),
+        ],
+    )
+    def test_cold_plan_calls_the_compile_function_once(self, monkeypatch, mode, use_iep):
+        import repro.core.directed as directed_mod
+        import repro.core.labeled as labeled_mod
+        import repro.core.session as session_mod
+        from repro.core.query import MatchQuery
+        from repro.core.session import MatchSession
+        from repro.graph.digraph import random_digraph
+        from repro.graph.labeled import assign_random_labels
+        from repro.pattern.catalog import get_pattern
+        from repro.pattern.directed import get_directed_pattern
+        from repro.pattern.labeled import LabeledPattern
+
+        graph = erdos_renyi(60, 0.15, seed=3)
+        owner, name = session_mod, "compile_plan"
+        if mode == "labeled":
+            owner, graph = labeled_mod, assign_random_labels(graph, 2, seed=4)
+            lp = LabeledPattern(get_pattern("P3"), (0, 0, 1, 1, 0, 0))
+            query = MatchQuery(lp, use_iep=use_iep)
+        elif mode == "directed":
+            owner, name = directed_mod, "compile_directed_plan"
+            graph = random_digraph(60, 0.08, seed=5)
+            query = MatchQuery(get_directed_pattern("dcycle-5"), use_iep=use_iep)
+        elif mode == "induced":
+            query = MatchQuery(get_pattern("P3"), semantics="induced")
+        else:
+            query = MatchQuery(get_pattern("P3"), use_iep=use_iep)
+        calls = []
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+        entry = MatchSession(graph).plan_for(query)
+        assert len(calls) == 1
+        assert calls[0]["iep_k"] == entry.plan.iep_k
+        assert len(entry.report.ranking) > 1

@@ -48,6 +48,29 @@ class TestSessionTracing:
         assert execute.attrs["count"] == int(result)
         assert trace.find("depth")
 
+    @pytest.mark.parametrize("mode", ["plain", "induced", "labeled", "directed"])
+    def test_every_mode_shows_its_planning_stages(self, tracing, graph, mode):
+        """One pipeline plans every mode, so every cold plan shows the
+        same four stages under ``plan``."""
+        from repro.graph.digraph import random_digraph
+        from repro.graph.labeled import assign_random_labels
+        from repro.pattern.directed import get_directed_pattern
+        from repro.pattern.labeled import LabeledPattern
+
+        if mode == "labeled":
+            graph = assign_random_labels(graph, 2, seed=3)
+            query = MatchQuery(LabeledPattern(get_pattern("house"), (0, 1, 0, 1, 1)))
+        elif mode == "directed":
+            graph = random_digraph(60, 0.1, seed=3)
+            query = MatchQuery(get_directed_pattern("bifan"))
+        else:
+            semantics = "induced" if mode == "induced" else "edge"
+            query = MatchQuery(get_pattern("house"), semantics=semantics)
+        [plan] = MatchSession(graph).count(query).trace.find("plan")
+        stages = [child.name for child in plan.children]
+        assert stages == ["restrictions", "schedules", "model", "codegen"]
+        assert plan.children[2].attrs["n_configs"] > 0
+
     def test_restrictions_span_counts_algorithm_1_branches(self, tracing, graph):
         """A pentagon's search cuts branches whose K_n count cannot
         validate; the span reports both kinds of branch."""
