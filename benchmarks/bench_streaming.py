@@ -42,7 +42,7 @@ SCALE = 0.08 if QUICK else 0.15
 PATTERNS = {"triangle": triangle, "rectangle": rectangle, "house": house}
 
 #: updates replayed per batch-size configuration (the 256 batch needs a
-#: sequence at least that long to exercise a full bulk burst).
+#: sequence at least that long to fill one batch).
 N_UPDATES = 64 if QUICK else 256
 BATCH_SIZES = [1, 16, 64] if QUICK else [1, 16, 256]
 

@@ -579,6 +579,9 @@ def cmd_serve(args) -> int:
               f"{info.misses} misses")
     for w in watches:
         print(f"watch:   {w.name}: maintained count {w.count}")
+    if watches:
+        print(f"watch:   {stats.memo.published_hits} reads answered from "
+              "maintained counts")
     service.close()
 
     if not args.no_verify:

@@ -17,7 +17,9 @@ incrementally."*  This module makes that sentence concrete:
   cache);
 * ``stats()`` — a :class:`GraphStats` built from the incremental
   counters in O(1), so replanning after a batch of updates never
-  rescans the graph.
+  rescans the graph.  ``snapshot()`` registers them for the graph it
+  returns, so ``GraphStats.of(snapshot)`` (what a session on the
+  snapshot ranks with) reads them instead of counting triangles.
 
 The intended workflow (exercised by the streaming example): mutate,
 call ``stats()`` to re-rank configurations cheaply, ``snapshot()`` when
@@ -194,7 +196,8 @@ class DynamicGraph:
         mutation return the *same* :class:`Graph` object, so downstream
         identity-keyed caches (the per-graph session registry and its
         plan cache) keep hitting.  Any successful mutation invalidates
-        the memo; a different ``name`` rebuilds it.
+        the memo; a different ``name`` rebuilds it.  The snapshot's
+        :class:`GraphStats` come from the incremental counters.
         """
         cached = self._snapshot_cache
         if cached is not None and cached[0] == self._version and cached[1] == name:
@@ -208,6 +211,7 @@ class DynamicGraph:
             row = sorted(self._adj[v])
             indices[indptr[v] : indptr[v + 1]] = row
         graph = Graph(indptr, indices, name=name)
+        self.stats().remember(graph)
         self._snapshot_cache = (self._version, name, graph)
         return graph
 

@@ -20,6 +20,7 @@ same code in every environment.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +160,14 @@ def degree_statistics(graph: Graph) -> DegreeStats:
     return DegreeStats.of(graph)
 
 
+#: statistics known without a recount, by graph identity; an entry
+#: dies with its graph.  ``DynamicGraph.snapshot()`` registers the
+#: counters it maintains incrementally, so a snapshot's first session
+#: never counts triangles.  Identity, not graph equality, so an equal
+#: graph built elsewhere is still counted (tests use that as an oracle).
+_KNOWN_STATS: "dict[int, GraphStats]" = {}
+
+
 @dataclass(frozen=True)
 class GraphStats:
     """The structural summary consumed by the performance model."""
@@ -170,12 +179,22 @@ class GraphStats:
 
     @classmethod
     def of(cls, graph: Graph) -> "GraphStats":
+        known = _KNOWN_STATS.get(id(graph))
+        if known is not None:
+            return known
         return cls(
             n_vertices=graph.n_vertices,
             n_edges=graph.n_edges,
             triangles=triangle_count(graph),
             max_degree=graph.max_degree,
         )
+
+    def remember(self, graph: Graph) -> None:
+        """Make these the statistics :meth:`of` returns for ``graph``
+        (the caller vouches that they are exact for it)."""
+        _KNOWN_STATS[id(graph)] = self
+        # runs when the graph dies, before its id can be reused
+        weakref.finalize(graph, _KNOWN_STATS.pop, id(graph), None)
 
     # -- quantities exactly as defined in §IV-C --------------------------
     @property

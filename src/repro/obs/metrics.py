@@ -386,6 +386,11 @@ MEMO_COLLAPSED = REGISTRY.counter(
     "Duplicate submissions collapsed onto an in-flight primary "
     "(single-flight followers).",
 )
+MEMO_PUBLISHED = REGISTRY.counter(
+    "repro_memo_published_total",
+    "Maintained watch counts published into the serving result memo "
+    "(one per watch per replica version).",
+)
 SERVICE_JOBS = REGISTRY.counter(
     "repro_service_jobs_total",
     "Serving jobs reaching a terminal state, by outcome "

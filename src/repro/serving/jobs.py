@@ -181,6 +181,8 @@ class Job:
         #: the memo key's version honest under concurrent churn.
         self.graph = graph
         self.version = version
+        #: the key a memoised primary resolves in the result memo when
+        #: it finishes (None for memo hits, followers and unmemoised jobs)
         self.memo_key = memo_key
         self.cancel_event = threading.Event()
         #: deadline timer (service-managed), cancelled on finalisation.

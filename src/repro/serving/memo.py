@@ -21,6 +21,14 @@ duplicate submission does not enqueue a second execution — it attaches
 to the in-flight primary as a *follower* and resolves with the same
 outcome.  Under a thundering herd of identical queries exactly one
 execution happens per (query, version).
+
+Published results: a value need not come from an execution.  A dynamic
+replica's stream watches hold exact counts that churn maintains
+incrementally, and the service publishes each one
+(:meth:`ResultMemo.publish`) under the key a count request for the
+watched query computes at the version the count is exact for.  A
+served count of a watched query is then an ordinary hit;
+:attr:`MemoStats.published_hits` counts those hits.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ class MemoStats(NamedTuple):
     size: int
     evictions: int
     invalidated: int
+    #: values stored by publish(), and the hits they answered
+    published: int
+    published_hits: int
 
 
 class ResultMemo:
@@ -59,13 +70,16 @@ class ResultMemo:
             raise ValueError("the result memo needs capacity >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._results: OrderedDict[tuple, Any] = OrderedDict()
+        #: key -> (value, whether publish() stored it)
+        self._results: OrderedDict[tuple, tuple[Any, bool]] = OrderedDict()
         self._inflight: dict[tuple, Job] = {}
         self._hits = 0
         self._misses = 0
         self._collapsed = 0
         self._evictions = 0
         self._invalidated = 0
+        self._published = 0
+        self._published_hits = 0
 
     @staticmethod
     def key_for(request: Any, graph_name: str, version: int) -> tuple:
@@ -83,11 +97,15 @@ class ResultMemo:
         counted here), or a miss (the caller will enqueue a primary).
         """
         with self._lock:
-            if key in self._results:
+            entry = self._results.get(key)
+            if entry is not None:
                 self._hits += 1
                 obs_metrics.MEMO_HITS.inc()
                 self._results.move_to_end(key)
-                return True, self._results[key], None
+                value, published = entry
+                if published:
+                    self._published_hits += 1
+                return True, value, None
             primary = self._inflight.get(key)
             if primary is not None:
                 self._collapsed += 1
@@ -111,11 +129,27 @@ class ResultMemo:
             if self._inflight.get(key) is job:
                 del self._inflight[key]
             if store:
-                self._results[key] = value
-                self._results.move_to_end(key)
-                while len(self._results) > self.capacity:
-                    self._results.popitem(last=False)
-                    self._evictions += 1
+                self._store(key, value, published=False)
+
+    def publish(self, key: tuple, value: Any) -> None:
+        """Record a value known without executing, e.g. a watch's count.
+
+        Unlike :meth:`resolve` it leaves the in-flight index alone: a
+        primary already running for ``key`` still resolves itself, with
+        the same value.
+        """
+        with self._lock:
+            self._published += 1
+            obs_metrics.MEMO_PUBLISHED.inc()
+            self._store(key, value, published=True)
+
+    def _store(self, key: tuple, value: Any, *, published: bool) -> None:
+        """Insert or refresh one result (under the lock), evicting LRU."""
+        self._results[key] = (value, published)
+        self._results.move_to_end(key)
+        while len(self._results) > self.capacity:
+            self._results.popitem(last=False)
+            self._evictions += 1
 
     # ------------------------------------------------------------------
     # invalidation / introspection
@@ -152,6 +186,8 @@ class ResultMemo:
                 size=len(self._results),
                 evictions=self._evictions,
                 invalidated=self._invalidated,
+                published=self._published,
+                published_hits=self._published_hits,
             )
 
     def __len__(self) -> int:

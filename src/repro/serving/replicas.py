@@ -15,8 +15,14 @@ A :class:`Replica` binds one name to one data graph — immutable
   routes through a :class:`~repro.streaming.session.StreamSession`
   rather than mutating the graph directly, so any streamed watches
   (``watch()``) are maintained incrementally across the mutation —
-  post-churn, their counts are already warm, no recount needed.  The
-  service layers memo invalidation on top.
+  post-churn, their counts are already warm, no recount needed.
+* **Publishing.**  ``apply_churn()`` and ``watch()`` take a
+  ``publish(version, watches)`` callback and call it before they
+  release the replica lock, with the version the watches' counts are
+  exact for.  ``freeze()`` takes the same lock, so no reader can
+  capture a version before its counts are published: the service
+  publishes them into its result memo, and a served count of a watched
+  query is a memo hit.  The service layers memo invalidation on top.
 
 Static replicas are deliberately write-free: ``apply_churn`` raises.
 Mutability is declared by handing the registry a ``DynamicGraph``.
@@ -25,7 +31,7 @@ Mutability is declared by handing the registry a ``DynamicGraph``.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.graph.csr import Graph
 from repro.graph.digraph import DiGraph
@@ -35,6 +41,10 @@ from repro.streaming.session import StreamReport, StreamSession, WatchHandle
 
 #: graph types a replica can hold.
 _STATIC_TYPES = (Graph, LabeledGraph, DiGraph)
+
+#: ``publish(version, watches)``: records the counts of ``watches``,
+#: exact at replica ``version`` (called under the replica lock).
+Publisher = Callable[[int, tuple[WatchHandle, ...]], None]
 
 
 class Replica:
@@ -86,15 +96,31 @@ class Replica:
     # ------------------------------------------------------------------
     # the admin write path
     # ------------------------------------------------------------------
-    def apply_churn(self, updates: Iterable[Any]) -> StreamReport:
-        """Apply edge updates through the stream session (watches stay warm)."""
+    def apply_churn(self, updates: Iterable[Any], *,
+                    publish: Publisher | None = None) -> StreamReport:
+        """Apply edge updates through the stream session (watches stay
+        warm), then ``publish`` every watch at the new version."""
         with self._lock:
-            return self._stream_session().apply(updates)
+            stream = self._stream_session()
+            report = stream.apply(updates)
+            if publish is not None:
+                publish(self.graph.version, stream.watches)
+            return report
 
-    def watch(self, query: Any, *, name: str | None = None) -> WatchHandle:
-        """Maintain a query's count incrementally across future churn."""
+    def watch(self, query: Any, *, name: str | None = None,
+              publish: Publisher | None = None) -> WatchHandle:
+        """Maintain a query's count incrementally across future churn;
+        ``publish`` receives its initial count at the current version."""
         with self._lock:
-            return self._stream_session().watch(query, name=name)
+            handle = self._stream_session().watch(query, name=name)
+            if publish is not None:
+                publish(self.graph.version, (handle,))
+            return handle
+
+    def unwatch(self, handle: WatchHandle | str) -> None:
+        """Stop maintaining a watch (by handle or name)."""
+        with self._lock:
+            self._stream_session().unwatch(handle)
 
     def watch_counts(self) -> dict[str, int]:
         """Current maintained counts of every watch (empty when none)."""

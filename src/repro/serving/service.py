@@ -12,6 +12,16 @@ concurrent queries through a bounded priority queue::
 
 Design decisions, in the order they bite:
 
+* **Watched counts are published, not executed.**  A dynamic replica's
+  stream watches hold exact counts that churn maintains incrementally.
+  ``watch()`` and ``apply_churn()`` publish each one into the result
+  memo under the key a count request for the watched query computes at
+  the version the count is exact for, while the replica lock still
+  keeps readers from freezing that version.  A served count of a
+  watched query is then an ordinary memo hit: no session, no planning,
+  no execution.  Only memoised services publish; enumerates, induced
+  queries, other plan knobs (a different fingerprint) and static
+  replicas execute as before.
 * **Admission before queueing.**  ``submit()`` resolves the replica,
   freezes ``(graph, version)`` and probes the memo *before* taking a
   queue slot — a memo hit or a single-flight collapse costs no
@@ -214,20 +224,47 @@ class MatchService:
 
     def watch(self, query: Any, *, graph: str = "default",
               name: str | None = None):
-        """Stream-maintain a query's count on a dynamic replica."""
-        return self.registry.get(graph).watch(query, name=name)
+        """Stream-maintain a query's count on a dynamic replica.
+
+        A memoised service publishes the count into the result memo at
+        every version from now on, so count requests for the query are
+        answered without executing.
+        """
+        return self.registry.get(graph).watch(
+            query, name=name, publish=self._publisher(graph)
+        )
+
+    def unwatch(self, handle: Any, *, graph: str = "default") -> None:
+        """Stop maintaining a watch; from the next churn on, counts of
+        its query execute again."""
+        self.registry.get(graph).unwatch(handle)
+
+    def _publisher(self, graph: str):
+        """The replica callback that publishes watch counts into the
+        memo (``None`` when the service does not memoise)."""
+        if not self.memoise:
+            return None
+
+        def publish(version: int, watches) -> None:
+            for watch in watches:
+                request = MatchRequest("count", watch.query, graph=graph)
+                key = ResultMemo.key_for(request, graph, version)
+                self._memo.publish(key, watch.count)
+
+        return publish
 
     def apply_churn(self, updates: Iterable[Any], *,
                     graph: str = "default") -> StreamReport:
         """The admin write path: mutate a dynamic replica.
 
         Routes through the replica's :class:`StreamSession` (streamed
-        watch counts stay warm across the mutation), then eagerly drops
-        the now-stale memo entries — version keys already guarantee no
-        stale *read*; the invalidation just frees the space.
+        watch counts stay warm across the mutation and are published at
+        the new version), then eagerly drops the now-stale memo entries
+        — version keys already guarantee no stale *read*; the
+        invalidation just frees the space.
         """
         replica = self.registry.get(graph)
-        report = replica.apply_churn(updates)
+        report = replica.apply_churn(updates, publish=self._publisher(graph))
         self._memo.invalidate(graph, below_version=replica.version)
         with self._lock:
             self._churn_batches += 1
@@ -288,7 +325,6 @@ class MatchService:
                 timeout=timeout,
                 graph=graph,
                 version=version,
-                memo_key=key if use_memo else None,
                 on_status=on_status,
                 on_result=on_result,
             )
@@ -324,6 +360,9 @@ class MatchService:
             obs_metrics.SERVICE_QUEUE_DEPTH.inc()
             heapq.heappush(self._heap, (-priority, job.seq, job))
             if use_memo:
+                # only a primary records its result: a hit has nothing
+                # to add, and a follower resolves with its primary
+                job.memo_key = key
                 self._memo.register_inflight(key, job)
             self._fire_status(job, handle)
             self._arm_timer(job)

@@ -17,9 +17,9 @@ Semantics (the invariants the property tests pin):
   against a simulated edge overlay before the first mutation, so a
   self-loop, duplicate insert or missing delete raises with the graph
   and every count untouched;
-* all watches share one pass over the batch (and one bulk-row cache),
-  so the marginal cost of a second watched query is just its anchored
-  enumeration, not a second sweep.
+* all watches share one pass over the batch, so the marginal cost of a
+  second watched query is just its anchored enumeration, not a second
+  sweep.
 
 Initial counts (and the ``expected_counts()`` cross-check used by tests
 and the benchmark) run through the ordinary
@@ -41,7 +41,7 @@ from repro.graph.dynamic import DynamicGraph
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.streaming.delta_plan import DeltaPlan, delta_plan_for
-from repro.streaming.executor import STRATEGIES, DeltaExecutor
+from repro.streaming.executor import DeltaExecutor
 from repro.utils.tables import Table
 from repro.utils.timing import Timer
 
@@ -151,7 +151,6 @@ class StreamReport:
     n_updates: int
     n_inserts: int
     n_deletes: int
-    strategy: str
     seconds: float
     watches: tuple[WatchReport, ...]
 
@@ -168,7 +167,7 @@ class StreamReport:
             ["watch", "count", "delta", "ms"],
             title=(
                 f"{self.n_updates} updates (+{self.n_inserts}/-{self.n_deletes}, "
-                f"{self.strategy} strategy, {self.seconds * 1e3:.1f} ms)"
+                f"{self.seconds * 1e3:.1f} ms)"
             ),
         )
         for w in self.watches:
@@ -185,11 +184,6 @@ class StreamSession:
         A :class:`~repro.graph.dynamic.DynamicGraph` (adopted — the
         session mutates it) or an immutable :class:`Graph`, which is
         thawed into a private dynamic copy.
-    bulk_threshold:
-        Batches of at least this many updates run the executor's bulk
-        strategy (sorted numpy rows + frontier intersection kernels);
-        smaller batches use direct set algebra.  ``apply(strategy=...)``
-        overrides per call.
     allow_vertex_growth:
         Inserts naming vertices beyond the current range grow the graph
         automatically (isolated vertices carry no embeddings of the
@@ -212,7 +206,6 @@ class StreamSession:
         self,
         graph: DynamicGraph | Graph,
         *,
-        bulk_threshold: int = 8,
         allow_vertex_growth: bool = True,
         max_vertex_growth: int = 4096,
     ):
@@ -223,12 +216,9 @@ class StreamSession:
                 f"StreamSession needs a DynamicGraph or Graph, got "
                 f"{type(graph).__name__}"
             )
-        if bulk_threshold < 1:
-            raise ValueError("bulk_threshold must be >= 1")
         if max_vertex_growth < 0:
             raise ValueError("max_vertex_growth must be >= 0")
         self.graph = graph
-        self.bulk_threshold = bulk_threshold
         self.allow_vertex_growth = allow_vertex_growth
         self.max_vertex_growth = max_vertex_growth
         self._executor = DeltaExecutor(graph)
@@ -353,25 +343,9 @@ class StreamSession:
                 overlay[key] = False
         return needed
 
-    def apply(
-        self,
-        updates: Iterable["EdgeUpdate | tuple"],
-        *,
-        strategy: str | None = None,
-    ) -> StreamReport:
-        """Apply a batch of edge updates, maintaining every watched count.
-
-        ``strategy`` forces ``"single"`` (set algebra) or ``"bulk"``
-        (numpy rows + frontier kernels); the default picks bulk for
-        batches of at least :attr:`bulk_threshold` updates.
-        """
+    def apply(self, updates: Iterable["EdgeUpdate | tuple"]) -> StreamReport:
+        """Apply a batch of edge updates, maintaining every watched count."""
         batch = [EdgeUpdate.coerce(item) for item in updates]
-        if strategy is None:
-            strategy = "bulk" if len(batch) >= self.bulk_threshold else "single"
-        elif strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}: expected one of {STRATEGIES}"
-            )
         needed = self._validate_batch(batch)
         while self.graph.n_vertices < needed:
             self.graph.add_vertex()
@@ -381,36 +355,30 @@ class StreamSession:
         deltas = {h.name: 0 for h in watches}
         seconds = {h.name: 0.0 for h in watches}
         n_inserts = 0
-        with Timer() as t_batch, span(
-            "stream.apply", updates=len(batch), strategy=strategy
-        ):
+        with Timer() as t_batch, span("stream.apply", updates=len(batch)):
             for up in batch:
                 u, v = up.u, up.v
                 if up.is_insert:
                     n_inserts += 1
                     self.graph.add_edge(u, v)
-                    self._executor.invalidate(u, v)
                     sign = 1
                 else:
                     sign = -1
-                # one pass serves every watch: the executor (and its
-                # bulk-row cache) is shared across queries and updates.
+                # one pass serves every watch: the executor is shared
+                # across queries and updates.
                 for h in watches:
                     with Timer() as t, span(
                         "stream.delta",
                         watch=h.name,
                         n_orbits=len(h.plan.anchored),
                     ) as sp:
-                        d = self._executor.count_edge(
-                            h.plan, u, v, strategy=strategy
-                        )
+                        d = self._executor.count_edge(h.plan, u, v)
                         sp.set(delta=sign * d)
                     obs_metrics.STREAM_DELTAS.inc()
                     deltas[h.name] += sign * d
                     seconds[h.name] += t.elapsed
                 if not up.is_insert:
                     self.graph.remove_edge(u, v)
-                    self._executor.invalidate(u, v)
         for h in watches:
             h.count = before[h.name] + deltas[h.name]
             h.updates_seen += len(batch)
@@ -421,7 +389,6 @@ class StreamSession:
             n_updates=len(batch),
             n_inserts=n_inserts,
             n_deletes=len(batch) - n_inserts,
-            strategy=strategy,
             seconds=t_batch.elapsed,
             watches=tuple(
                 WatchReport(

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import stats as stats_module
+from repro.graph.csr import Graph
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import complete_graph, erdos_renyi
 from repro.graph.stats import GraphStats, triangle_count
+
+
+def recounted(graph: Graph) -> GraphStats:
+    """Stats of a fresh copy: ``GraphStats.of`` on a snapshot itself
+    returns the counters ``snapshot()`` registered for it."""
+    return GraphStats.of(Graph(graph.indptr.copy(), graph.indices.copy()))
 
 
 class TestBasics:
@@ -116,7 +124,37 @@ class TestSnapshotAndStats:
         for u, v in [(0, 39), (1, 38), (2, 37)]:
             if not dyn.has_edge(u, v):
                 dyn.add_edge(u, v)
-        assert dyn.stats() == GraphStats.of(dyn.snapshot())
+        assert dyn.stats() == recounted(dyn.snapshot())
+
+    def test_snapshot_session_plans_without_recounting(self, monkeypatch):
+        """A session on a snapshot ranks with the maintained counters: the
+        same stats and plan as a recount, and no triangle count."""
+        from repro.core.query import MatchQuery
+        from repro.core.session import MatchSession
+        from repro.pattern.catalog import house
+
+        dyn = DynamicGraph.from_graph(erdos_renyi(40, 0.2, seed=11))
+        for u, v in list(dyn.edges())[:5]:
+            dyn.remove_edge(u, v)
+        snap = dyn.snapshot()
+        copy = Graph(snap.indptr.copy(), snap.indices.copy())
+        want_session = MatchSession(copy)
+        want = want_session.plan_for(MatchQuery(house()))
+
+        def no_recount(graph):
+            raise AssertionError("a snapshot's triangles were recounted")
+
+        monkeypatch.setattr(stats_module, "triangle_count", no_recount)
+        session = MatchSession(snap)
+        got = session.plan_for(MatchQuery(house()))
+        assert session.stats == want_session.stats == dyn.stats()
+        assert got.key == want.key
+        assert got.predicted_cost == want.predicted_cost
+        assert got.report.chosen == want.report.chosen
+        assert got.report.ranking == want.report.ranking
+        # a graph no DynamicGraph vouched for is still counted
+        with pytest.raises(AssertionError, match="recounted"):
+            GraphStats.of(Graph(snap.indptr.copy(), snap.indices.copy()))
 
     def test_complete_graph_triangles(self):
         dyn = DynamicGraph.from_graph(complete_graph(8))
@@ -216,7 +254,7 @@ def test_property_counters_never_drift(ops):
     assert dyn.n_edges == snap.n_edges
     assert dyn.triangles == triangle_count(snap)
     assert dyn.max_degree == (int(snap.degrees.max()) if snap.n_edges else 0)
-    assert dyn.stats() == GraphStats.of(snap)
+    assert dyn.stats() == recounted(snap)
 
 
 @settings(max_examples=15, deadline=None)

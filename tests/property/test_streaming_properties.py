@@ -61,7 +61,7 @@ def churn_batches(dyn: DynamicGraph, seed: int, n_updates: int, batching: int):
 @SETTINGS
 def test_counts_equal_recount_after_every_batch(gname, seed, n, n_updates, batching):
     base = GENERATORS[gname](n, seed)
-    stream = StreamSession(DynamicGraph.from_graph(base), bulk_threshold=6)
+    stream = StreamSession(DynamicGraph.from_graph(base))
     for builder in WATCHED.values():
         stream.watch(builder())
     for batch in churn_batches(stream.graph, seed ^ 0x5EED, n_updates, batching):
@@ -71,21 +71,22 @@ def test_counts_equal_recount_after_every_batch(gname, seed, n, n_updates, batch
 
 @given(
     seed=st.integers(0, 10_000),
-    strategy=st.sampled_from(["single", "bulk"]),
+    batching=st.integers(2, 20),
 )
 @SETTINGS
-def test_strategies_agree_on_identical_churn(seed, strategy):
-    """Both executor strategies replay the same churn to the same counts."""
+def test_batching_does_not_change_counts(seed, batching):
+    """The same churn gives the same counts one update at a time or in
+    batches."""
     base = erdos_renyi(24, 0.2, seed=seed)
     final = {}
-    for strat in ("single", strategy):
+    for size in (1, batching):
         stream = StreamSession(DynamicGraph.from_graph(base))
         stream.watch(house())
         stream.watch(clique(4))
-        for batch in churn_batches(stream.graph, seed + 1, 20, 5):
-            stream.apply(batch, strategy=strat)
-        final[strat] = stream.counts()
-    assert final["single"] == final[strategy]
+        for batch in churn_batches(stream.graph, seed + 1, 20, size):
+            stream.apply(batch)
+        final[size] = stream.counts()
+    assert final[1] == final[batching]
 
 
 @given(

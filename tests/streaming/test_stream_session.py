@@ -146,7 +146,7 @@ class TestApply:
         assert report.deltas[h.name] == 0
         assert not stream.graph.has_edge(u, v)
 
-    def test_strategies_agree(self):
+    def test_mixed_batch_matches_recount(self):
         setup = fresh_session(seed=11).graph
         free = [
             (a, b) for a in range(30) for b in range(a + 1, 30)
@@ -159,28 +159,12 @@ class TestApply:
             ("+", *free[1]),
             ("-", *free[0]),
         ]
-        counts = {}
-        for strategy in ("single", "bulk"):
-            stream = fresh_session(seed=11)
-            stream.watch(house())
-            stream.watch(clique(4))
-            report = stream.apply(batch, strategy=strategy)
-            assert report.strategy == strategy
-            counts[strategy] = stream.counts()
-            assert counts[strategy] == stream.expected_counts()
-        assert counts["single"] == counts["bulk"]
-
-    def test_default_strategy_threshold(self):
-        stream = fresh_session(bulk_threshold=3)
-        stream.watch(triangle())
-        free = iter(
-            (a, b) for a in range(30) for b in range(a + 1, 30)
-            if not stream.graph.has_edge(a, b)
-        )
-        small = stream.apply([("+", *next(free))])
-        big = stream.apply([("+", *next(free)) for _ in range(3)])
-        assert small.strategy == "single"
-        assert big.strategy == "bulk"
+        stream = fresh_session(seed=11)
+        stream.watch(house())
+        stream.watch(clique(4))
+        report = stream.apply(batch)
+        assert (report.n_inserts, report.n_deletes) == (2, 2)
+        assert stream.counts() == stream.expected_counts()
 
     def test_vertex_growth(self):
         stream = fresh_session(n=10)
@@ -280,49 +264,17 @@ class TestAtomicRejection:
         assert stream.graph.has_edge(0, 1)
         assert stream.counts() == stream.expected_counts()
 
-    def test_unknown_strategy_rejected(self):
-        stream = fresh_session()
-        with pytest.raises(ValueError, match="strategy"):
-            stream.apply([], strategy="quantum")
-
 
 class TestDeltaExecutor:
-    def test_bulk_row_cache_invalidated_per_endpoint(self):
-        dyn = DynamicGraph.from_graph(erdos_renyi(20, 0.3, seed=5))
-        ex = DeltaExecutor(dyn)
-        plan = delta_plan_for(triangle())
-        u, v = next(
-            (a, b) for a in range(20) for b in range(a + 1, 20)
-            if not dyn.has_edge(a, b)
-        )
-        dyn.add_edge(u, v)
-        first = ex.count_edge(plan, u, v, strategy="bulk")
-        assert ex.cached_rows > 0
-        rows_before = ex.cached_rows
-        ex.invalidate(u, v)
-        assert ex.cached_rows <= rows_before
-        assert ex.count_edge(plan, u, v, strategy="bulk") == first
-        ex.invalidate_all()
-        assert ex.cached_rows == 0
-
-    def test_stale_rows_would_miscount_without_invalidation(self):
-        """The session must invalidate endpoints; prove the cache is live."""
+    def test_reads_live_adjacency(self):
+        """Nothing is cached: a mutation shows in the next count."""
         dyn = DynamicGraph(4, [(0, 1), (1, 2), (0, 2)])
         ex = DeltaExecutor(dyn)
         plan = delta_plan_for(triangle())
-        assert ex.count_edge(plan, 0, 1, strategy="bulk") == 1
+        assert ex.count_edge(plan, 0, 1) == 1
         dyn.add_edge(0, 3)
         dyn.add_edge(1, 3)
-        # without invalidation the cached rows of 0 and 1 are stale
-        ex.invalidate(0, 3)
-        ex.invalidate(1, 3)
-        assert ex.count_edge(plan, 0, 1, strategy="bulk") == 2
-
-    def test_rejects_unknown_strategy(self):
-        dyn = DynamicGraph(3, [(0, 1)])
-        ex = DeltaExecutor(dyn)
-        with pytest.raises(ValueError, match="strategy"):
-            ex.count_edge(delta_plan_for(triangle()), 0, 1, strategy="weird")
+        assert ex.count_edge(plan, 0, 1) == 2
 
 
 class TestRandomChurn:

@@ -471,6 +471,9 @@ class TestServeCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "maintained count" in out
+        # all three triangle counts are answered by the watch (two at the
+        # initial version, one after the churn)
+        assert "watch:   3 reads answered from maintained counts" in out
         assert "2 churn" in out
         assert "verify:  all" in out
 
