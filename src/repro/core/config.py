@@ -87,6 +87,11 @@ class ExecutionPlan:
         return len(self.deps)
 
     @property
+    def schedule(self):
+        """The schedule the loop depths bind, outermost first."""
+        return self.config.schedule
+
+    @property
     def n_loops(self) -> int:
         """Loop depths actually executed (IEP absorbs the last iep_k)."""
         return self.n - self.iep_k

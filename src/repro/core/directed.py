@@ -42,7 +42,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.core.config import Configuration
-from repro.core.iep import IEPCounter, apply_overcount, set_partitions
+from repro.core.engine import Engine
+from repro.core.iep import IEPCounter
 from repro.core.restrictions import (
     Restriction,
     RestrictionGenerator,
@@ -246,18 +247,6 @@ def _compile_skeleton_config(
 class DirectedIEPCounter(IEPCounter):
     """IEP evaluator drawing inner candidate sets from out/in adjacency."""
 
-    def __init__(self, graph: DiGraph, plan: DirectedPlan):
-        # IEPCounter.__init__ reads plan.deps; the directed plan exposes
-        # out/in splits instead, so initialise manually.
-        if plan.iep_k <= 0:
-            raise ValueError("IEPCounter requires a plan with iep_k > 0")
-        self.graph = graph
-        self.plan = plan
-        n = plan.n
-        k = plan.iep_k
-        self._inner_positions = list(range(n - k, n))
-        self._partitions = set_partitions(k)
-
     def _inner_sets(self, assigned):
         graph = self.graph
         plan = self.plan
@@ -282,158 +271,23 @@ class DirectedIEPCounter(IEPCounter):
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
-class DirectedEngine:
-    """Nested-loop DFS over a :class:`DiGraph` under one directed plan."""
+class DirectedEngine(Engine):
+    """Nested-loop DFS over a :class:`DiGraph` under one directed plan.
 
-    def __init__(self, graph: DiGraph, plan: DirectedPlan):
-        self.graph = graph
-        self.plan = plan
-        self._all_vertices = graph.vertices()
-        self._iep = DirectedIEPCounter(graph, plan) if plan.iep_k > 0 else None
+    The interpreter's loops (counting, prefix tasks, enumeration) with
+    one change of candidate source: depth ``d`` intersects the
+    out-rows of its ``out_deps`` columns and the in-rows of its
+    ``in_deps`` columns (an antiparallel pattern pair reads both).
+    """
 
-    def candidates(self, depth: int, assigned: Sequence[int]) -> np.ndarray:
+    def _iep_counter(self) -> DirectedIEPCounter:
+        return DirectedIEPCounter(self.graph, self.plan)
+
+    def _raw_candidates(self, depth: int, assigned: Sequence[int]) -> np.ndarray:
         plan = self.plan
-        arrays = [
-            self.graph.out_neighbors(assigned[j]) for j in plan.out_deps[depth]
-        ] + [self.graph.in_neighbors(assigned[j]) for j in plan.in_deps[depth]]
-        cand = intersect_many(arrays) if arrays else self._all_vertices
-        lo: int | None = None
-        for j in plan.lower[depth]:
-            v = assigned[j]
-            if lo is None or v > lo:
-                lo = v
-        hi: int | None = None
-        for j in plan.upper[depth]:
-            v = assigned[j]
-            if hi is None or v < hi:
-                hi = v
-        if lo is not None or hi is not None:
-            cand = bounded_slice(cand, lo, hi)
-        return cand
-
-    def count(self) -> int:
-        if self.plan.n > self.graph.n_vertices:
-            return 0
-        raw = self._count_rec(0, [])
-        return self.finalize_count(raw)
-
-    def _count_rec(self, depth: int, assigned: list[int]) -> int:
-        plan = self.plan
-        cand = self.candidates(depth, assigned)
-        if len(cand) == 0:
-            return 0
-        last_loop = plan.n_loops - 1
-        if depth == last_loop:
-            if plan.iep_k > 0:
-                total = 0
-                for v in cand:
-                    vi = int(v)
-                    if vi in assigned:
-                        continue
-                    assigned.append(vi)
-                    total += self._iep.count_inner(assigned)
-                    assigned.pop()
-                return total
-            return len(cand) - sum(1 for a in assigned if a in cand)
-        total = 0
-        for v in cand:
-            vi = int(v)
-            if vi in assigned:
-                continue
-            assigned.append(vi)
-            total += self._count_rec(depth + 1, assigned)
-            assigned.pop()
-        return total
-
-    # -- prefix tasks (the §IV-E master/worker split, directed) ----------
-    def iter_prefixes(self, split_depth: int) -> Iterator[tuple[int, ...]]:
-        """Enumerate outer-loop value tuples down to ``split_depth`` loops.
-
-        Same contract as :meth:`repro.core.engine.Engine.iter_prefixes`:
-        the master executes the outer loops (restrictions already
-        applied), workers continue from each prefix.
-        """
-        if self.plan.n_loops < 2:
-            raise ValueError(
-                "prefix splitting needs at least two executed loops; this plan "
-                f"has n_loops={self.plan.n_loops} (IEP absorbed the rest)"
-            )
-        if not 1 <= split_depth < self.plan.n_loops:
-            raise ValueError(
-                f"split_depth must be in [1, {self.plan.n_loops - 1}], got {split_depth}"
-            )
-
-        def rec(depth: int, assigned: list[int]) -> Iterator[tuple[int, ...]]:
-            if depth == split_depth:
-                yield tuple(assigned)
-                return
-            for v in self.candidates(depth, assigned):
-                vi = int(v)
-                if vi in assigned:
-                    continue
-                assigned.append(vi)
-                yield from rec(depth + 1, assigned)
-                assigned.pop()
-
-        yield from rec(0, [])
-
-    def count_prefix(self, prefix: tuple[int, ...]) -> int:
-        """Count embeddings under an outer-loop prefix (one worker task).
-
-        Raw (no IEP overcount division), so task partials can be summed
-        before the single final :meth:`finalize_count` division.
-        """
-        return self._count_rec(len(prefix), list(prefix))
-
-    def finalize_count(self, raw_total: int) -> int:
-        """Apply the IEP overcount divisor to a sum of task results."""
-        return apply_overcount(self.plan, raw_total)
-
-    def enumerate_embeddings(
-        self, limit: int | None = None
-    ) -> Iterator[tuple[int, ...]]:
-        """Yield embeddings as tuples ``emb[pattern_vertex] = data vertex``.
-
-        Validation is eager (this is a plain function returning a
-        generator), so an IEP plan fails at the call site, not at the
-        first ``next()``.
-        """
-        if self.plan.iep_k > 0:
-            raise ValueError("enumeration requires a plan compiled with iep_k=0")
-        return self._enumerate(limit)
-
-    def _enumerate(self, limit: int | None) -> Iterator[tuple[int, ...]]:
-        if self.plan.n > self.graph.n_vertices:
-            return
-        schedule = self.plan.schedule
-        inverse = [0] * len(schedule)
-        for pos, v in enumerate(schedule):
-            inverse[v] = pos
-        remaining = float("inf") if limit is None else limit
-
-        def rec(depth: int, assigned: list[int]) -> Iterator[list[int]]:
-            cand = self.candidates(depth, assigned)
-            if depth == self.plan.n - 1:
-                for v in cand:
-                    vi = int(v)
-                    if vi not in assigned:
-                        assigned.append(vi)
-                        yield assigned
-                        assigned.pop()
-                return
-            for v in cand:
-                vi = int(v)
-                if vi in assigned:
-                    continue
-                assigned.append(vi)
-                yield from rec(depth + 1, assigned)
-                assigned.pop()
-
-        for assigned in rec(0, []):
-            if remaining <= 0:
-                return
-            remaining -= 1
-            yield tuple(assigned[inverse[v]] for v in range(len(schedule)))
+        arrays = [self.graph.out_neighbors(assigned[j]) for j in plan.out_deps[depth]]
+        arrays += [self.graph.in_neighbors(assigned[j]) for j in plan.in_deps[depth]]
+        return intersect_many(arrays) if arrays else self._all_vertices
 
 
 # ---------------------------------------------------------------------------

@@ -37,22 +37,29 @@ from repro.graph.intersection import (
 
 
 class Engine:
-    """Executes one plan against one graph."""
+    """Executes one plan against one graph.
+
+    A plan with more vertices than the graph is not an error: there are
+    simply no embeddings, and counting returns 0 uniformly.  Subclasses
+    change where each depth draws its candidates (:meth:`candidates`,
+    :meth:`_raw_candidates`) and the IEP counter that matches
+    (:meth:`_iep_counter`); the loops themselves are shared.
+    """
 
     def __init__(self, graph: Graph, plan: ExecutionPlan):
-        if plan.n > graph.n_vertices:
-            # Not an error: there are simply no embeddings.  We keep the
-            # engine constructible so counting returns 0 uniformly.
-            pass
         self.graph = graph
         self.plan = plan
         self._all_vertices = graph.vertices()
-        self._iep = IEPCounter(graph, plan) if plan.iep_k > 0 else None
+        self._iep = self._iep_counter() if plan.iep_k > 0 else None
         # Loop-invariant hoisting (paper Fig. 5(b): tmpAB is computed in
         # loop B and reused across the whole D loop).  The raw candidate
         # intersection of depth d only depends on the values bound at
         # deps[d]; a single-slot cache per depth exploits the DFS order.
         self._raw_cache: list[tuple | None] = [None] * plan.n
+
+    def _iep_counter(self) -> IEPCounter:
+        """The evaluator of this engine's IEP suffix (``iep_k > 0``)."""
+        return IEPCounter(self.graph, self.plan)
 
     def _raw_candidates(self, depth: int, assigned: Sequence[int]) -> np.ndarray:
         deps = self.plan.deps[depth]
@@ -142,12 +149,18 @@ class Engine:
 
         Enumeration is incompatible with IEP (IEP never materialises the
         inner vertices) — compile the plan with ``iep_k=0`` to list.
+        Validation is eager (this is a plain function returning a
+        generator), so an IEP plan fails at the call site, not at the
+        first ``next()``.
         """
         if self.plan.iep_k > 0:
             raise ValueError("enumeration requires a plan compiled with iep_k=0")
+        return self._enumerate(limit)
+
+    def _enumerate(self, limit: int | None) -> Iterator[tuple[int, ...]]:
         if self.plan.n > self.graph.n_vertices:
             return
-        schedule = self.plan.config.schedule
+        schedule = self.plan.schedule
         inverse = [0] * len(schedule)
         for pos, v in enumerate(schedule):
             inverse[v] = pos

@@ -195,7 +195,6 @@ class IEPCounter:
         if k <= 0:
             raise ValueError("IEPCounter requires a plan with iep_k > 0")
         self._inner_positions = list(range(n - k, n))
-        self._inner_deps: list[tuple[int, ...]] = [plan.deps[pos] for pos in self._inner_positions]
         self._partitions = set_partitions(k)
 
     def _inner_sets(self, assigned: Sequence[int]) -> list[np.ndarray]:
@@ -207,8 +206,8 @@ class IEPCounter:
         # Distinct (dependencies, bounds) signatures → shared arrays.
         raw_cache: dict[tuple, np.ndarray] = {}
         sets: list[np.ndarray] = []
-        for pos, deps in zip(self._inner_positions, self._inner_deps):
-            verts = frozenset(assigned[j] for j in deps)
+        for pos in self._inner_positions:
+            verts = frozenset(assigned[j] for j in plan.deps[pos])
             lo, hi = self._bounds(pos, assigned)
             key = (verts, lo, hi)
             if key not in raw_cache:

@@ -118,13 +118,14 @@ class LabeledEngine(Engine):
 
     def __init__(self, lgraph: LabeledGraph, plan: ExecutionPlan,
                  lpattern: LabeledPattern):
-        super().__init__(lgraph.graph, plan)
         self.lgraph = lgraph
+        self.lpattern = lpattern
         # wanted label per depth = label of the pattern vertex scheduled there
-        schedule = plan.config.schedule
-        self._depth_labels = tuple(lpattern.labels[v] for v in schedule)
-        if plan.iep_k > 0:
-            self._iep = LabeledIEPCounter(lgraph, plan, lpattern)
+        self._depth_labels = tuple(lpattern.labels[v] for v in plan.schedule)
+        super().__init__(lgraph.graph, plan)
+
+    def _iep_counter(self) -> LabeledIEPCounter:
+        return LabeledIEPCounter(self.lgraph, self.plan, self.lpattern)
 
     def candidates(self, depth, assigned):
         cand = super().candidates(depth, assigned)

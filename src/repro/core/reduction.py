@@ -54,13 +54,13 @@ controls it), counts them per pattern instead.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.graph.digraph import DiGraph
+from repro.graph.stats import graph_memo
 from repro.pattern.automorphism import automorphisms
 from repro.pattern.directed import DiPattern
 from repro.utils.timing import Timer
@@ -82,13 +82,6 @@ class _View(NamedTuple):
     table: np.ndarray
 
 
-#: per-digraph undirected view, weakly keyed — the skeleton session and
-#: its plan cache must be shared across repeated batched calls.
-_UNDIRECTED_CACHE: "weakref.WeakKeyDictionary[DiGraph, _View]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def undirected_view(graph: DiGraph) -> _View:
     """The digraph's undirected view and direction table, one per live
     digraph, built on first use.
@@ -97,17 +90,17 @@ def undirected_view(graph: DiGraph) -> _View:
     needs the *same* view graph back each time so ``get_session`` reuses
     one session and its plan cache.
     """
-    from repro.core.vectorised import _digraph_edge_keys
+    from repro.core.vectorised import graph_csrs
 
-    view = _UNDIRECTED_CACHE.get(graph)
+    memo = graph_memo(graph)
+    view = memo.get("undirected_view")
     if view is None:
         n = graph.n_vertices
-        out_keys, in_keys = _digraph_edge_keys(graph)
+        out_csr, in_csr = graph_csrs(graph)
         table = np.zeros(n * n, dtype=np.uint8)
-        table[out_keys] = 1
-        table[in_keys] |= 2
-        view = _View(graph.to_undirected(), table)
-        _UNDIRECTED_CACHE[graph] = view
+        table[out_csr.keys] = 1
+        table[in_csr.keys] |= 2
+        view = memo["undirected_view"] = _View(graph.to_undirected(), table)
     return view
 
 
@@ -172,7 +165,7 @@ def _core_blocks(ug, skeleton):
 
     entry, hit = get_session(ug)._lookup_or_plan(MatchQuery(pattern=skeleton, use_iep=False))
     plan = entry.plan
-    return FrontierEngine(ug, plan).frontier_blocks(), plan.config.schedule, entry, hit
+    return FrontierEngine(ug, plan).frontier_blocks(), plan.schedule, entry, hit
 
 
 def reduce_directed_batch(

@@ -26,13 +26,14 @@ schedules and restrictions:
 
 IEP suffix (§IV-D)
 ------------------
-A plain edge-semantics plan with an IEP suffix (``iep_k > 0``) extends
-the frontier only to depth ``n - iep_k``.  The innermost ``k`` pattern
-vertices are pairwise non-adjacent, so every block ``B`` of the
-partition-lattice formula (:mod:`repro.core.iep`) needs one per-row
-cardinality ``|∩_{i∈B} S_i − bound|``, and that depends only on the
-block's *signature*: the union of its dependency columns, its lower
-columns (window ``> max``) and its upper columns (window ``< min``).
+A plain or directed edge-semantics plan with an IEP suffix
+(``iep_k > 0``) extends the frontier only to depth ``n - iep_k``.  The
+innermost ``k`` pattern vertices are pairwise non-adjacent, so every
+block ``B`` of the partition-lattice formula (:mod:`repro.core.iep`)
+needs one per-row cardinality ``|∩_{i∈B} S_i − bound|``, and that
+depends only on the block's *signature*: the union of its dependency
+refs, its lower columns (window ``> max``) and its upper columns
+(window ``< min``).
 Each distinct signature is one call of the same per-row counter the
 innermost loop uses (:meth:`FrontierEngine._row_counts`); the
 partitions then combine those columns with their Möbius weights.  The
@@ -78,22 +79,23 @@ non-adjacent bound column — exactly
 
 Directed execution
 ------------------
-:class:`DirectedFrontierEngine` runs the same pipeline over a
+Direction is a candidate source, not a second engine.  Each depth reads
+one list of *dependency refs*: a frontier column plus the keyed CSR
+(rows and their sorted ``u * n + v`` key array) the new vertex must lie
+in.  An undirected :class:`~repro.graph.csr.Graph` has one CSR, so each
+``deps[d]`` column is one ref on it.  A
 :class:`~repro.graph.digraph.DiGraph` under a
-:class:`~repro.core.directed.DirectedPlan`: each depth's candidate pool
-is drawn from the *out*-CSR rows of its ``out_deps`` columns and the
-*in*-CSR rows of its ``in_deps`` columns (an antiparallel dependency
-contributes one membership probe against each CSR), with restriction
-windows resolved by exactly the keyed binary search of the undirected
-engine — each CSR carries its own sorted ``u * n + v`` key array, so
-"is ``c`` a successor/predecessor of ``x``" is the same ``x * n + c``
-probe against the matching key array.
-
-Directed plans carry IEP suffixes too, counted by the same layout and
-combine: a block signature is its out-, in-, lower and upper columns,
-and each per-row column is ``|∩ out-rows ∩ in-rows ∩ window − bound|``
-(:meth:`DirectedFrontierEngine._row_counts`).  A 1-vertex suffix drops
-no restriction, so it simply runs as the last loop.
+:class:`~repro.core.directed.DirectedPlan` gives an out-CSR ref per
+``out_deps[d]`` column and an in-CSR ref per ``in_deps[d]`` column; an
+antiparallel dependency is two refs on the same column.  Every key
+array is built over its own CSR's rows, so "is ``c`` a successor
+(predecessor) of ``x``" is the same ``x * n + c`` probe against the out
+(in) keys, and restriction windows resolve by the same keyed binary
+search whichever CSR a ref reads.  The pivot is chosen per ref, and the
+other refs become membership probes; IEP block signatures are unions
+of refs, lower and upper columns.  Auxiliary pools stay on graphs with
+one CSR: their builders and cost gate read the undirected rows and
+degrees.
 
 What the backend deliberately does **not** cover (the fallback chain
 in :func:`~repro.core.backend.select_backend` handles these): IEP
@@ -112,8 +114,8 @@ or without auxiliary pools).
 from __future__ import annotations
 
 import math
-import weakref
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,7 +132,7 @@ from repro.graph.intersection import (
     sorted_edge_keys,
 )
 from repro.graph.labeled import LabeledGraph
-from repro.graph.stats import degree_statistics
+from repro.graph.stats import degree_statistics, graph_memo
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 
@@ -156,32 +158,99 @@ AUX_CONTAINS_COST = 1.0
 #: the unwindowed build loses to the windowed direct gather outright.
 AUX_STORE_DEDUP = 0.75
 
-#: per-graph sorted edge keys, weakly keyed: dropping the last reference
-#: to a graph releases its O(E) key array instead of pinning up to a
-#: fixed number of dead graphs the way the old ``lru_cache(8)`` did.
-_EDGE_KEY_CACHE: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _graph_edge_keys(graph: Graph) -> np.ndarray:
-    """The graph's sorted edge-key array, computed once per live graph.
-
-    Graphs are immutable, so the keys can be shared by every engine the
-    backend builds — repeated cached-plan executions (a motif census, a
-    service draining requests) must not pay the O(E) rebuild per call.
-    """
-    keys = _EDGE_KEY_CACHE.get(graph)
-    if keys is None:
-        keys = sorted_edge_keys(graph.indptr, graph.indices)
-        _EDGE_KEY_CACHE[graph] = keys
-    return keys
-
-
 #: a chunk's IEP terms and partial sums stay in int64 only while the
 #: bound derived from its row maxima is at most this; otherwise the
 #: chunk is evaluated in Python ints.
 IEP_INT64_LIMIT = 2**62
+
+
+class _Csr(NamedTuple):
+    """One adjacency structure: CSR rows plus their sorted keys
+    ``u * n + v``, so per-row windows and membership probes are binary
+    searches."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    keys: np.ndarray
+
+
+class _Ref(NamedTuple):
+    """One adjacency constraint at a depth: the new vertex lies in the
+    ``csr`` row of the value bound at frontier column ``col``."""
+
+    col: int
+    csr: _Csr
+
+
+def graph_csrs(graph: Graph | DiGraph) -> tuple[_Csr, _Csr]:
+    """A graph's ``(out, in)`` keyed CSRs, built once per live graph.
+
+    Each key array is built over its own CSR's rows, so both directions
+    answer with the same probe shape: ``c`` is a successor of ``x`` iff
+    ``x * n + c`` is in the out keys, a predecessor iff it is in the in
+    keys.  An undirected graph has one CSR, returned as both.  Graphs
+    are immutable, so every engine built on a graph shares the keys —
+    repeated cached-plan executions (a motif census, a service draining
+    requests) must not pay the O(E) rebuild per call.
+    """
+    memo = graph_memo(graph)
+    csrs = memo.get("csrs")
+    if csrs is None:
+        if isinstance(graph, DiGraph):
+            csrs = tuple(
+                _Csr(indptr, indices, sorted_edge_keys(indptr, indices))
+                for indptr, indices in (
+                    (graph.out_indptr, graph.out_indices),
+                    (graph.in_indptr, graph.in_indices),
+                )
+            )
+        else:
+            one = _Csr(
+                graph.indptr, graph.indices, sorted_edge_keys(graph.indptr, graph.indices)
+            )
+            csrs = (one, one)
+        memo["csrs"] = csrs
+    return csrs
+
+
+def _ref_families(plan: ExecutionPlan | DirectedPlan) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per schedule position, its dependency refs as ``(csr, column)``
+    pairs: csr 0 is the out-CSR (an undirected graph's only one), 1 the
+    in-CSR."""
+    if isinstance(plan, DirectedPlan):
+        return tuple(
+            tuple((0, j) for j in out_cols) + tuple((1, j) for j in in_cols)
+            for out_cols, in_cols in zip(plan.out_deps, plan.in_deps)
+        )
+    return tuple(tuple((0, j) for j in deps) for deps in plan.deps)
+
+
+def frontier_gap(plan, mode: str) -> str | None:
+    """Why the frontier engine cannot run ``plan`` in ``mode``, or ``None``.
+
+    The one definition of what the frontier covers, shared by
+    :meth:`VectorisedBackend.supports` and the :class:`FrontierEngine`
+    constructor (which raises it).
+    """
+    wanted = DirectedPlan if mode == "directed" else ExecutionPlan
+    if not isinstance(plan, wanted):
+        return f"a {mode} context needs plan type {wanted.__name__}"
+    if plan.iep_k > 0 and mode not in ("plain", "directed"):
+        return (
+            "the frontier engine runs IEP suffixes under plain edge "
+            "semantics only (undirected or directed); plan labeled/induced "
+            "queries with use_iep=False or fall back to the interpreter"
+        )
+    if isinstance(plan, DirectedPlan):
+        connected = all(o or i for o, i in zip(plan.out_deps[1:], plan.in_deps[1:]))
+    else:
+        connected = all(plan.deps[1:])
+    if not connected:
+        return (
+            "the frontier engine requires a connected-prefix schedule "
+            "(every depth past the first needs a dependency to pivot on)"
+        )
+    return None
 
 
 def _window(
@@ -199,22 +268,47 @@ def _window(
     return lo, hi
 
 
-def _iep_layout(
-    plan: "ExecutionPlan | DirectedPlan", families: Sequence[Sequence[Sequence[int]]]
-) -> tuple[tuple, tuple]:
-    """The IEP suffix as ``(signatures, terms)``.
+def _clipped_rows(
+    indptr: np.ndarray,
+    keys: np.ndarray,
+    rows: np.ndarray,
+    n: int,
+    lo: np.ndarray | None,
+    hi: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, counts)`` of each of ``rows`` clipped to ``(lo, hi)``.
 
-    ``families`` are the plan's per-position column families —
-    ``(deps, lower, upper)`` undirected, ``(out_deps, in_deps, lower,
-    upper)`` directed.  ``signatures`` are the distinct per-family
-    column unions of the partition blocks (a block's candidate set is
-    the intersection of its members' sets, so it depends on the unions
-    only); ``terms`` are ``(coefficient, signature indices)`` pairs, one
-    per distinct multiset of block signatures with the partitions'
-    Möbius weights summed — a star's Bell(k) partitions collapse to k
-    terms.
+    Because the keys ``row * n + value`` are globally sorted, the binary
+    search for "first value of row ``rows[i]`` above ``lo[i]``" runs for
+    the whole frontier in one ``searchsorted`` — restriction pruning
+    happens *before* the gather, so excluded candidates are never
+    materialised (the paper's ``break``, bulk).
     """
-    k, base = plan.iep_k, plan.n - plan.iep_k
+    keyed = rows * n
+    starts = (
+        indptr[rows] if lo is None else np.searchsorted(keys, keyed + lo, side="right")
+    )
+    ends = (
+        indptr[rows + 1] if hi is None else np.searchsorted(keys, keyed + hi, side="left")
+    )
+    return starts, np.maximum(ends - starts, 0)
+
+
+@lru_cache(maxsize=256)
+def _iep_layout(k: int, families: tuple) -> tuple[tuple, tuple]:
+    """The IEP suffix of the last ``k`` positions as ``(signatures, terms)``.
+
+    ``families`` are the plan's per-position families — ``(refs, lower,
+    upper)``; the layout depends on nothing else, so it is computed once
+    per distinct plan shape, not once per count.  ``signatures`` are the
+    distinct per-family unions of the partition blocks (a block's
+    candidate set is the intersection of its members' sets, so it
+    depends on the unions only); ``terms`` are
+    ``(coefficient, signature indices)`` pairs, one per distinct
+    multiset of block signatures with the partitions' Möbius weights
+    summed — a star's Bell(k) partitions collapse to k terms.
+    """
+    base = len(families[0]) - k
     signatures: dict[tuple, int] = {}
     weights: dict[tuple[int, ...], int] = {}
     for partition in set_partitions(k):
@@ -310,26 +404,26 @@ class _CandidateSource:
     Uniform view over the two places candidates come from:
 
     * the graph itself (*virtual*: ``indptr``/``values``/``keys`` are
-      the CSR arrays and ``row_map`` holds the pivot column's vertices;
-      ``post_deps`` lists the dependencies still to be mask-checked);
+      the pivot ref's CSR arrays and ``row_map`` holds its column's
+      vertices; ``post_refs`` lists the refs still to be mask-checked);
     * a materialised scratch CSR (auxiliary pruning: one pruned row per
       distinct prefix, ``row_map`` maps frontier rows onto pool rows,
-      ``covers`` are already intersected in, ``post_deps`` is empty).
+      ``covers`` are already intersected in, ``post_refs`` is empty).
 
     ``keys[i] = row_id * n + values[i]`` is globally sorted either way,
     so per-row restriction windows resolve with two ``searchsorted``
     calls regardless of the source kind.
     """
 
-    __slots__ = ("indptr", "values", "keys", "row_map", "covers", "post_deps", "materialised")
+    __slots__ = ("indptr", "values", "keys", "row_map", "covers", "post_refs", "materialised")
 
-    def __init__(self, indptr, values, keys, row_map, covers, post_deps, materialised):
+    def __init__(self, indptr, values, keys, row_map, covers, post_refs, materialised):
         self.indptr = indptr
         self.values = values
         self.keys = keys
         self.row_map = row_map
         self.covers = covers
-        self.post_deps = post_deps
+        self.post_refs = post_refs
         self.materialised = materialised
 
     def aligned(self, owner: np.ndarray) -> "_CandidateSource":
@@ -341,7 +435,7 @@ class _CandidateSource:
             self.keys,
             self.row_map[owner],
             self.covers,
-            self.post_deps,
+            self.post_refs,
             self.materialised,
         )
 
@@ -350,23 +444,26 @@ class FrontierEngine:
     """Executes one plan against one graph, breadth-first.
 
     The vectorised counterpart of :class:`repro.core.engine.Engine`
-    (and, via ``lpattern``/``induced``, of the labeled and induced
-    engines): same plan, same counts, but each loop depth is one bulk
-    array operation over the whole frontier instead of a recursive call
-    per partial embedding.  Plain edge-semantics plans may carry an IEP
-    suffix (``iep_k > 0``), counted in bulk per block signature (see
-    the module docstring); labeled and induced plans must be IEP-free.
+    and its labeled, induced and directed subclasses: same plan, same
+    counts, but each loop depth is one bulk array operation over the
+    whole frontier instead of a recursive call per partial embedding.
+    Every mode runs the same loop from one per-depth list of dependency
+    refs (see the module docstring); plain and directed plans may carry
+    an IEP suffix (``iep_k > 0``), counted in bulk per block signature;
+    labeled and induced plans must be IEP-free.
 
     Parameters
     ----------
     graph:
-        A :class:`~repro.graph.csr.Graph`, or a
+        A :class:`~repro.graph.csr.Graph`; a
         :class:`~repro.graph.labeled.LabeledGraph` when ``lpattern`` is
-        given.
+        given; a :class:`~repro.graph.digraph.DiGraph` under a
+        :class:`~repro.core.directed.DirectedPlan`.
     aux:
         Auxiliary-graph pruning: ``"auto"`` (cost-gated, default),
         ``True`` (always materialise/chain when structurally possible)
-        or ``False`` (pure direct path — the pre-pruning engine).
+        or ``False`` (pure direct path — the pre-pruning engine).  A
+        digraph has two CSRs and always takes the direct path.
     lpattern:
         A :class:`~repro.pattern.labeled.LabeledPattern` switching the
         engine to labeled semantics (roots and every depth filtered to
@@ -379,31 +476,27 @@ class FrontierEngine:
 
     def __init__(
         self,
-        graph: Graph | LabeledGraph,
-        plan: ExecutionPlan,
+        graph: Graph | LabeledGraph | DiGraph,
+        plan: ExecutionPlan | DirectedPlan,
         *,
         root_chunk: int = DEFAULT_ROOT_CHUNK,
         aux: "bool | str" = "auto",
         lpattern=None,
         induced: bool = False,
     ):
-        if plan.iep_k > 0 and (lpattern is not None or induced):
-            raise ValueError(
-                "the frontier engine runs IEP suffixes under plain edge "
-                "semantics only; plan labeled/induced queries with "
-                "use_iep=False or fall back to the interpreter"
-            )
-        if any(not plan.deps[d] for d in range(1, plan.n)):
-            raise ValueError(
-                "the frontier engine requires a connected-prefix schedule "
-                "(every depth past the first needs a dependency to pivot on)"
-            )
+        if induced and lpattern is not None:
+            raise ValueError("labeled induced matching is not supported")
+        if isinstance(plan, DirectedPlan):
+            mode = "directed"
+        else:
+            mode = "labeled" if lpattern is not None else "induced" if induced else "plain"
+        gap = frontier_gap(plan, mode)
+        if gap is not None:
+            raise ValueError(gap)
         if root_chunk < 1:
             raise ValueError("root_chunk must be >= 1")
         if aux not in (True, False, "auto"):
             raise ValueError('aux must be True, False or "auto"')
-        if induced and lpattern is not None:
-            raise ValueError("labeled induced matching is not supported")
         if lpattern is not None:
             if not isinstance(graph, LabeledGraph):
                 raise TypeError("labeled execution needs a LabeledGraph")
@@ -416,13 +509,19 @@ class FrontierEngine:
         self.graph = graph
         self.plan = plan
         self.root_chunk = root_chunk
-        self.aux = aux
         self._induced = induced
         self._n = graph.n_vertices
-        self._edge_keys = _graph_edge_keys(graph)
-        self._degrees = graph.degrees
-        self._dstats = degree_statistics(graph)
-        schedule = plan.config.schedule
+        self._csrs = graph_csrs(graph)
+        families = _ref_families(plan)
+        self._refs = tuple(self._make_refs(f) for f in families)
+        self._deps = tuple(tuple(sorted({j for _, j in f})) for f in families)
+        # The pool builders and their cost gate read the one undirected
+        # CSR and its degrees, so a digraph takes the direct path.
+        self.aux = aux if self._csrs[0] is self._csrs[1] else False
+        if self.aux is not False:
+            self._degrees = graph.degrees
+            self._dstats = degree_statistics(graph)
+        schedule = plan.schedule
         if lpattern is not None:
             self._depth_labels = tuple(lpattern.labels[v] for v in schedule)
         else:
@@ -436,70 +535,44 @@ class FrontierEngine:
         else:
             self._antideps = None
         if plan.iep_k > 0:
-            self._iep_signatures, self._iep_terms = _iep_layout(
-                plan, (plan.deps, plan.lower, plan.upper)
+            signatures, self._iep_terms = _iep_layout(
+                plan.iep_k, (families, plan.lower, plan.upper)
             )
+            self._iep_blocks = tuple(
+                (self._make_refs(refs), tuple(sorted({j for _, j in refs})), lower, upper)
+                for refs, lower, upper in signatures
+            )
+
+    def _make_refs(self, family) -> tuple[_Ref, ...]:
+        return tuple(_Ref(j, self._csrs[which]) for which, j in family)
 
     # ------------------------------------------------------------------
     # bounded candidate ranges (the bulk form of ``bounded_slice``)
     # ------------------------------------------------------------------
-    def _ranges(
-        self, values: np.ndarray, lo: np.ndarray | None, hi: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, counts)`` of each vertex's CSR row clipped to (lo, hi).
-
-        Because the edge keys ``u * n + v`` are globally sorted, the
-        binary search for "first neighbour of ``values[i]`` above
-        ``lo[i]``" runs for the whole frontier in one ``searchsorted``
-        — restriction pruning happens *before* the gather, so excluded
-        candidates are never materialised (the paper's ``break``, bulk).
-        """
-        indptr, n = self.graph.indptr, self._n
-        keyed = values * n
-        starts = (
-            indptr[values]
-            if lo is None
-            else np.searchsorted(self._edge_keys, keyed + lo, side="right")
-        )
-        ends = (
-            indptr[values + 1]
-            if hi is None
-            else np.searchsorted(self._edge_keys, keyed + hi, side="left")
-        )
-        return starts, np.maximum(ends - starts, 0)
-
     def _window_ranges(
         self, src: _CandidateSource, lo: np.ndarray | None, hi: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_ranges` generalised to any candidate source: the same
-        keyed binary search works because scratch keys share the
-        ``row_id * n + value`` layout of the edge keys."""
-        row = src.row_map
-        keyed = row * self._n
-        starts = (
-            src.indptr[row]
-            if lo is None
-            else np.searchsorted(src.keys, keyed + lo, side="right")
-        )
-        ends = (
-            src.indptr[row + 1]
-            if hi is None
-            else np.searchsorted(src.keys, keyed + hi, side="left")
-        )
-        return starts, np.maximum(ends - starts, 0)
+        """Each frontier row's candidate row in ``src``, clipped to its
+        window: scratch keys share the ``row_id * n + value`` layout of
+        the edge keys, so one keyed binary search serves both kinds."""
+        return _clipped_rows(src.indptr, src.keys, src.row_map, self._n, lo, hi)
 
     def _pivot_ranges(
-        self, front: np.ndarray, deps, lo, hi
+        self, front: np.ndarray, refs: Sequence[_Ref], lo, hi
     ) -> tuple[int, np.ndarray, np.ndarray]:
-        """The dependency column whose bounded ranges expand to the
-        fewest pairs, with those ranges; the other dependencies become
-        per-pair membership filters (one binary search each)."""
+        """The ref whose bounded rows expand to the fewest pairs, with
+        those ranges; the other refs become per-pair membership filters
+        (one binary search each).  The pivot is chosen per ref, not per
+        column: an antiparallel column carries one ref per direction and
+        both probes must run."""
         best = None
-        for j in deps:
-            starts, counts = self._ranges(front[:, j], lo, hi)
+        for i, ref in enumerate(refs):
+            starts, counts = _clipped_rows(
+                ref.csr.indptr, ref.csr.keys, front[:, ref.col], self._n, lo, hi
+            )
             total = int(counts.sum())
             if best is None or total < best[0]:
-                best = (total, j, starts, counts)
+                best = (total, i, starts, counts)
         return best[1], best[2], best[3]
 
     # ------------------------------------------------------------------
@@ -538,7 +611,7 @@ class FrontierEngine:
             prev.indptr,
             prev.values,
             prev.row_map[reps],
-            self._edge_keys,
+            self._csrs[0].keys,
             np.column_stack([front[reps, j] for j in resid]),
             self._n,
         )
@@ -611,10 +684,11 @@ class FrontierEngine:
                 build += AUX_SORT_COST * n_rows * math.log2(max(n_rows, 2))
                 if saved < build:
                     return None
+        csr = self._csrs[0]
         indptr, values, keys = bulk_intersect_rows(
-            self.graph.indptr,
-            self.graph.indices,
-            self._edge_keys,
+            csr.indptr,
+            csr.indices,
+            csr.keys,
             front[np.ix_(reps, list(deps))],
             self._n,
         )
@@ -625,36 +699,25 @@ class FrontierEngine:
     ) -> tuple[_CandidateSource, np.ndarray, np.ndarray]:
         """Choose this depth's candidate source and window it per row."""
         plan = self.plan
-        deps = plan.deps[depth]
+        deps = self._deps[depth]
         lo, hi = _window(front, plan.lower[depth], plan.upper[depth])
         src = self._chain_source(front, deps, prev)
         if src is None:
-            store_wanted = depth + 1 < plan.n and set(deps) <= set(plan.deps[depth + 1])
+            store_wanted = depth + 1 < plan.n and set(deps) <= set(self._deps[depth + 1])
             src = self._group_source(front, deps, store_wanted)
         if src is not None:
             starts, counts = self._window_ranges(src, lo, hi)
             return src, starts, counts
-        if len(deps) == 1:
-            j = deps[0]
-            src = _CandidateSource(
-                self.graph.indptr,
-                self.graph.indices,
-                self._edge_keys,
-                front[:, j],
-                (j,),
-                (),
-                False,
-            )
-            starts, counts = self._window_ranges(src, lo, hi)
-            return src, starts, counts
-        pivot, starts, counts = self._pivot_ranges(front, deps, lo, hi)
+        refs = self._refs[depth]
+        pivot, starts, counts = self._pivot_ranges(front, refs, lo, hi)
+        ref = refs[pivot]
         src = _CandidateSource(
-            self.graph.indptr,
-            self.graph.indices,
-            self._edge_keys,
-            front[:, pivot],
-            (pivot,),
-            tuple(j for j in deps if j != pivot),
+            ref.csr.indptr,
+            ref.csr.indices,
+            ref.csr.keys,
+            front[:, ref.col],
+            (ref.col,),
+            refs[:pivot] + refs[pivot + 1 :],
             False,
         )
         return src, starts, counts
@@ -673,8 +736,7 @@ class FrontierEngine:
         without an auxiliary source.  Returns the source used so the
         caller can carry a materialised pool into the next depth.
         """
-        plan, n = self.plan, self._n
-        deps = plan.deps[depth]
+        n = self._n
         src, starts, counts = self._prepare(front, depth, prev)
         owner, cand = gather_ranges(src.values, starts, counts)
         obs_metrics.FRONTIER_ROWS.inc(len(cand))
@@ -682,26 +744,26 @@ class FrontierEngine:
             source="pool" if src.materialised else "csr"
         ).inc()
         mask = np.ones(len(cand), dtype=bool)
-        if src.post_deps:
+        if src.post_refs:
             obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="membership").inc(
-                len(src.post_deps)
+                len(src.post_refs)
             )
-        for j in src.post_deps:
-            mask &= bulk_contains_sorted(self._edge_keys, front[owner, j] * n + cand)
+        for ref in src.post_refs:
+            mask &= bulk_contains_sorted(ref.csr.keys, front[owner, ref.col] * n + cand)
         if self._induced:
             # Anti-edges: the candidate must be distinct from *and*
             # non-adjacent to every non-dependency bound vertex (the
             # adjacency mask alone does not exclude equality — there
             # are no self-loops).
+            keys = self._csrs[0].keys
             for j in self._antideps[depth]:
                 mask &= cand != front[owner, j]
-                mask &= ~bulk_contains_sorted(
-                    self._edge_keys, front[owner, j] * n + cand
-                )
+                mask &= ~bulk_contains_sorted(keys, front[owner, j] * n + cand)
         else:
             # Injectivity: adjacency already rules out the dependency
             # columns (no self-loops), only the non-adjacent bound
             # vertices remain.
+            deps = self._deps[depth]
             for j in range(depth):
                 if j not in deps:
                     mask &= cand != front[owner, j]
@@ -720,13 +782,12 @@ class FrontierEngine:
             return 0
         if self._labels is None and not self._induced:
             plan = self.plan
-            deps = plan.deps[depth]
-            src = self._chain_source(front, deps, prev)
+            src = self._chain_source(front, self._deps[depth], prev)
             obs_metrics.FRONTIER_INTERSECTIONS.labels(
                 kernel="direct" if src is None else "pooled"
             ).inc()
             counts = self._row_counts(
-                front, deps, plan.lower[depth], plan.upper[depth], src
+                front, self._refs[depth], plan.lower[depth], plan.upper[depth], src
             )
             return int(counts.sum())
         # Labeled/induced masks need the candidates materialised; the
@@ -738,12 +799,12 @@ class FrontierEngine:
     def _row_counts(
         self,
         front: np.ndarray,
-        deps: Sequence[int],
+        refs: Sequence[_Ref],
         lower: Sequence[int],
         upper: Sequence[int],
         src: _CandidateSource | None = None,
     ) -> np.ndarray:
-        """Per-row ``|∩_{j∈deps} N(row[j]) ∩ window − row|`` (int64).
+        """Per-row ``|∩_{refs} row ∩ window − bound|`` (int64).
 
         The window is ``(max lower columns, min upper columns)``; every
         bound vertex of the row that falls inside the windowed set is
@@ -751,12 +812,20 @@ class FrontierEngine:
         With ``src`` — a pool covering every dependency — the windowed
         sizes come straight from the keyed binary search, no gather at
         all.  Without it, rows that agree on the dependency values and
-        the window share one candidate-set evaluation: when those
-        depend on a column prefix the DFS-sorted frontier keeps equal
-        keys adjacent (run detection suffices), otherwise the keys are
-        sorted together first.
+        the window share one evaluation (a gather and probe, or the
+        binary searches of a window): when those depend on a column
+        prefix the DFS-sorted frontier keeps equal keys adjacent (run
+        detection suffices), otherwise the keys are sorted together
+        first.  The dedup is skipped when it cannot pay: one ref with no
+        window counts straight from the CSR offsets, and keys covering
+        every column make each row its own group (frontier rows are
+        distinct).  Bound vertices of a window column lie outside the
+        window by definition, so only the other non-dependency columns
+        are checked.
         """
         n = self._n
+        deps = {ref.col for ref in refs}
+        cols = deps | set(lower) | set(upper)
         lo, hi = _window(front, lower, upper)
         if src is not None:
             _, counts = self._window_ranges(src, lo, hi)
@@ -765,52 +834,57 @@ class FrontierEngine:
                 return bulk_contains_sorted(src.keys, src.row_map * n + used)
 
         else:
-            key_cols = [front[:, j] for j in deps]
-            if lo is not None:
-                key_cols.append(lo)
-            if hi is not None:
-                key_cols.append(hi)
-            keys = np.column_stack(key_cols)
-            order = None
-            cols = set(deps) | set(lower) | set(upper)
-            if cols != set(range(len(cols))):
-                # The key skips an earlier column, so equal keys are
-                # scattered across the DFS order: sort them together.
-                order = np.lexsort(keys.T)
-                keys = keys[order]
-            change = np.empty(len(front), dtype=bool)
-            change[0] = True
-            np.any(keys[1:] != keys[:-1], axis=1, out=change[1:])
-            reps = np.flatnonzero(change)
-            group = np.cumsum(change) - 1
-            if order is not None:
-                reps = order[reps]
-                group[order] = group.copy()
-
-            rep_front = front[reps]
-            rep_lo = lo[reps] if lo is not None else None
-            rep_hi = hi[reps] if hi is not None else None
-            pivot, starts, base = self._pivot_ranges(rep_front, deps, rep_lo, rep_hi)
-            if len(deps) > 1:
-                owner, cand = gather_ranges(self.graph.indices, starts, base)
+            if (len(refs) == 1 and lo is None and hi is None) or len(cols) == front.shape[1]:
+                reps = group = None
+                rep_front, rep_lo, rep_hi = front, lo, hi
+            else:
+                key_cols = [front[:, j] for j in sorted(deps)]
+                if lo is not None:
+                    key_cols.append(lo)
+                if hi is not None:
+                    key_cols.append(hi)
+                keys = np.column_stack(key_cols)
+                order = None
+                if cols != set(range(len(cols))):
+                    # The key skips an earlier column, so equal keys are
+                    # scattered across the DFS order: sort them together.
+                    order = np.lexsort(keys.T)
+                    keys = keys[order]
+                change = np.empty(len(front), dtype=bool)
+                change[0] = True
+                np.any(keys[1:] != keys[:-1], axis=1, out=change[1:])
+                reps = np.flatnonzero(change)
+                group = np.cumsum(change) - 1
+                if order is not None:
+                    reps = order[reps]
+                    group[order] = group.copy()
+                rep_front = front[reps]
+                rep_lo = lo[reps] if lo is not None else None
+                rep_hi = hi[reps] if hi is not None else None
+            pivot, starts, counts = self._pivot_ranges(rep_front, refs, rep_lo, rep_hi)
+            if len(refs) > 1:
+                owner, cand = gather_ranges(refs[pivot].csr.indices, starts, counts)
                 mask = np.ones(len(cand), dtype=bool)
-                for j in deps:
-                    if j != pivot:
+                for i, ref in enumerate(refs):
+                    if i != pivot:
                         mask &= bulk_contains_sorted(
-                            self._edge_keys, rep_front[owner, j] * n + cand
+                            ref.csr.keys, rep_front[owner, ref.col] * n + cand
                         )
-                base = np.bincount(owner[mask], minlength=len(reps))
-            counts = base[group]
+                counts = np.bincount(owner[mask], minlength=len(rep_front))
+            if group is not None:
+                counts = counts[group]
 
             def inside(used):
                 hit = np.ones(len(front), dtype=bool)
-                for j in deps:
-                    hit &= bulk_contains_sorted(self._edge_keys, front[:, j] * n + used)
+                for ref in refs:
+                    hit &= bulk_contains_sorted(
+                        ref.csr.keys, front[:, ref.col] * n + used
+                    )
                 return hit
 
         rows = np.arange(len(front))
         for k in range(front.shape[1]):
-            if k in deps:
+            if k in cols:
                 continue
             used = front[:, k]
             hit = inside(used) & restriction_mask(front, rows, used, lower, upper)
@@ -823,44 +897,47 @@ class FrontierEngine:
         One :meth:`_row_counts` column per distinct block signature,
         combined exactly by the partition-lattice formula; the
         ``iep_overcount`` division is left to :meth:`count`.  Signatures
-        run smallest dependency set first, so a pool materialised for a
-        block (``N(a) ∩ N(b)`` per distinct ``(a, b)``) is chained into
-        every larger block over the same columns, exactly as the loop
-        depths chain theirs.
+        run fewest refs first, so a pool materialised for a block
+        (``N(a) ∩ N(b)`` per distinct ``(a, b)``) is chained into every
+        larger block over the same columns, exactly as the loop depths
+        chain theirs.
         """
-        signatures = self._iep_signatures
+        blocks = self._iep_blocks
         pools = [prev] if prev is not None else []
-        cards: list = [None] * len(signatures)
-        for i in sorted(range(len(signatures)), key=lambda i: len(signatures[i][0])):
-            deps, lower, upper = signatures[i]
+        cards: list = [None] * len(blocks)
+        for i in sorted(range(len(blocks)), key=lambda i: len(blocks[i][0])):
+            refs, deps, lower, upper = blocks[i]
             src = None
             for pool in pools:
                 src = self._chain_source(front, deps, pool)
                 if src is not None:
                     break
             if src is None:
-                store_wanted = any(set(deps) < set(d) for d, _, _ in signatures)
+                store_wanted = any(set(deps) < set(d) for _, d, _, _ in blocks)
                 src = self._group_source(front, deps, store_wanted)
                 if src is not None:
                     pools.append(src)
-            cards[i] = self._row_counts(front, deps, lower, upper, src)
+            cards[i] = self._row_counts(front, refs, lower, upper, src)
         obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="iep").inc(len(cards))
         return _iep_combine(cards, self._iep_terms)
 
-    def _roots(self) -> np.ndarray:
-        roots = self.graph.vertices()
+    # ------------------------------------------------------------------
+    # root chunks
+    # ------------------------------------------------------------------
+    def _rooted(self, roots) -> np.ndarray:
+        """``roots`` as int64 ids, filtered to the first depth's label."""
+        roots = np.asarray(roots, dtype=np.int64)
         if self._labels is not None:
             roots = roots[self._labels[roots] == self._depth_labels[0]]
         return roots
 
-    def _root_chunks(self, first: int | None = None) -> Iterator[np.ndarray]:
-        """Sweep the root vertices in chunks of at most ``root_chunk``.
+    def _root_chunks(self, roots: np.ndarray, first: int | None = None) -> Iterator[np.ndarray]:
+        """Sweep ``roots`` in chunks of at most ``root_chunk``.
 
         ``first`` starts smaller and grows geometrically — enumeration
         with a small ``limit`` should not pay for a full chunk's
         frontier when the first few roots already satisfy it.
         """
-        roots = self._roots()
         start, size = 0, min(first or self.root_chunk, self.root_chunk)
         while start < len(roots):
             yield roots[start : start + size]
@@ -888,14 +965,12 @@ class FrontierEngine:
         plan = self.plan
         if plan.n > self._n:
             return 0
-        roots = np.asarray(roots, dtype=np.int64)
-        if self._labels is not None:
-            roots = roots[self._labels[roots] == self._depth_labels[0]]
+        roots = self._rooted(roots)
         if plan.n == 1:
             return len(roots)
         total = 0
-        for start in range(0, len(roots), self.root_chunk):
-            front = roots[start : start + self.root_chunk, None]
+        for chunk in self._root_chunks(roots):
+            front = chunk[:, None]
             prev: _CandidateSource | None = None
             for depth in range(1, plan.n_loops):
                 if depth == plan.n - 1:
@@ -919,36 +994,22 @@ class FrontierEngine:
             if plan.iep_k and len(front):
                 with span("depth", depth=plan.n_loops, iep=plan.iep_k) as sp:
                     c = self._count_iep(front, prev)
-                    sp.set(
-                        rows=len(front),
-                        blocks=len(self._iep_signatures),
-                        count=c,
-                    )
+                    sp.set(rows=len(front), blocks=len(self._iep_blocks), count=c)
                 total += c
         return total
 
     # ------------------------------------------------------------------
     # enumeration
     # ------------------------------------------------------------------
-    def enumerate_embeddings(self, limit: int | None = None) -> Iterator[tuple[int, ...]]:
-        """Yield embeddings as tuples indexed by pattern vertex.
-
-        Chunked root processing keeps this lazy: only one chunk's
-        frontier is ever alive, and with a ``limit`` the sweep starts
-        from a small chunk (growing geometrically), so a
-        ``limit=5`` call touches a handful of roots, not the graph.
-        """
+    def _full_frontiers(self, first: int | None = None) -> Iterator[np.ndarray]:
+        """Each root chunk's frontier extended through every depth (an
+        empty array when a depth kills the chunk)."""
         plan = self.plan
         if plan.iep_k > 0:
             raise ValueError("enumeration requires a plan compiled with iep_k=0")
         if plan.n > self._n:
             return
-        schedule = plan.config.schedule
-        inverse = [0] * len(schedule)
-        for pos, v in enumerate(schedule):
-            inverse[v] = pos
-        remaining = float("inf") if limit is None else limit
-        for roots in self._root_chunks(first=64 if limit is not None else None):
+        for roots in self._root_chunks(self._rooted(self.graph.vertices()), first):
             front = roots[:, None]
             prev: _CandidateSource | None = None
             for depth in range(1, plan.n):
@@ -958,6 +1019,22 @@ class FrontierEngine:
                     break
                 front = np.concatenate([front[owner], cand[:, None]], axis=1)
                 prev = src.aligned(owner) if src.materialised else None
+            yield front
+
+    def enumerate_embeddings(self, limit: int | None = None) -> Iterator[tuple[int, ...]]:
+        """Yield embeddings as tuples indexed by pattern vertex.
+
+        Chunked root processing keeps this lazy: only one chunk's
+        frontier is ever alive, and with a ``limit`` the sweep starts
+        from a small chunk (growing geometrically), so a
+        ``limit=5`` call touches a handful of roots, not the graph.
+        """
+        schedule = self.plan.schedule
+        inverse = [0] * len(schedule)
+        for pos, v in enumerate(schedule):
+            inverse[v] = pos
+        remaining = float("inf") if limit is None else limit
+        for front in self._full_frontiers(first=64 if limit is not None else None):
             for row in front:
                 if remaining <= 0:
                     return
@@ -974,321 +1051,9 @@ class FrontierEngine:
         against directed arc constraints without ever materialising
         per-embedding tuples.  Requires an IEP-free plan.
         """
-        plan = self.plan
-        if plan.iep_k > 0:
-            raise ValueError("frontier blocks require a plan compiled with iep_k=0")
-        if plan.n > self._n:
-            return
-        for roots in self._root_chunks():
-            front = roots[:, None]
-            prev: _CandidateSource | None = None
-            for depth in range(1, plan.n):
-                owner, cand, src = self._extend(front, depth, prev)
-                if len(cand) == 0:
-                    front = front[:0]
-                    break
-                front = np.concatenate([front[owner], cand[:, None]], axis=1)
-                prev = src.aligned(owner) if src.materialised else None
+        for front in self._full_frontiers():
             if len(front):
                 yield front
-
-
-# ---------------------------------------------------------------------------
-# directed frontiers
-# ---------------------------------------------------------------------------
-#: per-digraph (out_keys, in_keys) sorted key arrays, weakly keyed for
-#: the same lifetime reasons as ``_EDGE_KEY_CACHE``.
-_DIGRAPH_KEY_CACHE: "weakref.WeakKeyDictionary[DiGraph, tuple[np.ndarray, np.ndarray]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _digraph_edge_keys(graph: DiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted ``u * n + v`` key arrays over the out- and in-CSR.
-
-    Each key array is built over its *own* CSR's rows, so both
-    directions answer with the same probe shape: ``c`` is a successor
-    of ``x`` iff ``x * n + c`` is in ``out_keys``, and a predecessor
-    iff it is in ``in_keys``.
-    """
-    keys = _DIGRAPH_KEY_CACHE.get(graph)
-    if keys is None:
-        keys = (
-            sorted_edge_keys(graph.out_indptr, graph.out_indices),
-            sorted_edge_keys(graph.in_indptr, graph.in_indices),
-        )
-        _DIGRAPH_KEY_CACHE[graph] = keys
-    return keys
-
-
-class _DepRef:
-    """One adjacency constraint at a depth: the new vertex must lie in
-    the CSR row (out or in) of the value bound at frontier column
-    ``col``.  An antiparallel pattern pair produces two refs on the
-    same column, one per direction."""
-
-    __slots__ = ("col", "indptr", "indices", "keys")
-
-    def __init__(self, col, indptr, indices, keys):
-        self.col = col
-        self.indptr = indptr
-        self.indices = indices
-        self.keys = keys
-
-
-class DirectedFrontierEngine:
-    """Bulk frontier execution of one :class:`DirectedPlan`.
-
-    The directed counterpart of :class:`FrontierEngine` and the
-    vectorised counterpart of
-    :class:`repro.core.directed.DirectedEngine`: same plan, same
-    counts, one bulk array operation per loop depth.  Candidates at
-    depth ``d`` come from the out-CSR rows of the ``out_deps[d]``
-    columns and the in-CSR rows of the ``in_deps[d]`` columns; the
-    restriction machinery (per-row windows via keyed binary search) is
-    unchanged from the undirected engine because restrictions only
-    compare vertex ids, never directions.
-
-    An IEP suffix of ``k >= 2`` vertices is counted in bulk exactly as
-    the undirected engine counts one: the frontier stops at depth
-    ``n - k``, every distinct block signature (out-, in-, lower and
-    upper columns) gets one per-row cardinality column
-    (:meth:`_row_counts`) and :func:`_iep_combine` evaluates the
-    partitions.  A 1-vertex suffix drops no restriction, so it runs as
-    the ordinary last loop.
-    """
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        plan: DirectedPlan,
-        *,
-        root_chunk: int = DEFAULT_ROOT_CHUNK,
-    ):
-        if any(
-            not (plan.out_deps[d] or plan.in_deps[d]) for d in range(1, plan.n)
-        ):
-            raise ValueError(
-                "the frontier engine requires a connected-prefix schedule "
-                "(every depth past the first needs a dependency to pivot on)"
-            )
-        if root_chunk < 1:
-            raise ValueError("root_chunk must be >= 1")
-        self.graph = graph
-        self.plan = plan
-        self.root_chunk = root_chunk
-        self._n = graph.n_vertices
-        self._keys = _digraph_edge_keys(graph)
-        self._refs = tuple(
-            self._make_refs(plan.out_deps[d], plan.in_deps[d]) for d in range(plan.n)
-        )
-        self._dep_cols = tuple(
-            frozenset(plan.out_deps[d]) | frozenset(plan.in_deps[d])
-            for d in range(plan.n)
-        )
-        # k = 1 drops no restriction: the suffix is just the last loop.
-        self._iep_k = plan.iep_k if plan.iep_k >= 2 else 0
-        if self._iep_k:
-            signatures, self._iep_terms = _iep_layout(
-                plan, (plan.out_deps, plan.in_deps, plan.lower, plan.upper)
-            )
-            self._iep_blocks = tuple(
-                (self._make_refs(out_cols, in_cols), lower, upper)
-                for out_cols, in_cols, lower, upper in signatures
-            )
-
-    def _make_refs(self, out_cols, in_cols) -> tuple[_DepRef, ...]:
-        graph = self.graph
-        out_keys, in_keys = self._keys
-        out = [_DepRef(j, graph.out_indptr, graph.out_indices, out_keys) for j in out_cols]
-        into = [_DepRef(j, graph.in_indptr, graph.in_indices, in_keys) for j in in_cols]
-        return tuple(out + into)
-
-    def _ref_ranges(
-        self,
-        ref: _DepRef,
-        values: np.ndarray,
-        lo: np.ndarray | None,
-        hi: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(starts, counts)`` of each value's row in ``ref``'s CSR,
-        clipped to the per-row window by keyed binary search."""
-        keyed = values * self._n
-        starts = (
-            ref.indptr[values]
-            if lo is None
-            else np.searchsorted(ref.keys, keyed + lo, side="right")
-        )
-        ends = (
-            ref.indptr[values + 1]
-            if hi is None
-            else np.searchsorted(ref.keys, keyed + hi, side="left")
-        )
-        return starts, np.maximum(ends - starts, 0)
-
-    def _probe(
-        self, front: np.ndarray, refs: Sequence[_DepRef], lo, hi
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(owner, candidate, mask)`` over the pivot ref's windowed rows.
-
-        The pivot is the ref whose windowed rows expand to the fewest
-        pairs (chosen by ref, not by column — an antiparallel column
-        carries one ref per direction and both probes must run); ``mask``
-        marks the candidates every other ref's row also holds, one bulk
-        membership probe per ref against its own key array.
-        """
-        n = self._n
-        best = None
-        for i, ref in enumerate(refs):
-            starts, counts = self._ref_ranges(ref, front[:, ref.col], lo, hi)
-            total = int(counts.sum())
-            if best is None or total < best[0]:
-                best = (total, i, starts, counts)
-        _, pivot_i, starts, counts = best
-        owner, cand = gather_ranges(refs[pivot_i].indices, starts, counts)
-        mask = np.ones(len(cand), dtype=bool)
-        for i, ref in enumerate(refs):
-            if i != pivot_i:
-                mask &= bulk_contains_sorted(ref.keys, front[owner, ref.col] * n + cand)
-        return owner, cand, mask
-
-    def _extend(
-        self, front: np.ndarray, depth: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All valid ``(owner, candidate)`` extensions of ``front``."""
-        refs = self._refs[depth]
-        lo, hi = _window(front, self.plan.lower[depth], self.plan.upper[depth])
-        owner, cand, mask = self._probe(front, refs, lo, hi)
-        obs_metrics.FRONTIER_ROWS.inc(len(cand))
-        if len(refs) > 1:
-            obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="directed").inc(
-                len(refs) - 1
-            )
-        # Injectivity: adjacency rules out the dependency columns (no
-        # self-loops), only non-adjacent bound vertices remain.
-        deps = self._dep_cols[depth]
-        for j in range(depth):
-            if j not in deps:
-                mask &= cand != front[owner, j]
-        return owner[mask], cand[mask]
-
-    def _row_counts(
-        self,
-        front: np.ndarray,
-        refs: Sequence[_DepRef],
-        lower: Sequence[int],
-        upper: Sequence[int],
-    ) -> np.ndarray:
-        """Per-row ``|∩ out-rows ∩ in-rows ∩ window − row|`` (int64).
-
-        One ref needs no gather: the windowed row length is the count.
-        With more, the probed pivot pairs are tallied per row.  Every
-        bound vertex of the row that falls inside the windowed set is
-        then subtracted (a dependency column cannot, there are no
-        self-loops).
-        """
-        n = self._n
-        lo, hi = _window(front, lower, upper)
-        if len(refs) == 1:
-            _, counts = self._ref_ranges(refs[0], front[:, refs[0].col], lo, hi)
-        else:
-            owner, _, mask = self._probe(front, refs, lo, hi)
-            counts = np.bincount(owner[mask], minlength=len(front))
-        deps = {ref.col for ref in refs}
-        rows = np.arange(len(front))
-        for k in range(front.shape[1]):
-            if k in deps:
-                continue
-            used = front[:, k]
-            hit = restriction_mask(front, rows, used, lower, upper)
-            for ref in refs:
-                hit &= bulk_contains_sorted(ref.keys, front[:, ref.col] * n + used)
-            counts = counts - hit
-        return counts
-
-    def _count_iep(self, front: np.ndarray) -> int:
-        """The raw IEP suffix over a frontier of outer assignments: one
-        :meth:`_row_counts` column per block signature, combined exactly;
-        the ``iep_overcount`` division is left to :meth:`count`."""
-        cards = [
-            self._row_counts(front, refs, lower, upper)
-            for refs, lower, upper in self._iep_blocks
-        ]
-        obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="iep").inc(len(cards))
-        return _iep_combine(cards, self._iep_terms)
-
-    def _root_chunks(self, first: int | None = None) -> Iterator[np.ndarray]:
-        roots = self.graph.vertices()
-        start, size = 0, min(first or self.root_chunk, self.root_chunk)
-        while start < len(roots):
-            yield roots[start : start + size]
-            start += size
-            size = min(size * 2, self.root_chunk)
-
-    def count(self) -> int:
-        """Total embeddings under this plan (cf. ``DirectedEngine.count``)."""
-        return apply_overcount(self.plan, self.count_roots(self.graph.vertices()))
-
-    def count_roots(self, roots) -> int:
-        """Raw embeddings rooted in ``roots`` — the distributed task entry
-        point: summed over any partition of the roots and divided once
-        by ``plan.iep_overcount``, the partials equal :meth:`count`."""
-        plan = self.plan
-        if plan.n > self._n:
-            return 0
-        roots = np.asarray(roots, dtype=np.int64)
-        if plan.n == 1:
-            return len(roots)
-        loops = plan.n - self._iep_k
-        total = 0
-        for start in range(0, len(roots), self.root_chunk):
-            front = roots[start : start + self.root_chunk, None]
-            for depth in range(1, loops):
-                with span("depth", depth=depth) as sp:
-                    owner, cand = self._extend(front, depth)
-                    sp.set(rows=len(front), kept=len(cand))
-                if depth == plan.n - 1:
-                    total += len(cand)
-                    break
-                if len(cand) == 0:
-                    front = front[:0]
-                    break
-                front = np.concatenate([front[owner], cand[:, None]], axis=1)
-            if self._iep_k and len(front):
-                with span("depth", depth=loops, iep=self._iep_k) as sp:
-                    c = self._count_iep(front)
-                    sp.set(rows=len(front), blocks=len(self._iep_blocks), count=c)
-                total += c
-        return total
-
-    def enumerate_embeddings(
-        self, limit: int | None = None
-    ) -> Iterator[tuple[int, ...]]:
-        """Yield embeddings as tuples indexed by pattern vertex (lazy,
-        chunked like :meth:`FrontierEngine.enumerate_embeddings`)."""
-        plan = self.plan
-        if plan.iep_k > 0:
-            raise ValueError("enumeration requires a plan compiled with iep_k=0")
-        if plan.n > self._n:
-            return
-        schedule = plan.schedule
-        inverse = [0] * len(schedule)
-        for pos, v in enumerate(schedule):
-            inverse[v] = pos
-        remaining = float("inf") if limit is None else limit
-        for roots in self._root_chunks(first=64 if limit is not None else None):
-            front = roots[:, None]
-            for depth in range(1, plan.n):
-                owner, cand = self._extend(front, depth)
-                if len(cand) == 0:
-                    front = front[:0]
-                    break
-                front = np.concatenate([front[owner], cand[:, None]], axis=1)
-            for row in front:
-                if remaining <= 0:
-                    return
-                remaining -= 1
-                yield tuple(int(row[inverse[v]]) for v in range(len(schedule)))
 
 
 # ---------------------------------------------------------------------------
@@ -1298,14 +1063,12 @@ class DirectedFrontierEngine:
 # whenever the registry itself is imported; importing this module first
 # works too (the registry import below is cycle-free by then).
 from repro.core.backend import (  # noqa: E402
+    MODES,
     BackendCapabilities,
     ExecutionBackend,
     MatchContext,
     register_backend,
 )
-
-#: the matching modes the undirected frontier pipeline executes directly.
-_FRONTIER_MODES = frozenset({"plain", "induced", "labeled"})
 
 
 def frontier_engine_for(
@@ -1313,16 +1076,10 @@ def frontier_engine_for(
     *,
     root_chunk: int = DEFAULT_ROOT_CHUNK,
     aux: "bool | str" = "auto",
-) -> "FrontierEngine | DirectedFrontierEngine":
-    """Build the right frontier engine for a match context.
-
-    The one place that knows which engine class serves which mode —
-    shared by :class:`VectorisedBackend` and the distributed task
-    counter (:func:`repro.runtime.distributed.make_task_counter`), so a
-    new frontier-served mode lights up everywhere at once.
-    """
-    if ctx.mode == "directed":
-        return DirectedFrontierEngine(ctx.graph, ctx.plan, root_chunk=root_chunk)
+) -> FrontierEngine:
+    """The frontier engine for a match context — shared by
+    :class:`VectorisedBackend` and the distributed task counter
+    (:func:`repro.runtime.distributed.make_task_counter`)."""
     return FrontierEngine(
         ctx.graph,
         ctx.plan,
@@ -1346,7 +1103,7 @@ class VectorisedBackend(ExecutionBackend):
     name = "vectorised"
     supports_enumeration = True
     capabilities = BackendCapabilities(
-        modes=frozenset(_FRONTIER_MODES | {"directed"}),
+        modes=frozenset(MODES),
         iep_modes=frozenset({"plain", "directed"}),
         enumeration=True,
         traced=True,
@@ -1359,25 +1116,14 @@ class VectorisedBackend(ExecutionBackend):
         self.aux = aux
 
     def supports(self, ctx: MatchContext) -> bool:
-        if ctx.mode == "directed":
-            return isinstance(ctx.plan, DirectedPlan) and all(
-                ctx.plan.out_deps[d] or ctx.plan.in_deps[d]
-                for d in range(1, ctx.plan.n)
-            )
-        return (
-            ctx.mode in _FRONTIER_MODES
-            and isinstance(ctx.plan, ExecutionPlan)
-            and (ctx.plan.iep_k == 0 or ctx.mode == "plain")
-            and all(ctx.plan.deps[d] for d in range(1, ctx.plan.n))
-        )
-
-    def _engine(self, ctx: MatchContext) -> "FrontierEngine | DirectedFrontierEngine":
-        return frontier_engine_for(ctx, root_chunk=self.root_chunk, aux=self.aux)
+        return frontier_gap(ctx.plan, ctx.mode) is None
 
     def count(self, ctx: MatchContext) -> int:
         self._require(ctx)
-        return self._engine(ctx).count()
+        return frontier_engine_for(ctx, root_chunk=self.root_chunk, aux=self.aux).count()
 
     def enumerate_embeddings(self, ctx, limit=None):
         self._require(ctx)
-        return self._engine(ctx).enumerate_embeddings(limit=limit)
+        return frontier_engine_for(
+            ctx, root_chunk=self.root_chunk, aux=self.aux
+        ).enumerate_embeddings(limit=limit)

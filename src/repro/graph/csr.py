@@ -146,26 +146,6 @@ class Graph:
         indices = np.concatenate(rows) if rows else np.empty(0, dtype=VERTEX_DTYPE)
         return Graph(indptr, indices, name=f"{self.name}#sub" if self.name else "")
 
-    def relabel_by_degree(self, descending: bool = True) -> "Graph":
-        """Return an isomorphic graph with vertices renumbered by degree.
-
-        Degree ordering is a classic locality optimisation: restrictions
-        like ``id(u) > id(v)`` then correlate with degree, which changes
-        constant factors but not counts.  Exposed for experimentation.
-        """
-        order = np.argsort(-self.degrees if descending else self.degrees, kind="stable")
-        remap = np.empty(self.n_vertices, dtype=VERTEX_DTYPE)
-        remap[order] = np.arange(self.n_vertices, dtype=VERTEX_DTYPE)
-        rows = []
-        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        for new_id, old_id in enumerate(order):
-            mapped = remap[self.neighbors(int(old_id))]
-            mapped.sort()
-            rows.append(mapped)
-            indptr[new_id + 1] = indptr[new_id] + len(mapped)
-        indices = np.concatenate(rows) if rows else np.empty(0, dtype=VERTEX_DTYPE)
-        return Graph(indptr, indices, name=self.name)
-
     # ------------------------------------------------------------------
     # dunder
     # ------------------------------------------------------------------

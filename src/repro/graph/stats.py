@@ -160,12 +160,28 @@ def degree_statistics(graph: Graph) -> DegreeStats:
     return DegreeStats.of(graph)
 
 
-#: statistics known without a recount, by graph identity; an entry
-#: dies with its graph.  ``DynamicGraph.snapshot()`` registers the
-#: counters it maintains incrementally, so a snapshot's first session
-#: never counts triangles.  Identity, not graph equality, so an equal
-#: graph built elsewhere is still counted (tests use that as an oracle).
-_KNOWN_STATS: "dict[int, GraphStats]" = {}
+#: data derived from one graph (known statistics, sorted edge keys, a
+#: digraph's undirected view), one map per graph keyed by its identity;
+#: an entry dies with its graph.  Identity, not graph equality: graph
+#: hashes read only a prefix of the neighbour ids, so equal-prefix
+#: snapshots would collide and every lookup would compare whole arrays,
+#: and an equal graph built elsewhere must still be counted afresh
+#: (tests use that as an oracle).
+_MEMOS: "dict[int, dict[str, object]]" = {}
+
+
+def graph_memo(graph) -> "dict[str, object]":
+    """The derived-data map of a live graph (any immutable graph kind),
+    created empty on first use and dropped when the graph dies."""
+    memo = _MEMOS.get(id(graph))
+    if memo is None:
+        fresh: "dict[str, object]" = {}
+        # setdefault is atomic: racing threads agree on one map
+        memo = _MEMOS.setdefault(id(graph), fresh)
+        if memo is fresh:
+            # runs when the graph dies, before its id can be reused
+            weakref.finalize(graph, _MEMOS.pop, id(graph), None)
+    return memo
 
 
 @dataclass(frozen=True)
@@ -179,7 +195,7 @@ class GraphStats:
 
     @classmethod
     def of(cls, graph: Graph) -> "GraphStats":
-        known = _KNOWN_STATS.get(id(graph))
+        known = _MEMOS.get(id(graph), {}).get("stats")
         if known is not None:
             return known
         return cls(
@@ -191,10 +207,11 @@ class GraphStats:
 
     def remember(self, graph: Graph) -> None:
         """Make these the statistics :meth:`of` returns for ``graph``
-        (the caller vouches that they are exact for it)."""
-        _KNOWN_STATS[id(graph)] = self
-        # runs when the graph dies, before its id can be reused
-        weakref.finalize(graph, _KNOWN_STATS.pop, id(graph), None)
+        (the caller vouches that they are exact for it).
+        ``DynamicGraph.snapshot()`` registers the counters it maintains
+        incrementally, so a snapshot's first session never counts
+        triangles."""
+        graph_memo(graph)["stats"] = self
 
     # -- quantities exactly as defined in §IV-C --------------------------
     @property

@@ -358,13 +358,13 @@ BACKEND_FALLBACKS = REGISTRY.counter(
 )
 FRONTIER_ROWS = REGISTRY.counter(
     "repro_frontier_rows_total",
-    "Candidate rows gathered by the frontier engines before masking.",
+    "Candidate rows gathered by the frontier engine (every mode) before masking.",
 )
 FRONTIER_INTERSECTIONS = REGISTRY.counter(
     "repro_frontier_intersections_total",
-    "Bulk intersection/membership passes, by kernel "
-    "(membership, pooled, direct, directed, iep = one per IEP block "
-    "signature).",
+    "Bulk intersection/membership passes, by kernel, the same set in "
+    "every mode (membership = one per non-pivot dependency ref, pooled, "
+    "direct, iep = one per IEP block signature).",
     labels=("kernel",),
 )
 FRONTIER_SOURCES = REGISTRY.counter(

@@ -146,10 +146,11 @@ def make_task_counter(
     root-range task, with a fallback chain applied where the preferred
     strategy cannot serve the context:
 
-    * ``"vectorised"`` — one bulk frontier sweep per range (plain and
-      directed plans with or without an IEP suffix; labeled or induced
-      IEP-free plans; connected-prefix schedules); otherwise falls
-      through to
+    * ``"vectorised"`` — one bulk frontier sweep per range
+      (:meth:`~repro.core.vectorised.FrontierEngine.count_roots`, the
+      same engine in every mode: plain and directed plans with or
+      without an IEP suffix; labeled or induced IEP-free plans;
+      connected-prefix schedules); otherwise falls through to
     * ``"compiled"`` — the generated depth-1 prefix kernel, summed per
       root (plain :class:`~repro.core.config.ExecutionPlan` with at
       least two loops); otherwise
@@ -163,10 +164,8 @@ def make_task_counter(
     _check_inner(inner)
     from repro.core.vectorised import VectorisedBackend, frontier_engine_for
 
-    # Eligibility is the vectorised backend's own supports() predicate —
-    # one definition of what the frontier engine covers, no drift; the
-    # factory then builds the engine class matching the mode (directed
-    # contexts get the directed frontier engine).
+    # Eligibility is the vectorised backend's own supports() predicate,
+    # the same one the frontier engine's constructor enforces.
     if inner == "vectorised" and VectorisedBackend().supports(ctx):
         return frontier_engine_for(ctx).count_roots, "vectorised"
     worker = "compiled" if inner in ("vectorised", "compiled") else "interpreter"

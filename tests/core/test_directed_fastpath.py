@@ -2,7 +2,7 @@
 
 Three layers under test, all new in the directed-first-class change:
 
-* :class:`~repro.core.vectorised.DirectedFrontierEngine` — per-depth
+* :class:`~repro.core.vectorised.FrontierEngine` on a digraph — per-depth
   candidate pools drawn from the digraph's out-/in-CSR rows (antiparallel
   dependencies intersect both), restriction windows unchanged;
 * directed generated kernels (`generate_directed_source` /
@@ -33,7 +33,7 @@ from repro.core.reduction import (
     undirected_view,
 )
 from repro.core.session import MatchSession
-from repro.core.vectorised import DirectedFrontierEngine, frontier_engine_for
+from repro.core.vectorised import FrontierEngine, frontier_engine_for
 from repro.graph.digraph import DiGraph, price_citation_graph, random_digraph
 from repro.pattern.directed import (
     DiPattern,
@@ -73,19 +73,19 @@ def directed_ctx(graph, pattern, **plan_kwargs):
 
 
 # ---------------------------------------------------------------------------
-# DirectedFrontierEngine
+# FrontierEngine on a digraph
 # ---------------------------------------------------------------------------
 class TestDirectedFrontierEngine:
     @pytest.mark.parametrize("pattern", DIPATTERNS, ids=lambda p: p.name)
     def test_count_equals_bruteforce(self, dig, pattern):
         ctx = directed_ctx(dig, pattern)
-        engine = DirectedFrontierEngine(dig, ctx.plan)
+        engine = FrontierEngine(dig, ctx.plan)
         assert engine.count() == bruteforce_directed_count(dig, pattern)
 
     @pytest.mark.parametrize("pattern", DIPATTERNS[:4], ids=lambda p: p.name)
     def test_count_on_citation_graph(self, citation, pattern):
         ctx = directed_ctx(citation, pattern)
-        engine = DirectedFrontierEngine(citation, ctx.plan)
+        engine = FrontierEngine(citation, ctx.plan)
         assert engine.count() == DirectedMatcher(pattern).count(
             citation, backend="interpreter"
         )
@@ -93,14 +93,14 @@ class TestDirectedFrontierEngine:
     def test_small_root_chunk_is_equivalent(self, dig):
         p = transitive_triangle()
         ctx = directed_ctx(dig, p)
-        full = DirectedFrontierEngine(dig, ctx.plan).count()
-        chunked = DirectedFrontierEngine(dig, ctx.plan, root_chunk=7).count()
+        full = FrontierEngine(dig, ctx.plan).count()
+        chunked = FrontierEngine(dig, ctx.plan, root_chunk=7).count()
         assert chunked == full
 
     def test_count_roots_partial_sums_compose(self, dig):
         p = directed_cycle(3)
         ctx = directed_ctx(dig, p)
-        engine = DirectedFrontierEngine(dig, ctx.plan)
+        engine = FrontierEngine(dig, ctx.plan)
         roots = list(range(dig.n_vertices))
         split = engine.count_roots(roots[:13]) + engine.count_roots(roots[13:])
         assert split == engine.count()
@@ -109,14 +109,14 @@ class TestDirectedFrontierEngine:
         p = bi_fan()
         m = DirectedMatcher(p)
         ctx = directed_ctx(dig, p)
-        engine = DirectedFrontierEngine(dig, ctx.plan)
+        engine = FrontierEngine(dig, ctx.plan)
         got = set(engine.enumerate_embeddings())
         want = {tuple(e) for e in m.match(dig, backend="interpreter")}
         assert got == want
 
     def test_enumeration_limit(self, dig):
         ctx = directed_ctx(dig, directed_path(3))
-        engine = DirectedFrontierEngine(dig, ctx.plan)
+        engine = FrontierEngine(dig, ctx.plan)
         assert len(list(engine.enumerate_embeddings(limit=5))) == 5
 
     @pytest.mark.parametrize(
@@ -127,7 +127,7 @@ class TestDirectedFrontierEngine:
         # out-star k >= 2 (the bulk suffix, the star with a divisor).
         plan = DirectedMatcher(pattern).plan(dig, use_iep=True).plan
         assert plan.iep_k >= 1
-        engine = DirectedFrontierEngine(dig, plan)
+        engine = FrontierEngine(dig, plan)
         assert engine.count() == bruteforce_directed_count(dig, pattern)
 
     def test_rejects_disconnected_prefix(self, dig):
@@ -136,12 +136,12 @@ class TestDirectedFrontierEngine:
         plan = compile_directed_plan(bi_fan(), (0, 1, 2, 3), frozenset())
         assert not plan.out_deps[1] and not plan.in_deps[1]
         with pytest.raises(ValueError, match="connected"):
-            DirectedFrontierEngine(dig, plan)
+            FrontierEngine(dig, plan)
 
     def test_factory_dispatches_on_mode(self, dig):
         ctx = directed_ctx(dig, transitive_triangle())
         engine = frontier_engine_for(ctx)
-        assert isinstance(engine, DirectedFrontierEngine)
+        assert isinstance(engine, FrontierEngine)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +386,7 @@ class TestReductionDifferential:
 
 
 # ---------------------------------------------------------------------------
-# DiGraph identity plumbing (weak-keyed caches need eq/hash)
+# DiGraph equality and hashing
 # ---------------------------------------------------------------------------
 class TestDiGraphIdentity:
     def test_equal_digraphs_compare_equal(self):

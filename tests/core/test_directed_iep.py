@@ -33,7 +33,7 @@ from repro.core.query import MatchQuery
 from repro.core.restrictions import NonUniformOvercountError
 from repro.core.schedule import generate_schedules, intersection_free_suffix_length
 from repro.core.session import MatchSession
-from repro.core.vectorised import DirectedFrontierEngine
+from repro.core.vectorised import FrontierEngine
 from repro.graph.digraph import DiGraph, digraph_from_edges, random_digraph
 from repro.obs import metrics as obs_metrics
 from repro.pattern.automorphism import automorphisms
@@ -210,12 +210,12 @@ def test_every_orientation_matches_interpreter_and_bruteforce(skeleton):
         auts = directed_automorphisms(pattern)
         plan, free = _suffix_plans(pattern, schedule, auts)
         bulk += plan.iep_k >= 2
-        got = DirectedFrontierEngine(graph, plan).count()
+        got = FrontierEngine(graph, plan).count()
         expected = _oracle("recip-isolated-mid", skeleton, pattern, len(auts))
         assert got == DirectedEngine(graph, free).count() == expected, (
             pattern.arcs, plan.schedule, plan.iep_k, got, expected
         )
-        assert DirectedFrontierEngine(empty, plan).count() == 0
+        assert FrontierEngine(empty, plan).count() == 0
     assert bulk, "no orientation realised a bulk IEP suffix"
 
 
@@ -233,9 +233,9 @@ def test_catalogue_matches_interpreter_and_bruteforce(graph_name, name):
     graph = _graph(graph_name)
     expected = _expected(graph_name, name)
     plan, free = _catalogue_plans(name)
-    got = DirectedFrontierEngine(graph, plan).count()
+    got = FrontierEngine(graph, plan).count()
     assert got == DirectedEngine(graph, free).count() == expected, (plan.iep_k, got)
-    assert DirectedFrontierEngine(graph, plan, root_chunk=3).count() == expected
+    assert FrontierEngine(graph, plan, root_chunk=3).count() == expected
     # the session's own default plan (IEP on) runs on the frontier engine
     session = MatchSession(graph)
     query = MatchQuery(get_directed_pattern(name))
@@ -255,7 +255,7 @@ def test_catalogue_exercises_bulk_suffixes():
 def test_count_roots_partials_add_before_one_division(name):
     graph = _graph("recip-dense")
     plan, _ = _catalogue_plans(name)
-    engine = DirectedFrontierEngine(graph, plan)
+    engine = FrontierEngine(graph, plan)
     rng = np.random.default_rng(3)
     parts = np.array_split(rng.permutation(graph.vertices()), 3)
     raw = sum(engine.count_roots(np.sort(part)) for part in parts)
@@ -270,9 +270,9 @@ def test_exact_paths_agree_with_int64(monkeypatch, limit):
     Python-int evaluation paths; the counts must not move."""
     graph = _graph("recip-dense")
     names = ("dpath-4", "dpath-5", "outstar-3", "outstar-5")
-    expected = [DirectedFrontierEngine(graph, _catalogue_plans(n)[0]).count() for n in names]
+    expected = [FrontierEngine(graph, _catalogue_plans(n)[0]).count() for n in names]
     monkeypatch.setattr(vectorised, "IEP_INT64_LIMIT", limit)
-    got = [DirectedFrontierEngine(graph, _catalogue_plans(n)[0]).count() for n in names]
+    got = [FrontierEngine(graph, _catalogue_plans(n)[0]).count() for n in names]
     assert got == expected
 
 
@@ -286,7 +286,7 @@ def test_enumeration_of_a_default_directed_query_still_works():
     assert len(got) == session.count(query).count == _expected("recip-dense", "dpath-4")
     plan, _ = _catalogue_plans("dpath-4")
     with pytest.raises(ValueError, match="iep_k=0"):
-        next(DirectedFrontierEngine(graph, plan).enumerate_embeddings())
+        next(FrontierEngine(graph, plan).enumerate_embeddings())
 
 
 # ---------------------------------------------------------------------------

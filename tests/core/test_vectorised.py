@@ -16,8 +16,8 @@ Four layers of coverage:
   label masks run on the frontier);
 * auxiliary-graph pruning: forced-on/off/auto engines agree with brute
   force across the catalog, the scratch-CSR primitives match their
-  per-row reference intersections, and the weak-keyed edge-key cache
-  releases dropped graphs.
+  per-row reference intersections, and the identity-keyed edge-key
+  cache keeps equal graphs apart and releases dropped ones.
 """
 
 import numpy as np
@@ -489,28 +489,65 @@ class TestEnumerationLimits:
 
 
 # ---------------------------------------------------------------------------
-# the weak-keyed edge-key cache
+# the identity-keyed edge-key cache
 # ---------------------------------------------------------------------------
 class TestEdgeKeyCache:
     def test_cache_hits_for_live_graph(self):
-        from repro.core.vectorised import _graph_edge_keys
+        from repro.core.vectorised import graph_csrs
 
         g = erdos_renyi(30, 0.2, seed=9)
-        first = _graph_edge_keys(g)
-        assert _graph_edge_keys(g) is first
+        first = graph_csrs(g)
+        assert graph_csrs(g) is first
+        # an undirected graph has one CSR, read as both directions
+        assert first[0] is first[1]
 
     def test_dropped_graph_is_released(self):
         import gc
         import weakref
 
-        from repro.core.vectorised import _EDGE_KEY_CACHE, _graph_edge_keys
+        from repro.core.vectorised import graph_csrs
+        from repro.graph.stats import _MEMOS
 
         g = erdos_renyi(30, 0.2, seed=10)
-        _graph_edge_keys(g)
-        ref = weakref.ref(g)
-        assert any(k is g for k in _EDGE_KEY_CACHE.keys())
+        graph_csrs(g)
+        ref, key = weakref.ref(g), id(g)
+        assert key in _MEMOS
         del g
         gc.collect()
-        # the cache held only a weak reference: the graph (and with it
-        # the O(E) key array entry) is gone, not pinned like lru_cache(8)
+        # the cache held no strong reference: the graph and its O(E)
+        # key arrays are gone, not pinned like lru_cache(8)
         assert ref() is None
+        assert key not in _MEMOS
+
+    def test_equal_graphs_get_their_own_entries(self, monkeypatch):
+        """Lookups go by identity: equal graphs (which share a hash)
+        never reach ``__eq__``, and each keeps its own entry."""
+        from repro.core.reduction import undirected_view
+        from repro.core.vectorised import graph_csrs
+        from repro.graph.csr import Graph
+        from repro.graph.digraph import DiGraph, random_digraph
+        from repro.graph.stats import GraphStats
+
+        g = erdos_renyi(30, 0.2, seed=11)
+        d = random_digraph(30, 0.2, seed=11)
+        g2 = Graph(g.indptr.copy(), g.indices.copy())
+        d2 = DiGraph(
+            d.out_indptr.copy(), d.out_indices.copy(), d.in_indptr.copy(), d.in_indices.copy()
+        )
+        assert g2 == g and hash(g2) == hash(g) and d2 == d and hash(d2) == hash(d)
+
+        def refuse(self, other):
+            raise AssertionError("a per-graph cache compared graphs by value")
+
+        monkeypatch.setattr(Graph, "__eq__", refuse)
+        monkeypatch.setattr(DiGraph, "__eq__", refuse)
+        for a, b in ((g, g2), (d, d2)):
+            first, second = graph_csrs(a), graph_csrs(b)
+            assert first is not second
+            assert graph_csrs(a) is first and graph_csrs(b) is second
+            np.testing.assert_array_equal(first[1].keys, second[1].keys)
+        assert undirected_view(d) is not undirected_view(d2)
+        assert undirected_view(d) is undirected_view(d)
+        stats = GraphStats.of(g)
+        stats.remember(g)
+        assert GraphStats.of(g) is stats and GraphStats.of(g2) is not stats

@@ -90,14 +90,6 @@ class TestTransforms:
         assert sub.n_vertices == 2
         assert list(sub.edges()) == []
 
-    def test_relabel_by_degree_preserves_structure(self):
-        g = graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 2)])
-        r = g.relabel_by_degree()
-        assert r.n_vertices == g.n_vertices
-        assert r.n_edges == g.n_edges
-        assert r.degree(0) == g.max_degree  # hub first
-        assert sorted(r.degrees.tolist()) == sorted(g.degrees.tolist())
-
     def test_empty_graph(self):
         g = empty_graph(5)
         assert g.n_vertices == 5

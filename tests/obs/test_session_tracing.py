@@ -71,6 +71,49 @@ class TestSessionTracing:
         assert stages == ["restrictions", "schedules", "model", "codegen"]
         assert plan.children[2].attrs["n_configs"] > 0
 
+    @pytest.mark.parametrize("mode", ["plain", "induced", "labeled", "directed"])
+    def test_every_mode_shows_the_same_depth_spans(self, tracing, graph, mode):
+        """One frontier engine runs every mode, so every mode's depth
+        spans carry the same attributes and its passes the same
+        ``kernel`` and ``source`` labels."""
+        from repro.graph.digraph import DiGraph
+        from repro.graph.labeled import LabeledGraph
+        from repro.pattern.directed import DiPattern
+        from repro.pattern.labeled import LabeledPattern
+
+        house = get_pattern("house")
+        if mode == "labeled":
+            graph = LabeledGraph(graph, [0] * graph.n_vertices)
+            query = MatchQuery(LabeledPattern(house, (0,) * 5), use_iep=False)
+        elif mode == "directed":
+            graph = DiGraph.from_undirected(graph)
+            arcs = house.edges + [(v, u) for u, v in house.edges]
+            query = MatchQuery(DiPattern(5, arcs), use_iep=False)
+        else:
+            semantics = "induced" if mode == "induced" else "edge"
+            query = MatchQuery(house, semantics=semantics, use_iep=False)
+        before = obs_metrics.REGISTRY.snapshot()
+        result = MatchSession(graph).count(query)
+        assert result.backend == "vectorised"
+        moved = obs_metrics.REGISTRY.delta(before)
+        *extended, last = result.trace.find("depth")
+        assert [sp.attrs["depth"] for sp in extended + [last]] == [1, 2, 3, 4]
+        for sp in extended:
+            assert set(sp.attrs) == {"depth", "rows", "kept", "source"}
+        assert set(last.attrs) == {"depth", "last", "rows", "count"}
+        labeled = {key for key in moved if key.startswith("repro_frontier_") and "{" in key}
+        assert labeled <= {
+            'repro_frontier_intersections_total{kernel="membership"}',
+            'repro_frontier_intersections_total{kernel="direct"}',
+            'repro_frontier_intersections_total{kernel="pooled"}',
+            'repro_frontier_sources_total{source="csr"}',
+            'repro_frontier_sources_total{source="pool"}',
+        }
+        # a source decision per extended depth (labeled and induced
+        # plans also extend their innermost loop to mask it)
+        sources = sum(v for k, v in moved.items() if "source=" in k)
+        assert sources == len(extended) + (mode in ("labeled", "induced"))
+
     def test_restrictions_span_counts_algorithm_1_branches(self, tracing, graph):
         """A pentagon's search cuts branches whose K_n count cannot
         validate; the span reports both kinds of branch."""
