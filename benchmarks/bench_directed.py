@@ -2,7 +2,7 @@
 
 Two claims under measurement:
 
-1. **Fast-path execution** — IEP-free `DirectedPlan`s run on the
+1. **Fast-path execution** — IEP-free directed plans run on the
    vectorised frontier engine and on generated directed kernels; the
    best fast path must beat the nested-loop interpreter by a decisive
    geometric-mean factor over the directed catalog patterns.

@@ -49,7 +49,7 @@ def census(graph, label: str) -> None:
         report = matcher.plan(graph)
         count = matcher.count(graph, report=report)
         res = (
-            ", ".join(f"id({g})>id({s})" for g, s in sorted(report.plan.restrictions))
+            ", ".join(f"id({g})>id({s})" for g, s in sorted(report.plan.config.restrictions))
             or "(none needed)"
         )
         from repro.pattern.directed import directed_automorphism_count

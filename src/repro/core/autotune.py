@@ -124,18 +124,13 @@ def query_signature(query: Any) -> tuple:
 def context_signature(ctx: Any) -> tuple:
     """:func:`pattern_signature` recovered from an executable context.
 
-    Computed from the plan alone (every pattern edge appears exactly
-    once as a dependency of the later-scheduled endpoint; a directed
-    plan splits them across ``out_deps``/``in_deps``), so it agrees with
-    :func:`query_signature` of the query that produced the plan.
+    Computed from the plan alone (every pattern edge — every arc of a
+    directed pattern — appears exactly once as a dependency ref of the
+    later-scheduled endpoint), so it agrees with :func:`query_signature`
+    of the query that produced the plan.
     """
     plan = ctx.plan
-    if ctx.mode == "directed":
-        n_edges = sum(
-            len(o) + len(i) for o, i in zip(plan.out_deps, plan.in_deps)
-        )
-    else:
-        n_edges = sum(len(d) for d in plan.deps)
+    n_edges = sum(len(refs) for refs in plan.refs)
     return pattern_signature(ctx.mode, plan.n, n_edges)
 
 

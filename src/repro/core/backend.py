@@ -9,6 +9,9 @@ so this module gives the system a single execution seam:
 * :class:`MatchContext` — everything needed to execute one planned
   matching job: the data graph, the compiled plan, the matching mode
   (plain / induced / labeled / directed) and any pre-generated kernel.
+  The plan carries the mode's operations (:mod:`repro.core.config`), so
+  no executor dispatches on the mode; the context checks once that the
+  graph kind, the mode and the plan agree.
 * :class:`ExecutionBackend` — the strategy interface: ``count`` a
   context, optionally ``enumerate_embeddings`` from it.
 * a registry — backends register under a name; ``get_backend`` builds
@@ -44,8 +47,10 @@ from importlib import import_module
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core.config import Configuration, ExecutionPlan
-from repro.core.directed import DirectedPlan
 from repro.core.engine import Engine
+from repro.graph.csr import Graph
+from repro.graph.digraph import DiGraph
+from repro.graph.labeled import LabeledGraph
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 
@@ -68,12 +73,12 @@ class BackendUnsupportedError(ValueError):
 class MatchContext:
     """One executable matching job, backend-agnostic.
 
-    ``graph``/``plan`` types vary by mode: a :class:`repro.graph.csr.Graph`
-    + :class:`ExecutionPlan` for plain/induced, a
-    :class:`repro.graph.labeled.LabeledGraph` + :class:`ExecutionPlan`
-    (plus ``lpattern``) for labeled, a
-    :class:`repro.graph.digraph.DiGraph` +
-    :class:`repro.core.directed.DirectedPlan` for directed.
+    ``plan`` is an :class:`ExecutionPlan` lowered for ``mode``.  The
+    graph kind follows the mode: a :class:`repro.graph.digraph.DiGraph`
+    for directed contexts (and for those only), a
+    :class:`repro.graph.labeled.LabeledGraph` for labeled ones, and a
+    :class:`repro.graph.csr.Graph` — or a labeled graph, whose structure
+    is read — for plain and induced ones.
 
     ``generated`` optionally carries the kernel the planner already
     compiled, so the compiled backend never re-generates it.
@@ -82,38 +87,33 @@ class MatchContext:
     graph: Any
     plan: Any
     mode: str = "plain"
-    lpattern: Any = None
     generated: GeneratedCounter | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}: expected one of {MODES}")
-        if self.mode == "labeled" and self.lpattern is None:
-            raise ValueError("labeled contexts need the labeled pattern")
-
-
-def make_engine(ctx: MatchContext):
-    """The interpreter engine matching a context's mode.
-
-    This is the single place that knows which engine class implements
-    which semantics; the interpreter and parallel backends (master *and*
-    workers) all build their engines here.
-    """
-    if ctx.mode == "plain":
-        return Engine(ctx.graph, ctx.plan)
-    if ctx.mode == "induced":
-        from repro.core.induced import InducedEngine
-
-        return InducedEngine(ctx.graph, ctx.plan)
-    if ctx.mode == "labeled":
-        from repro.core.labeled import LabeledEngine
-
-        return LabeledEngine(ctx.graph, ctx.plan, ctx.lpattern)
-    if ctx.mode == "directed":
-        from repro.core.directed import DirectedEngine
-
-        return DirectedEngine(ctx.graph, ctx.plan)
-    raise ValueError(f"unknown mode {ctx.mode!r}")  # pragma: no cover
+        plan_mode = getattr(self.plan, "mode", None)
+        if plan_mode != self.mode:
+            raise ValueError(
+                f"a {self.mode} context needs a plan lowered for {self.mode} "
+                f"matching, got a {plan_mode or type(self.plan).__name__} plan"
+            )
+        if self.mode == "directed":
+            fits = isinstance(self.graph, DiGraph)
+        elif self.mode == "labeled":
+            fits = isinstance(self.graph, LabeledGraph)
+        else:
+            fits = isinstance(self.graph, (Graph, LabeledGraph))
+        if not fits:
+            raise TypeError(
+                f"a {self.mode} context cannot run on a "
+                f"{type(self.graph).__name__}: directed contexts need a "
+                "DiGraph (and a DiGraph serves only them), labeled ones a "
+                "LabeledGraph, plain and induced ones a Graph or LabeledGraph"
+            )
+        if self.mode != "labeled" and isinstance(self.graph, LabeledGraph):
+            # plain and induced matching read the structure only
+            object.__setattr__(self, "graph", self.graph.graph)
 
 
 def make_prefix_counter(
@@ -130,7 +130,6 @@ def make_prefix_counter(
     if (
         worker_backend == "compiled"
         and ctx.mode == "plain"
-        and isinstance(ctx.plan, ExecutionPlan)
         and 1 <= split_depth < ctx.plan.n_loops
     ):
         from repro.core.codegen import compile_prefix_function
@@ -138,7 +137,7 @@ def make_prefix_counter(
         kernel = compile_prefix_function(ctx.plan, split_depth)
         graph = ctx.graph
         return (lambda prefix: kernel(graph, prefix)), "compiled"
-    return make_engine(ctx).count_prefix, "interpreter"
+    return Engine(ctx.graph, ctx.plan).count_prefix, "interpreter"
 
 
 # ---------------------------------------------------------------------------
@@ -431,38 +430,30 @@ class InterpreterBackend(ExecutionBackend):
     def count(self, ctx: MatchContext) -> int:
         self._require(ctx)
         with span("interpret", mode=ctx.mode):
-            return make_engine(ctx).count()
+            return Engine(ctx.graph, ctx.plan).count()
 
     def enumerate_embeddings(self, ctx, limit=None):
         self._require(ctx)
-        return make_engine(ctx).enumerate_embeddings(limit=limit)
+        return Engine(ctx.graph, ctx.plan).enumerate_embeddings(limit=limit)
+
+
+def has_kernel(plan: ExecutionPlan) -> bool:
+    """Whether code generation specialises ``plan``: every IEP-free
+    plan, and IEP suffixes under plain edge semantics (the generated
+    IEP arithmetic has no label filter and no directed expansion)."""
+    return plan.iep_k == 0 or plan.mode == "plain"
 
 
 def compile_for_context(ctx: MatchContext) -> GeneratedCounter:
-    """Generate the kernel matching a context's semantics.
+    """Generate the kernel of a context's plan.
 
-    The single mode -> generator dispatch: the compiled backend and the
-    session's kernel cache both go through here, so a context is never
-    paired with a kernel of the wrong semantics.
+    The one kernel entry point: the compiled backend and the session's
+    kernel cache both go through here, and the generator reads the
+    plan's operations, so a kernel always has its plan's semantics.
     """
-    from repro.core.codegen import (
-        compile_directed_function,
-        compile_induced_function,
-        compile_labeled_function,
-        compile_plan_function,
-    )
+    from repro.core.codegen import compile_plan_function
 
-    if ctx.mode == "plain":
-        return compile_plan_function(ctx.plan)
-    if ctx.mode == "induced":
-        return compile_induced_function(ctx.plan)
-    if ctx.mode == "labeled":
-        return compile_labeled_function(ctx.plan, ctx.lpattern)
-    if ctx.mode == "directed":
-        return compile_directed_function(ctx.plan)
-    raise BackendUnsupportedError(
-        f"no kernel generator for mode {ctx.mode!r}"
-    )
+    return compile_plan_function(ctx.plan)
 
 
 @register_backend
@@ -477,29 +468,15 @@ class CompiledBackend(ExecutionBackend):
     )
 
     def supports(self, ctx: MatchContext) -> bool:
-        if ctx.mode == "directed":
-            # Directed kernels are innermost-count variants like the
-            # labeled/induced ones: IEP-suffix plans fall back (the
-            # session plans IEP-free for a compiled preference, see
-            # ``iep_modes``).
-            return isinstance(ctx.plan, DirectedPlan) and ctx.plan.iep_k == 0
-        if not isinstance(ctx.plan, ExecutionPlan):
-            return False
-        if ctx.mode == "plain":
-            return True
-        # Labeled/induced kernels are innermost-count variants: the IEP
-        # arithmetic assumes plain edge semantics, so an IEP-suffix plan
-        # must fall back (the session plans these IEP-free for it).
-        return ctx.mode in ("induced", "labeled") and ctx.plan.iep_k == 0
+        # Outside plain mode the kernels are innermost-count variants:
+        # an IEP-suffix plan falls back (the session plans IEP-free for
+        # a compiled preference, see ``iep_modes``).
+        return has_kernel(ctx.plan)
 
     def count(self, ctx: MatchContext) -> int:
         self._require(ctx)
         generated = ctx.generated
-        regenerated = (
-            generated is None
-            or generated.plan is not ctx.plan
-            or generated.mode != ctx.mode
-        )
+        regenerated = generated is None or generated.plan is not ctx.plan
         if regenerated:
             generated = compile_for_context(ctx)
         with span("kernel", mode=ctx.mode, regenerated=regenerated):
@@ -520,8 +497,8 @@ class ParallelBackend(ExecutionBackend):
     # generated_kernels stays False: workers compile their own *prefix*
     # kernels (make_prefix_counter); a whole-plan kernel shipped in the
     # context is never executed, so planning one would be pure waste.
-    # Prefix workers are interpreter engines outside plain mode, and
-    # every engine family but the induced one runs an IEP suffix.
+    # Prefix workers are interpreter engines outside plain mode, which
+    # run an IEP suffix in every mode but the induced one.
     capabilities = BackendCapabilities(modes=frozenset(MODES), iep_modes=IEP_MODES)
 
     def __init__(
@@ -538,8 +515,8 @@ class ParallelBackend(ExecutionBackend):
         self.worker_backend = worker_backend
 
     def supports(self, ctx: MatchContext) -> bool:
-        # Every engine family implements the prefix-task protocol; a
-        # 1-loop plan has no outer loop to split on, so fall back.
+        # The interpreter implements the prefix-task protocol in every
+        # mode; a 1-loop plan has no outer loop to split on, so fall back.
         return ctx.mode in MODES and ctx.plan.n_loops >= 2
 
     def count(self, ctx: MatchContext) -> int:

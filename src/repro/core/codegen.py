@@ -8,7 +8,10 @@ constants folded, restriction bounds inlined, intersections *hoisted* to
 the loop where their last operand is bound (exactly Fig. 5(b), where
 ``tmpAB`` is computed in the B loop and reused across the D loop), and
 IEP blocks expanded into explicit arithmetic.  ``compile_plan_function``
-``exec``s the source.
+``exec``s the source.  One generator serves every mode: it reads the
+plan's per-depth refs, labels and anti columns
+(:mod:`repro.core.config`), so a directed, labeled or induced kernel is
+the same loop nest with other row bindings and filters.
 
 The generated function is semantically identical to the interpreter
 (:mod:`repro.core.engine`); tests assert equality on random inputs.  It
@@ -28,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.config import ExecutionPlan
+from repro.core.config import IN, OUT, ExecutionPlan
 from repro.core.iep import partition_coefficient, set_partitions
 from repro.graph.csr import Graph
 from repro.graph.intersection import bounded_slice, contains, difference, intersect_many
@@ -38,18 +41,19 @@ from repro.graph.intersection import bounded_slice, contains, difference, inters
 class GeneratedCounter:
     """A compiled counting function plus its source (for inspection).
 
-    ``mode`` records the matching semantics the kernel was generated
-    for (``"plain"``/``"induced"``/``"labeled"``/``"directed"``) — the
-    backend uses it
-    to detect that a cached kernel does not fit the current context
-    (same plan object, different semantics) and must be regenerated.
-    Labeled kernels take a :class:`~repro.graph.labeled.LabeledGraph`.
+    The kernel takes the graph kind its plan's mode runs on (a
+    :class:`~repro.graph.labeled.LabeledGraph` for a labeled plan, a
+    :class:`~repro.graph.digraph.DiGraph` for a directed one).
     """
 
     plan: ExecutionPlan
     source: str
     function: Callable[[Graph], int]
-    mode: str = "plain"
+
+    @property
+    def mode(self) -> str:
+        """The matching semantics the kernel was generated for."""
+        return self.plan.mode
 
     def __call__(self, graph) -> int:
         return self.function(graph)
@@ -86,29 +90,29 @@ def _bounds_expr(plan: ExecutionPlan, depth: int, base: str) -> tuple[str | None
     return f"s{depth} = bounded_slice({base}, {lo}, {hi})", f"s{depth}"
 
 
-def _candidate_stmts(
-    plan: ExecutionPlan,
-    depth: int,
-    base: str,
-    depth_labels: tuple | None,
-    antideps: tuple | None,
-) -> tuple[list[str], str]:
-    """Return (stmts, var): restriction bounds, then the mode-specific
-    filters — label equality (labeled) and anti-edge differences
-    (induced).  Every stage preserves sortedness, so the innermost
-    ``contains`` corrections keep working on the final variable."""
+def _candidate_stmts(plan: ExecutionPlan, depth: int, base: str) -> tuple[list[str], str]:
+    """Return (stmts, var): restriction bounds, then the depth's label
+    equality and anti-edge differences.  Every stage preserves
+    sortedness, so the innermost ``contains`` corrections keep working
+    on the final variable."""
     stmts: list[str] = []
     stmt, var = _bounds_expr(plan, depth, base)
     if stmt:
         stmts.append(stmt)
-    if depth_labels is not None:
-        stmts.append(f"l{depth} = {var}[labels[{var}] == {depth_labels[depth]}]")
+    if plan.labels[depth] is not None:
+        stmts.append(f"l{depth} = {var}[labels[{var}] == {plan.labels[depth]}]")
         var = f"l{depth}"
-    if antideps is not None:
-        for j in antideps[depth]:
-            stmts.append(f"x{depth} = difference({var}, nb{j})")
-            var = f"x{depth}"
+    for j in plan.anti[depth]:
+        stmts.append(f"x{depth} = difference({var}, {_row_var(plan, j, OUT)})")
+        var = f"x{depth}"
     return stmts, var
+
+
+def _row_var(plan: ExecutionPlan, j: int, way: int) -> str:
+    """The variable holding ``v{j}``'s row in direction ``way``."""
+    if way == IN:
+        return f"ib{j}"
+    return f"ob{j}" if plan.mode == "directed" else f"nb{j}"
 
 
 def generate_source(
@@ -116,8 +120,6 @@ def generate_source(
     func_name: str = "generated_count",
     *,
     split_depth: int = 0,
-    depth_labels: tuple | None = None,
-    antideps: tuple | None = None,
 ) -> str:
     """Emit the specialised counting function's Python source.
 
@@ -130,14 +132,14 @@ def generate_source(
     return the *raw* count — the IEP overcount divisor is applied once
     by the aggregator, mirroring ``Engine.count_prefix``.
 
-    ``depth_labels`` (one data-label per schedule position) switches the
-    kernel to labeled semantics — the function then takes a
-    :class:`~repro.graph.labeled.LabeledGraph` and filters every depth's
-    candidates by label.  ``antideps`` (per depth, the earlier columns
-    the pattern does *not* connect to) switches to vertex-induced
-    semantics — candidates adjacent to an anti-dependency are removed
-    with sorted ``difference``.  Both are innermost-count variants:
-    they require ``iep_k == 0`` and a whole-nest kernel.
+    Every mode is read off the plan's operations: each depth's raw
+    candidates intersect the rows its refs name (``nb{j}`` on an
+    undirected graph, ``ob{j}``/``ib{j}`` for the out-/in-CSR rows of a
+    digraph), a wanted label becomes a label-equality filter on a
+    :class:`~repro.graph.labeled.LabeledGraph`'s ``labels``, and anti
+    columns become sorted ``difference`` filters.  An IEP suffix expands
+    under plain edge semantics only (see
+    :func:`~repro.core.backend.has_kernel`).
     """
     n = plan.n
     n_loops = plan.n_loops
@@ -145,14 +147,11 @@ def generate_source(
         raise ValueError(
             f"split_depth must be in [0, {n_loops - 1}], got {split_depth}"
         )
-    if depth_labels is not None and antideps is not None:
-        raise ValueError("labeled induced kernels are not supported")
-    if (depth_labels is not None or antideps is not None) and (
-        plan.iep_k > 0 or split_depth
-    ):
+    if plan.iep_k > 0 and plan.mode != "plain":
         raise ValueError(
-            "labeled/induced kernels require iep_k == 0 and split_depth == 0"
+            f"{plan.mode} kernels require an IEP-free plan (iep_k == 0)"
         )
+    directed = plan.mode == "directed"
     indent = "    "
     lines: list[str] = []
     emit = lines.append
@@ -162,63 +161,70 @@ def generate_source(
     emit(f'    """Generated for {plan.config.describe()}')
     if split_depth:
         emit(f"    Worker kernel: outermost {split_depth} loops bound by prefix.")
-    if depth_labels is not None:
-        emit(f"    Labeled kernel: per-depth labels {depth_labels}.")
-    if antideps is not None:
+    if plan.mode == "labeled":
+        emit(f"    Labeled kernel: per-depth labels {plan.labels}.")
+    if plan.mode == "induced":
         emit("    Vertex-induced kernel: anti-edges excluded per depth.")
+    if directed:
+        emit(f"    Directed kernel: (column, 0 out / 1 in) refs per depth {plan.refs}.")
     if plan.iep_k:
         emit(f"    IEP over the innermost {plan.iep_k} loops; overcount divisor "
              f"{plan.iep_overcount}.")
     emit('    """')
-    if depth_labels is not None:
-        emit("    indptr = graph.graph.indptr")
-        emit("    indices = graph.graph.indices")
-        emit("    labels = graph.labels")
+    if directed:
+        csr = {OUT: ("out_indptr", "out_indices"), IN: ("in_indptr", "in_indices")}
+        for indptr, indices in csr.values():
+            emit(f"    {indptr} = graph.{indptr}")
+            emit(f"    {indices} = graph.{indices}")
     else:
-        emit("    indptr = graph.indptr")
-        emit("    indices = graph.indices")
+        csr = {OUT: ("indptr", "indices")}
+        base = "graph.graph" if plan.mode == "labeled" else "graph"
+        emit(f"    indptr = {base}.indptr")
+        emit(f"    indices = {base}.indices")
+        if plan.mode == "labeled":
+            emit("    labels = graph.labels")
     emit("    nv = graph.n_vertices")
     emit(f"    if nv < {n}:")
     emit("        return 0")
     emit("    total = 0")
-    if any(not plan.deps[d] for d in range(split_depth, n)):
-        emit("    all_vertices = np.arange(nv, dtype=indices.dtype)")
+    if any(not plan.refs[d] for d in range(split_depth, n)):
+        emit(f"    all_vertices = np.arange(nv, dtype={csr[OUT][1]}.dtype)")
 
     # ------------------------------------------------------------------
     # hoisting plan
     # ------------------------------------------------------------------
-    # nb{d} needed if depth d's value feeds an intersection/raw set at an
-    # *executed* depth (>= split_depth; prefix depths have no candidates)
-    # — or an anti-edge difference, for induced kernels.
-    nb_needed = [
-        any(d in plan.deps[later] for later in range(max(d + 1, split_depth), n))
-        or (
-            antideps is not None
-            and any(d in antideps[later] for later in range(d + 1, n))
-        )
-        for d in range(n)
-    ]
-    # Raw candidate var per executed/inner depth: all_vertices / nb{j} /
-    # hoisted c{d}.  A multi-dep intersection whose operands are all
+    # The row of v{j} in direction `way` is bound once v{j} is, if a ref
+    # or an anti column of an *executed* depth (>= split_depth; prefix
+    # depths have no candidates) reads it.
+    rows_needed = {
+        ref for d in range(split_depth, n) for ref in plan.refs[d]
+    } | {(j, OUT) for d in range(split_depth, n) for j in plan.anti[d]}
+    # Raw candidate var per executed/inner depth: all_vertices / one row /
+    # hoisted c{d}.  A multi-ref intersection whose operands are all
     # prefix-bound hoists into the preamble.
     raw_var: dict[int, str] = {}
     hoist_at: dict[int, list[int]] = {}
     for d in range(split_depth, n):
-        deps = plan.deps[d]
-        if not deps:
+        refs = plan.refs[d]
+        if not refs:
             raw_var[d] = "all_vertices"
-        elif len(deps) == 1:
-            raw_var[d] = f"nb{deps[0]}"
+        elif len(refs) == 1:
+            raw_var[d] = _row_var(plan, *refs[0])
         else:
             raw_var[d] = f"c{d}"
-            hoist_at.setdefault(max(deps), []).append(d)
+            hoist_at.setdefault(max(j for j, _ in refs), []).append(d)
 
     def emit_loop_body_setup(depth: int, pad: str) -> None:
-        """nb binding + hoisted intersections, after v{depth} is bound."""
-        if nb_needed[depth]:
-            emit(f"{pad}nb{depth} = indices[indptr[v{depth}]:indptr[v{depth}+1]]")
+        """Row bindings + hoisted intersections, after v{depth} is bound."""
+        for way in (OUT, IN):
+            if (depth, way) in rows_needed:
+                indptr, indices = csr[way]
+                emit(
+                    f"{pad}{_row_var(plan, depth, way)} = "
+                    f"{indices}[{indptr}[v{depth}]:{indptr}[v{depth}+1]]"
+                )
         for d in hoist_at.get(depth, ()):
-            args = ", ".join(f"nb{j}" for j in plan.deps[d])
+            args = ", ".join(_row_var(plan, j, way) for j, way in plan.refs[d])
             emit(f"{pad}c{d} = intersect_many([{args}])")
 
     # ------------------------------------------------------------------
@@ -233,9 +239,7 @@ def generate_source(
     # ------------------------------------------------------------------
     for depth in range(split_depth, n_loops - 1):
         pad = indent * (depth - split_depth + 1)
-        stmts, cand = _candidate_stmts(
-            plan, depth, raw_var[depth], depth_labels, antideps
-        )
+        stmts, cand = _candidate_stmts(plan, depth, raw_var[depth])
         for stmt in stmts:
             emit(f"{pad}{stmt}")
         # .tolist() iterates plain Python ints: cheaper per-iteration
@@ -254,7 +258,7 @@ def generate_source(
     # ------------------------------------------------------------------
     last = n_loops - 1
     pad = indent * (last - split_depth + 1)
-    stmts, cand = _candidate_stmts(plan, last, raw_var[last], depth_labels, antideps)
+    stmts, cand = _candidate_stmts(plan, last, raw_var[last])
     for stmt in stmts:
         emit(f"{pad}{stmt}")
     if plan.iep_k == 0:
@@ -355,7 +359,7 @@ def _emit_iep(plan: ExecutionPlan, emit, pad: str, raw_var: dict[int, str]) -> N
     emit(f"{pad}total += {expr}")
 
 
-def _exec_generated(source: str, plan, func_name: str):
+def _exec_generated(source: str, plan: ExecutionPlan, func_name: str):
     namespace = {
         "np": np,
         "intersect_many": intersect_many,
@@ -363,194 +367,45 @@ def _exec_generated(source: str, plan, func_name: str):
         "contains": contains,
         "difference": difference,
     }
-    # Undirected plans carry the pattern on plan.config; directed plans
-    # expose it directly.
-    pattern = getattr(getattr(plan, "config", plan), "pattern", None)
-    label = getattr(pattern, "name", "") or "pattern"
+    label = plan.config.pattern.name or "pattern"
     exec(compile(source, f"<generated:{label}>", "exec"), namespace)
     return namespace[func_name]
 
 
 def compile_plan_function(plan: ExecutionPlan) -> GeneratedCounter:
-    """Generate, ``exec`` and wrap the specialised counter."""
+    """Generate, ``exec`` and wrap the specialised counter of any plan."""
+    return _generate(plan)
+
+
+def _generate(plan: ExecutionPlan) -> GeneratedCounter:
     source = generate_source(plan)
     function = _exec_generated(source, plan, "generated_count")
     return GeneratedCounter(plan=plan, source=source, function=function)
 
 
+# Mode-checked entry points: each refuses a plan lowered for another mode
+# and generates through the one generator.
+def _compile_mode(plan: ExecutionPlan, mode: str) -> GeneratedCounter:
+    if plan.mode != mode:
+        raise ValueError(f"expected a {mode} plan, got a {plan.mode} plan")
+    return _generate(plan)
+
+
 def compile_induced_function(plan: ExecutionPlan) -> GeneratedCounter:
-    """The vertex-induced specialisation of :func:`compile_plan_function`.
-
-    Anti-dependencies (earlier schedule positions the pattern does not
-    connect to the current vertex) become sorted ``difference`` filters
-    in the generated nest.  IEP plans are rejected: the inclusion–
-    exclusion formula assumes edge semantics (the session never plans
-    IEP for induced queries).
-    """
-    if plan.iep_k > 0:
-        raise ValueError("induced kernels require an IEP-free plan (iep_k == 0)")
-    pattern = plan.config.pattern
-    schedule = plan.config.schedule
-    antideps = tuple(
-        tuple(j for j in range(d) if not pattern.has_edge(v, schedule[j]))
-        for d, v in enumerate(schedule)
-    )
-    source = generate_source(
-        plan, func_name="generated_count_induced", antideps=antideps
-    )
-    function = _exec_generated(source, plan, "generated_count_induced")
-    return GeneratedCounter(
-        plan=plan, source=source, function=function, mode="induced"
-    )
+    """:func:`compile_plan_function` of an induced plan."""
+    return _compile_mode(plan, "induced")
 
 
-def compile_labeled_function(plan: ExecutionPlan, lpattern) -> GeneratedCounter:
-    """The labeled specialisation: per-depth label filters, folded in as
-    constants from ``lpattern``.  The returned kernel takes a
-    :class:`~repro.graph.labeled.LabeledGraph`.  IEP plans are rejected
-    (labeled planning is IEP-free by construction)."""
-    if plan.iep_k > 0:
-        raise ValueError("labeled kernels require an IEP-free plan (iep_k == 0)")
-    depth_labels = tuple(lpattern.labels[v] for v in plan.config.schedule)
-    source = generate_source(
-        plan, func_name="generated_count_labeled", depth_labels=depth_labels
-    )
-    function = _exec_generated(source, plan, "generated_count_labeled")
-    return GeneratedCounter(
-        plan=plan, source=source, function=function, mode="labeled"
-    )
+def compile_labeled_function(plan: ExecutionPlan) -> GeneratedCounter:
+    """:func:`compile_plan_function` of a labeled plan; the kernel takes
+    a :class:`~repro.graph.labeled.LabeledGraph`."""
+    return _compile_mode(plan, "labeled")
 
 
-def generate_directed_source(
-    plan, func_name: str = "generated_count_directed"
-) -> str:
-    """Emit the specialised counter for one directed plan.
-
-    The directed analogue of :func:`generate_source`: the loop nest is
-    unrolled over the plan's schedule, but each depth's raw candidate
-    set intersects *out*-CSR rows for its ``out_deps`` and *in*-CSR
-    rows for its ``in_deps`` (an antiparallel dependency contributes
-    both rows to the intersection).  Row bindings are hoisted to the
-    loop that binds their vertex — ``ob{j}``/``ib{j}`` are the out/in
-    rows of ``v{j}`` — and restriction bounds inline exactly as in the
-    undirected generator (they compare ids, never directions).
-
-    IEP plans are rejected: the session plans IEP-free for a compiled
-    preference (its ``iep_modes`` is plain only), and the overcount
-    expansion has no directed generator.
-    """
-    if plan.iep_k > 0:
-        raise ValueError("directed kernels require an IEP-free plan (iep_k == 0)")
-    n = plan.n
-    indent = "    "
-    lines: list[str] = []
-    emit = lines.append
-
-    emit(f"def {func_name}(graph):")
-    emit(f'    """Generated directed counter: schedule={tuple(plan.schedule)},')
-    emit(f"    arcs={tuple(plan.pattern.arcs)},")
-    emit(f"    restrictions={sorted(plan.restrictions)}.")
-    emit('    """')
-    emit("    out_indptr = graph.out_indptr")
-    emit("    out_indices = graph.out_indices")
-    emit("    in_indptr = graph.in_indptr")
-    emit("    in_indices = graph.in_indices")
-    emit("    nv = graph.n_vertices")
-    emit(f"    if nv < {n}:")
-    emit("        return 0")
-    emit("    total = 0")
-    if any(not (plan.out_deps[d] or plan.in_deps[d]) for d in range(n)):
-        emit("    all_vertices = np.arange(nv, dtype=out_indices.dtype)")
-
-    # ------------------------------------------------------------------
-    # hoisting plan: which row bindings each bound vertex must expose,
-    # and where multi-dependency intersections are computed.
-    # ------------------------------------------------------------------
-    ob_needed = [
-        any(d in plan.out_deps[later] for later in range(d + 1, n)) for d in range(n)
-    ]
-    ib_needed = [
-        any(d in plan.in_deps[later] for later in range(d + 1, n)) for d in range(n)
-    ]
-    ref_vars = [
-        tuple(f"ob{j}" for j in plan.out_deps[d])
-        + tuple(f"ib{j}" for j in plan.in_deps[d])
-        for d in range(n)
-    ]
-    raw_var: dict[int, str] = {}
-    hoist_at: dict[int, list[int]] = {}
-    for d in range(n):
-        refs = ref_vars[d]
-        if not refs:
-            raw_var[d] = "all_vertices"
-        elif len(refs) == 1:
-            raw_var[d] = refs[0]
-        else:
-            raw_var[d] = f"c{d}"
-            hoist_at.setdefault(
-                max(plan.out_deps[d] + plan.in_deps[d]), []
-            ).append(d)
-
-    def emit_loop_body_setup(depth: int, pad: str) -> None:
-        if ob_needed[depth]:
-            emit(
-                f"{pad}ob{depth} = "
-                f"out_indices[out_indptr[v{depth}]:out_indptr[v{depth}+1]]"
-            )
-        if ib_needed[depth]:
-            emit(
-                f"{pad}ib{depth} = "
-                f"in_indices[in_indptr[v{depth}]:in_indptr[v{depth}+1]]"
-            )
-        for d in hoist_at.get(depth, ()):
-            args = ", ".join(ref_vars[d])
-            emit(f"{pad}c{d} = intersect_many([{args}])")
-
-    # ------------------------------------------------------------------
-    # outer loops
-    # ------------------------------------------------------------------
-    for depth in range(n - 1):
-        pad = indent * (depth + 1)
-        stmt, cand = _bounds_expr(plan, depth, raw_var[depth])
-        if stmt:
-            emit(f"{pad}{stmt}")
-        emit(f"{pad}for v{depth} in {cand}.tolist():")
-        body = indent * (depth + 2)
-        distinct = [f"v{depth} != v{j}" for j in range(depth)]
-        if distinct:
-            emit(f"{body}if not ({' and '.join(distinct)}):")
-            emit(f"{body}{indent}continue")
-        emit_loop_body_setup(depth, body)
-
-    # ------------------------------------------------------------------
-    # innermost loop: count without materialising
-    # ------------------------------------------------------------------
-    last = n - 1
-    pad = indent * (last + 1)
-    stmt, cand = _bounds_expr(plan, last, raw_var[last])
-    if stmt:
-        emit(f"{pad}{stmt}")
-    emit(f"{pad}cnt = len({cand})")
-    for j in range(last):
-        emit(f"{pad}if contains({cand}, v{j}):")
-        emit(f"{pad}{indent}cnt -= 1")
-    emit(f"{pad}total += cnt")
-    emit("    return total")
-    return "\n".join(lines) + "\n"
-
-
-def compile_directed_function(plan) -> GeneratedCounter:
-    """Generate, ``exec`` and wrap the directed counter.
-
-    The returned kernel takes a :class:`~repro.graph.digraph.DiGraph`
-    and is semantically identical to
-    :class:`repro.core.directed.DirectedEngine` on the same plan.
-    """
-    source = generate_directed_source(plan)
-    function = _exec_generated(source, plan, "generated_count_directed")
-    return GeneratedCounter(
-        plan=plan, source=source, function=function, mode="directed"
-    )
+def compile_directed_function(plan: ExecutionPlan) -> GeneratedCounter:
+    """:func:`compile_plan_function` of a directed plan; the kernel takes
+    a :class:`~repro.graph.digraph.DiGraph`."""
+    return _compile_mode(plan, "directed")
 
 
 def compile_prefix_function(plan: ExecutionPlan, split_depth: int) -> GeneratedPrefixCounter:

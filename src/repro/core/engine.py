@@ -25,13 +25,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.config import Configuration, ExecutionPlan
+from repro.core.config import OUT, Configuration, ExecutionPlan, bind_graph
 from repro.core.iep import IEPCounter, apply_overcount
 from repro.graph.csr import Graph
 from repro.graph.intersection import (
-    VERTEX_DTYPE,
     bounded_slice,
     contains,
+    difference,
     intersect_many,
 )
 
@@ -40,38 +40,38 @@ class Engine:
     """Executes one plan against one graph.
 
     A plan with more vertices than the graph is not an error: there are
-    simply no embeddings, and counting returns 0 uniformly.  Subclasses
-    change where each depth draws its candidates (:meth:`candidates`,
-    :meth:`_raw_candidates`) and the IEP counter that matches
-    (:meth:`_iep_counter`); the loops themselves are shared.
+    simply no embeddings, and counting returns 0 uniformly.  Every mode
+    runs the same loops: each depth reads the plan's dependency refs,
+    restriction bounds, wanted label and anti columns
+    (:mod:`repro.core.config`), and an IEP suffix is evaluated by one
+    :class:`~repro.core.iep.IEPCounter` reading the same operations.
     """
 
-    def __init__(self, graph: Graph, plan: ExecutionPlan):
-        self.graph = graph
+    def __init__(self, graph, plan: ExecutionPlan):
         self.plan = plan
-        self._all_vertices = graph.vertices()
-        self._iep = self._iep_counter() if plan.iep_k > 0 else None
+        self.graph, self._rows, self._labels = bind_graph(graph, plan)
+        self._all_vertices = self.graph.vertices()
+        self._iep = IEPCounter(graph, plan) if plan.iep_k > 0 else None
         # Loop-invariant hoisting (paper Fig. 5(b): tmpAB is computed in
         # loop B and reused across the whole D loop).  The raw candidate
         # intersection of depth d only depends on the values bound at
-        # deps[d]; a single-slot cache per depth exploits the DFS order.
+        # its ref columns; a single-slot cache per depth exploits the
+        # DFS order.
         self._raw_cache: list[tuple | None] = [None] * plan.n
 
-    def _iep_counter(self) -> IEPCounter:
-        """The evaluator of this engine's IEP suffix (``iep_k > 0``)."""
-        return IEPCounter(self.graph, self.plan)
-
     def _raw_candidates(self, depth: int, assigned: Sequence[int]) -> np.ndarray:
-        deps = self.plan.deps[depth]
-        if not deps:
+        refs = self.plan.refs[depth]
+        if not refs:
             return self._all_vertices
-        if len(deps) == 1:
-            return self.graph.neighbors(assigned[deps[0]])
-        key = tuple(assigned[j] for j in deps)
+        rows = self._rows
+        if len(refs) == 1:
+            j, way = refs[0]
+            return rows[way](assigned[j])
+        key = tuple(assigned[j] for j, _ in refs)
         slot = self._raw_cache[depth]
         if slot is not None and slot[0] == key:
             return slot[1]
-        arr = intersect_many([self.graph.neighbors(v) for v in key])
+        arr = intersect_many([rows[way](assigned[j]) for j, way in refs])
         self._raw_cache[depth] = (key, arr)
         return arr
 
@@ -80,7 +80,9 @@ class Engine:
     # ------------------------------------------------------------------
     def candidates(self, depth: int, assigned: Sequence[int]) -> np.ndarray:
         """Sorted candidate array for loop ``depth`` (before used-vertex
-        exclusion, which the loops handle inline)."""
+        exclusion, which the loops handle inline): the refs' rows
+        intersected, sliced to the restriction window, filtered to the
+        wanted label and stripped of the anti columns' neighbours."""
         plan = self.plan
         cand = self._raw_candidates(depth, assigned)
         lo: int | None = None
@@ -95,6 +97,12 @@ class Engine:
                 hi = v
         if lo is not None or hi is not None:
             cand = bounded_slice(cand, lo, hi)
+        if self._labels is not None:
+            cand = cand[self._labels[cand] == plan.labels[depth]]
+        for j in plan.anti[depth]:
+            if len(cand) == 0:
+                break
+            cand = difference(cand, self._rows[OUT](assigned[j]))
         return cand
 
     # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.graph.csr import Graph
+from repro.core.config import bind_graph
 from repro.graph.intersection import bounded_slice, contains, intersect_many
 
 
@@ -180,16 +180,19 @@ class IEPCounter:
     """Per-plan IEP evaluator bound to a graph.
 
     For one outer assignment it materialises each inner vertex's
-    candidate set — neighbourhood intersections, sliced by any
-    outer↔inner restriction bounds the plan kept — removes bound
-    vertices, and applies the partition formula.  Candidate sets are
-    cached by their (dependency vertices, bounds) signature, because
-    different inner vertices frequently share dependencies.
+    candidate set from the plan's operations at that depth — the refs'
+    rows intersected, sliced by any outer↔inner restriction bounds the
+    plan kept, filtered to the wanted label — removes bound vertices,
+    and applies the partition formula.  Candidate sets are cached by
+    their (refs, bounds, label) signature, because different inner
+    vertices frequently share them.  The overcount divisor comes from
+    the group the plan was compiled against (the labeled or directed
+    subgroup in those modes).
     """
 
-    def __init__(self, graph: Graph, plan):
-        self.graph = graph
+    def __init__(self, graph, plan):
         self.plan = plan
+        self.graph, self._rows, self._labels = bind_graph(graph, plan)
         n = plan.n
         k = plan.iep_k
         if k <= 0:
@@ -199,24 +202,26 @@ class IEPCounter:
 
     def _inner_sets(self, assigned: Sequence[int]) -> list[np.ndarray]:
         """Materialise the k inner candidate arrays for one outer
-        assignment.  Overridden by the directed counter, which draws from
-        out-/in-neighbourhoods instead."""
-        graph = self.graph
+        assignment."""
         plan = self.plan
-        # Distinct (dependencies, bounds) signatures → shared arrays.
+        rows = self._rows
+        # Distinct (refs, bounds, label) signatures → shared arrays.
         raw_cache: dict[tuple, np.ndarray] = {}
         sets: list[np.ndarray] = []
         for pos in self._inner_positions:
-            verts = frozenset(assigned[j] for j in plan.deps[pos])
+            refs = frozenset((assigned[j], way) for j, way in plan.refs[pos])
             lo, hi = self._bounds(pos, assigned)
-            key = (verts, lo, hi)
+            label = plan.labels[pos]
+            key = (refs, lo, hi, label)
             if key not in raw_cache:
-                if verts:
-                    arr = intersect_many([graph.neighbors(v) for v in verts])
+                if refs:
+                    arr = intersect_many([rows[way](v) for v, way in refs])
                 else:
-                    arr = graph.vertices()
+                    arr = self.graph.vertices()
                 if lo is not None or hi is not None:
                     arr = bounded_slice(arr, lo, hi)
+                if self._labels is not None:
+                    arr = arr[self._labels[arr] == label]
                 raw_cache[key] = arr
             sets.append(raw_cache[key])
         return sets

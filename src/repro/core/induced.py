@@ -17,12 +17,21 @@ semantics:
 This module implements vertex-induced matching both ways and
 cross-checks them:
 
-1. :class:`InducedEngine` — the nested-loop engine with anti-edge
-   filtering: the candidate set of each loop additionally *excludes* the
-   neighbourhoods of bound vertices that are non-adjacent in the pattern.
+1. anti-edge filtering: the plain plan's winner is lowered with
+   ``compile_plan(config, induced=True)``, whose per-depth anti columns
+   are the earlier depths the pattern does not connect to.  Every
+   executor removes the neighbourhoods of their bound vertices from the
+   candidate set::
+
+       (∩_{j ∈ deps[d]} N(v_j))  \\  (∪_{j ∈ anti[d]} N(v_j))
+
    All GraphPi machinery (Algorithm 1 restrictions, 2-phase schedules,
    the performance model) applies unchanged, because automorphisms of a
-   pattern preserve non-edges exactly as they preserve edges.
+   pattern preserve non-edges exactly as they preserve edges, so induced
+   queries share the plain pattern's plan.  IEP is not supported:
+   Inclusion–Exclusion counts tuples drawn from *independent* candidate
+   sets, but the anti-edges make the inner vertices interact, so
+   ``compile_plan`` refuses an induced plan with ``iep_k > 0``.
 2. :func:`induced_count_via_moebius` — the classic linear-algebra route:
    the edge-induced counts of a pattern and all of its same-order
    supergraphs determine the vertex-induced count through a triangular
@@ -37,60 +46,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-import numpy as np
-
-from repro.core.config import Configuration, ExecutionPlan
+from repro.core.config import Configuration, compile_plan
 from repro.core.engine import Engine
 from repro.graph.csr import Graph
-from repro.graph.intersection import contains, difference
 from repro.pattern.automorphism import automorphism_count
 from repro.pattern.isomorphism import canonical_form, find_isomorphism
 from repro.pattern.pattern import Pattern
-
-
-class InducedEngine(Engine):
-    """Nested-loop engine enforcing vertex-induced semantics.
-
-    The candidate set of the vertex scheduled at depth ``d`` becomes::
-
-        (∩_{j ∈ deps[d]} N(v_j))  \\  (∪_{j ∈ antideps[d]} N(v_j))
-
-    where ``antideps[d]`` are the earlier depths whose pattern vertices
-    are *not* adjacent to the one scheduled at ``d``.  Restriction
-    range-slicing still applies (automorphisms preserve non-adjacency,
-    so Algorithm 1's restriction sets break induced automorphisms too).
-
-    IEP is not supported: Inclusion–Exclusion counts tuples drawn from
-    *independent* candidate sets, but induced semantics makes the inner
-    vertices interact through their anti-edges (any two unconnected
-    pattern vertices must also be unconnected in the data graph), so
-    plans must be compiled with ``iep_k=0``.
-    """
-
-    def __init__(self, graph: Graph, plan: ExecutionPlan):
-        if plan.iep_k:
-            raise ValueError("induced matching requires a plan compiled with iep_k=0")
-        super().__init__(graph, plan)
-        pattern = plan.config.pattern
-        schedule = plan.config.schedule
-        anti: list[tuple[int, ...]] = []
-        for d, v in enumerate(schedule):
-            anti.append(
-                tuple(
-                    j for j in range(d) if not pattern.has_edge(v, schedule[j])
-                )
-            )
-        self._antideps = tuple(anti)
-
-    def candidates(self, depth: int, assigned: Sequence[int]) -> np.ndarray:
-        cand = super().candidates(depth, assigned)
-        for j in self._antideps[depth]:
-            if len(cand) == 0:
-                break
-            cand = difference(cand, self.graph.neighbors(assigned[j]))
-        return cand
 
 
 def induced_count_engine(graph: Graph, config: Configuration, *, backend=None) -> int:
@@ -103,7 +66,7 @@ def induced_count_engine(graph: Graph, config: Configuration, *, backend=None) -
     """
     from repro.core.backend import MatchContext, select_backend
 
-    plan = config.compile(iep_k=0)
+    plan = compile_plan(config, induced=True)
     ctx = MatchContext(graph=graph, plan=plan, mode="induced")
     return select_backend(ctx, backend).count(ctx)
 
@@ -112,8 +75,8 @@ def induced_enumerate(
     graph: Graph, config: Configuration, limit: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield vertex-induced embeddings (tuples indexed by pattern vertex)."""
-    plan = config.compile(iep_k=0)
-    return InducedEngine(graph, plan).enumerate_embeddings(limit=limit)
+    plan = compile_plan(config, induced=True)
+    return Engine(graph, plan).enumerate_embeddings(limit=limit)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ The pipeline is the unlabeled one with three changes:
    (they can never swap) and one derived from a label-breaking symmetry
    would wrongly discard embeddings.  Algorithm 1 is reused by running
    its recursion on the labeled subgroup.
-2. **Candidates** are filtered by label at every depth (a vectorised
-   mask on the sorted candidate array, preserving sortedness).
+2. **Candidates** are filtered by label at every depth: the winner is
+   lowered with the wanted labels (``compile_plan(..., labels=)``), so
+   each depth of the one :class:`~repro.core.config.ExecutionPlan`
+   carries its label and every executor masks its sorted candidates
+   with it.
 3. **The cost model**'s loop sizes shrink by the label frequency: the
    session planner (:func:`~repro.core.session.plan_query`) prices each
    configuration as for a plain pattern and scales it by
@@ -18,16 +21,16 @@ The pipeline is the unlabeled one with three changes:
    configurations.
 
 IEP counting composes untouched: the inner candidate sets are
-label-filtered before the partition formula runs.
+label-filtered before the partition formula runs, and the overcount
+divisor comes from the label-preserving subgroup.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.core.config import ExecutionPlan, compile_plan
-from repro.core.engine import Engine
-from repro.core.iep import IEPCounter
+from repro.core.config import compile_plan
 from repro.core.restrictions import (
     RestrictionGenerator,
     RestrictionSet,
@@ -64,10 +67,11 @@ def labeled_restriction_sets(
 def labeled_plan_inputs(lp: LabeledPattern, max_sets: int | None):
     """(structure, group, restriction sets, compile function) for the
     session planner: the label-preserving subgroup, whose symmetry the
-    restriction sets break, also divides the IEP overcount."""
+    restriction sets break, also divides the IEP overcount, and the
+    winner is lowered with the pattern's labels."""
     group = SymmetryGroup(labeled_automorphisms(lp))
     sets = labeled_restriction_sets(lp, max_sets=max_sets, auts=group)
-    return lp.pattern, group, sets, compile_plan
+    return lp.pattern, group, sets, partial(compile_plan, labels=lp.labels)
 
 
 def label_weight(lp: LabeledPattern, lgraph: LabeledGraph):
@@ -84,52 +88,6 @@ def label_weight(lp: LabeledPattern, lgraph: LabeledGraph):
         return max(w, 1e-12)
 
     return weight
-
-
-class LabeledIEPCounter(IEPCounter):
-    """IEP evaluator whose inner candidate sets are label-filtered.
-
-    §IV-D composes with labels untouched: the partition formula works on
-    arbitrary finite sets, so filtering each inner candidate array to
-    the wanted label *before* the formula runs is all that changes.  The
-    overcount divisor must come from the *labeled* subgroup (handled at
-    compile time via ``compile_plan(..., auts=labeled_automorphisms)``).
-    """
-
-    def __init__(self, lgraph: LabeledGraph, plan: ExecutionPlan,
-                 lpattern: LabeledPattern):
-        super().__init__(lgraph.graph, plan)
-        self.lgraph = lgraph
-        schedule = plan.config.schedule
-        self._inner_labels = tuple(
-            lpattern.labels[schedule[pos]] for pos in self._inner_positions
-        )
-
-    def _inner_sets(self, assigned):
-        sets = super()._inner_sets(assigned)
-        return [
-            self.lgraph.filter_by_label(arr, label)
-            for arr, label in zip(sets, self._inner_labels)
-        ]
-
-
-class LabeledEngine(Engine):
-    """The nested-loop engine with per-depth label filtering."""
-
-    def __init__(self, lgraph: LabeledGraph, plan: ExecutionPlan,
-                 lpattern: LabeledPattern):
-        self.lgraph = lgraph
-        self.lpattern = lpattern
-        # wanted label per depth = label of the pattern vertex scheduled there
-        self._depth_labels = tuple(lpattern.labels[v] for v in plan.schedule)
-        super().__init__(lgraph.graph, plan)
-
-    def _iep_counter(self) -> LabeledIEPCounter:
-        return LabeledIEPCounter(self.lgraph, self.plan, self.lpattern)
-
-    def candidates(self, depth, assigned):
-        cand = super().candidates(depth, assigned)
-        return self.lgraph.filter_by_label(cand, self._depth_labels[depth])
 
 
 class LabeledMatcher:
@@ -170,8 +128,7 @@ class LabeledMatcher:
         With no preference the vectorised frontier engine applies the
         label masks in bulk (an explicit ``use_iep=True`` plan falls
         back to the interpreter); ``backend="parallel"`` fans prefix
-        tasks out to workers (which
-        rebuild the labeled engine via the registry).  Plans are cached
+        tasks out to interpreter workers.  Plans are cached
         on the graph's shared session, so repeat calls skip planning.
         """
         from repro.core.session import get_session

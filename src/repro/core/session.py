@@ -78,6 +78,7 @@ from repro.core.backend import (
     capabilities_of,
     compile_for_context,
     get_backend,
+    has_kernel,
     select_backend,
 )
 from repro.core.config import compile_plan, enumerate_configurations
@@ -118,9 +119,9 @@ class PlanReport:
     :class:`~repro.pattern.labeled.LabeledPattern` or
     :class:`~repro.pattern.directed.DiPattern`); ``ranking`` holds the
     configurations of its structure, cheapest first.  ``plan`` is the
-    winner compiled for the mode: an
-    :class:`~repro.core.config.ExecutionPlan`, or a
-    :class:`~repro.core.directed.DirectedPlan` for directed queries.
+    winner lowered for the mode: an
+    :class:`~repro.core.config.ExecutionPlan` carrying the mode's refs,
+    labels and anti columns.
     """
 
     pattern: Any
@@ -294,13 +295,18 @@ def plan_query(
     chosen = ranking[0]
     generated = None
     with Timer() as t_gen, span("codegen") as sp:
-        if query.mode != "plain" and use_iep:
+        if query.semantics == "induced":
+            # the plain pattern plan's winner, lowered with anti columns
+            plan = compile_plan(chosen.config, iep_k=chosen.iep_k, induced=True)
+        elif query.mode != "plain" and use_iep:
             # priced without IEP: the winner takes the longest suffix it supports
             plan = configs.compile(chosen.config, pattern_plan.skeleton.n_vertices - 1)
         else:
             plan = chosen.plan
-        if kernel:
-            generated = _generate_kernel(query, plan)
+        if kernel and has_kernel(plan):
+            from repro.core.codegen import compile_plan_function
+
+            generated = compile_plan_function(plan)
         sp.set(iep_k=plan.iep_k, kernel=generated is not None)
     return PlanReport(
         pattern=query.pattern,
@@ -318,22 +324,6 @@ def plan_query(
         seconds_codegen=t_gen.elapsed,
         pattern_hit=reused,
     )
-
-
-def _generate_kernel(query: MatchQuery, plan: Any) -> GeneratedCounter | None:
-    """The query's generated kernel for ``plan`` (none for an IEP plan
-    outside plain edge semantics, which no kernel runs)."""
-    from repro.core import codegen
-
-    if query.mode == "plain" and query.semantics == "edge":
-        return codegen.compile_plan_function(plan)
-    if plan.iep_k:
-        return None
-    if query.mode == "labeled":
-        return codegen.compile_labeled_function(plan, query.pattern)
-    if query.mode == "directed":
-        return codegen.compile_directed_function(plan)
-    return codegen.compile_induced_function(plan)
 
 
 def plan_plain(
@@ -381,20 +371,14 @@ class PlanEntry:
     semantics: str
     plan: Any
     generated: GeneratedCounter | None
-    lpattern: Any
     provenance: str
     predicted_cost: float
     seconds_plan: float
     report: PlanReport
 
     def context(self, graph: Any) -> MatchContext:
-        ctx_mode = "induced" if self.semantics == "induced" else self.mode
         return MatchContext(
-            graph=graph,
-            plan=self.plan,
-            mode=ctx_mode,
-            lpattern=self.lpattern,
-            generated=self.generated,
+            graph=graph, plan=self.plan, mode=self.plan.mode, generated=self.generated
         )
 
 
@@ -645,7 +629,6 @@ class MatchSession:
             semantics=query.semantics,
             plan=report.plan,
             generated=report.generated,
-            lpattern=query.pattern if query.mode == "labeled" else None,
             provenance=report.chosen.config.describe(),
             predicted_cost=report.predicted_cost,
             seconds_plan=0.0,

@@ -69,24 +69,22 @@ forces the choice for ablation (``benchmarks/bench_auxiliary.py``).
 
 Labeled and induced execution
 -----------------------------
-The same frontier pipeline serves labeled and vertex-induced contexts:
-labeled roots come pre-filtered
-(:meth:`~repro.graph.labeled.LabeledGraph.vertices_with_label`) and each
-depth applies a vectorised label mask; induced contexts add anti-edge
-masks (``~bulk_contains_sorted`` plus ``!=``) against each
-non-adjacent bound column — exactly
-:class:`repro.core.induced.InducedEngine`'s ``difference`` calls, bulk.
+The same frontier pipeline serves labeled and vertex-induced plans,
+reading the plan's per-depth label and anti columns
+(:mod:`repro.core.config`): labeled roots come pre-filtered and each
+depth applies a vectorised label mask; a depth with anti columns adds
+anti-edge masks (``~bulk_contains_sorted``) against each of them — the
+interpreter's ``difference`` calls, bulk.  The innermost depth counts
+without materialising unless it carries a label or anti columns.
 
 Directed execution
 ------------------
 Direction is a candidate source, not a second engine.  Each depth reads
-one list of *dependency refs*: a frontier column plus the keyed CSR
-(rows and their sorted ``u * n + v`` key array) the new vertex must lie
-in.  An undirected :class:`~repro.graph.csr.Graph` has one CSR, so each
-``deps[d]`` column is one ref on it.  A
-:class:`~repro.graph.digraph.DiGraph` under a
-:class:`~repro.core.directed.DirectedPlan` gives an out-CSR ref per
-``out_deps[d]`` column and an in-CSR ref per ``in_deps[d]`` column; an
+the plan's *dependency refs*: a frontier column plus the out- or in-CSR
+the new vertex must lie in, each bound once in the constructor to its
+keyed CSR (rows and their sorted ``u * n + v`` key array).  An
+undirected :class:`~repro.graph.csr.Graph` has one CSR, which serves
+both directions; a :class:`~repro.graph.digraph.DiGraph` has two, and an
 antiparallel dependency is two refs on the same column.  Every key
 array is built over its own CSR's rows, so "is ``c`` a successor
 (predecessor) of ``x``" is the same ``x * n + c`` probe against the out
@@ -99,9 +97,9 @@ degrees.
 
 What the backend deliberately does **not** cover (the fallback chain
 in :func:`~repro.core.backend.select_backend` handles these): IEP
-suffixes of labeled and induced plans (the session plans labeled
-queries IEP-free; induced queries cannot use IEP) and schedules with a
-disconnected prefix (the phase-1 generator never emits these).
+suffixes of labeled plans (the session plans labeled queries IEP-free;
+induced plans cannot carry one) and schedules with a disconnected
+prefix (the phase-1 generator never emits these).
 
 Frontiers grow multiplicatively with depth, so :class:`FrontierEngine`
 bounds peak memory by processing the root vertices in chunks
@@ -119,8 +117,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.config import ExecutionPlan
-from repro.core.directed import DirectedPlan
+from repro.core.config import ExecutionPlan, bind_graph
 from repro.core.iep import apply_overcount, partition_coefficient, set_partitions
 from repro.graph.csr import Graph
 from repro.graph.digraph import DiGraph
@@ -131,7 +128,6 @@ from repro.graph.intersection import (
     refine_scratch_rows,
     sorted_edge_keys,
 )
-from repro.graph.labeled import LabeledGraph
 from repro.graph.stats import degree_statistics, graph_memo
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -213,39 +209,20 @@ def graph_csrs(graph: Graph | DiGraph) -> tuple[_Csr, _Csr]:
     return csrs
 
 
-def _ref_families(plan: ExecutionPlan | DirectedPlan) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per schedule position, its dependency refs as ``(csr, column)``
-    pairs: csr 0 is the out-CSR (an undirected graph's only one), 1 the
-    in-CSR."""
-    if isinstance(plan, DirectedPlan):
-        return tuple(
-            tuple((0, j) for j in out_cols) + tuple((1, j) for j in in_cols)
-            for out_cols, in_cols in zip(plan.out_deps, plan.in_deps)
-        )
-    return tuple(tuple((0, j) for j in deps) for deps in plan.deps)
-
-
-def frontier_gap(plan, mode: str) -> str | None:
-    """Why the frontier engine cannot run ``plan`` in ``mode``, or ``None``.
+def frontier_gap(plan: ExecutionPlan) -> str | None:
+    """Why the frontier engine cannot run ``plan``, or ``None``.
 
     The one definition of what the frontier covers, shared by
     :meth:`VectorisedBackend.supports` and the :class:`FrontierEngine`
     constructor (which raises it).
     """
-    wanted = DirectedPlan if mode == "directed" else ExecutionPlan
-    if not isinstance(plan, wanted):
-        return f"a {mode} context needs plan type {wanted.__name__}"
-    if plan.iep_k > 0 and mode not in ("plain", "directed"):
+    if plan.iep_k > 0 and plan.mode == "labeled":
         return (
-            "the frontier engine runs IEP suffixes under plain edge "
-            "semantics only (undirected or directed); plan labeled/induced "
-            "queries with use_iep=False or fall back to the interpreter"
+            "the frontier engine runs IEP suffixes of unlabeled plans only "
+            "(undirected or directed edge semantics); plan labeled queries "
+            "with use_iep=False or fall back to the interpreter"
         )
-    if isinstance(plan, DirectedPlan):
-        connected = all(o or i for o, i in zip(plan.out_deps[1:], plan.in_deps[1:]))
-    else:
-        connected = all(plan.deps[1:])
-    if not connected:
+    if not all(plan.deps[1:]):
         return (
             "the frontier engine requires a connected-prefix schedule "
             "(every depth past the first needs a dependency to pivot on)"
@@ -443,108 +420,70 @@ class _CandidateSource:
 class FrontierEngine:
     """Executes one plan against one graph, breadth-first.
 
-    The vectorised counterpart of :class:`repro.core.engine.Engine`
-    and its labeled, induced and directed subclasses: same plan, same
-    counts, but each loop depth is one bulk array operation over the
-    whole frontier instead of a recursive call per partial embedding.
-    Every mode runs the same loop from one per-depth list of dependency
-    refs (see the module docstring); plain and directed plans may carry
-    an IEP suffix (``iep_k > 0``), counted in bulk per block signature;
-    labeled and induced plans must be IEP-free.
+    The vectorised counterpart of :class:`repro.core.engine.Engine`:
+    same plan, same counts, but each loop depth is one bulk array
+    operation over the whole frontier instead of a recursive call per
+    partial embedding.  Every mode runs the same loop from the plan's
+    per-depth operations (see the module docstring); plain and directed
+    plans may carry an IEP suffix (``iep_k > 0``), counted in bulk per
+    block signature; labeled plans must be IEP-free.
 
     Parameters
     ----------
     graph:
-        A :class:`~repro.graph.csr.Graph`; a
-        :class:`~repro.graph.labeled.LabeledGraph` when ``lpattern`` is
-        given; a :class:`~repro.graph.digraph.DiGraph` under a
-        :class:`~repro.core.directed.DirectedPlan`.
+        The graph kind the plan's mode runs on: a
+        :class:`~repro.graph.csr.Graph` (or a
+        :class:`~repro.graph.labeled.LabeledGraph`, whose structure is
+        read) for plain and induced plans, a ``LabeledGraph`` for
+        labeled ones, a :class:`~repro.graph.digraph.DiGraph` for
+        directed ones.
     aux:
         Auxiliary-graph pruning: ``"auto"`` (cost-gated, default),
         ``True`` (always materialise/chain when structurally possible)
         or ``False`` (pure direct path — the pre-pruning engine).  A
         digraph has two CSRs and always takes the direct path.
-    lpattern:
-        A :class:`~repro.pattern.labeled.LabeledPattern` switching the
-        engine to labeled semantics (roots and every depth filtered to
-        the pattern's labels).
-    induced:
-        Vertex-induced semantics: anti-edge masks against every
-        non-adjacent bound column (cannot be combined with
-        ``lpattern``).
     """
 
     def __init__(
         self,
-        graph: Graph | LabeledGraph | DiGraph,
-        plan: ExecutionPlan | DirectedPlan,
+        graph,
+        plan: ExecutionPlan,
         *,
         root_chunk: int = DEFAULT_ROOT_CHUNK,
         aux: "bool | str" = "auto",
-        lpattern=None,
-        induced: bool = False,
     ):
-        if induced and lpattern is not None:
-            raise ValueError("labeled induced matching is not supported")
-        if isinstance(plan, DirectedPlan):
-            mode = "directed"
-        else:
-            mode = "labeled" if lpattern is not None else "induced" if induced else "plain"
-        gap = frontier_gap(plan, mode)
+        gap = frontier_gap(plan)
         if gap is not None:
             raise ValueError(gap)
         if root_chunk < 1:
             raise ValueError("root_chunk must be >= 1")
         if aux not in (True, False, "auto"):
             raise ValueError('aux must be True, False or "auto"')
-        if lpattern is not None:
-            if not isinstance(graph, LabeledGraph):
-                raise TypeError("labeled execution needs a LabeledGraph")
-            self._labels = graph.labels
-            graph = graph.graph
-        else:
-            if isinstance(graph, LabeledGraph):
-                graph = graph.graph
-            self._labels = None
+        graph, _, self._labels = bind_graph(graph, plan)
         self.graph = graph
         self.plan = plan
         self.root_chunk = root_chunk
-        self._induced = induced
         self._n = graph.n_vertices
         self._csrs = graph_csrs(graph)
-        families = _ref_families(plan)
-        self._refs = tuple(self._make_refs(f) for f in families)
-        self._deps = tuple(tuple(sorted({j for _, j in f})) for f in families)
+        self._refs = tuple(self._bind(refs) for refs in plan.refs)
         # The pool builders and their cost gate read the one undirected
         # CSR and its degrees, so a digraph takes the direct path.
         self.aux = aux if self._csrs[0] is self._csrs[1] else False
         if self.aux is not False:
             self._degrees = graph.degrees
             self._dstats = degree_statistics(graph)
-        schedule = plan.schedule
-        if lpattern is not None:
-            self._depth_labels = tuple(lpattern.labels[v] for v in schedule)
-        else:
-            self._depth_labels = None
-        if induced:
-            pattern = plan.config.pattern
-            self._antideps = tuple(
-                tuple(j for j in range(d) if not pattern.has_edge(v, schedule[j]))
-                for d, v in enumerate(schedule)
-            )
-        else:
-            self._antideps = None
         if plan.iep_k > 0:
             signatures, self._iep_terms = _iep_layout(
-                plan.iep_k, (families, plan.lower, plan.upper)
+                plan.iep_k, (plan.refs, plan.lower, plan.upper)
             )
             self._iep_blocks = tuple(
-                (self._make_refs(refs), tuple(sorted({j for _, j in refs})), lower, upper)
+                (self._bind(refs), tuple(sorted({j for j, _ in refs})), lower, upper)
                 for refs, lower, upper in signatures
             )
 
-    def _make_refs(self, family) -> tuple[_Ref, ...]:
-        return tuple(_Ref(j, self._csrs[which]) for which, j in family)
+    def _bind(self, refs) -> tuple[_Ref, ...]:
+        """The plan's ``(column, direction)`` refs bound to keyed CSRs."""
+        return tuple(_Ref(j, self._csrs[way]) for j, way in refs)
 
     # ------------------------------------------------------------------
     # bounded candidate ranges (the bulk form of ``bounded_slice``)
@@ -699,11 +638,11 @@ class FrontierEngine:
     ) -> tuple[_CandidateSource, np.ndarray, np.ndarray]:
         """Choose this depth's candidate source and window it per row."""
         plan = self.plan
-        deps = self._deps[depth]
+        deps = plan.deps[depth]
         lo, hi = _window(front, plan.lower[depth], plan.upper[depth])
         src = self._chain_source(front, deps, prev)
         if src is None:
-            store_wanted = depth + 1 < plan.n and set(deps) <= set(self._deps[depth + 1])
+            store_wanted = depth + 1 < plan.n and set(deps) <= set(plan.deps[depth + 1])
             src = self._group_source(front, deps, store_wanted)
         if src is not None:
             starts, counts = self._window_ranges(src, lo, hi)
@@ -750,25 +689,20 @@ class FrontierEngine:
             )
         for ref in src.post_refs:
             mask &= bulk_contains_sorted(ref.csr.keys, front[owner, ref.col] * n + cand)
-        if self._induced:
-            # Anti-edges: the candidate must be distinct from *and*
-            # non-adjacent to every non-dependency bound vertex (the
-            # adjacency mask alone does not exclude equality — there
-            # are no self-loops).
-            keys = self._csrs[0].keys
-            for j in self._antideps[depth]:
+        # Injectivity: adjacency already rules out the dependency columns
+        # (no self-loops), only the other bound vertices remain.
+        plan = self.plan
+        deps = plan.deps[depth]
+        for j in range(depth):
+            if j not in deps:
                 mask &= cand != front[owner, j]
-                mask &= ~bulk_contains_sorted(keys, front[owner, j] * n + cand)
-        else:
-            # Injectivity: adjacency already rules out the dependency
-            # columns (no self-loops), only the non-adjacent bound
-            # vertices remain.
-            deps = self._deps[depth]
-            for j in range(depth):
-                if j not in deps:
-                    mask &= cand != front[owner, j]
+        # Anti-edges: the candidate must not be adjacent to any anti
+        # column's bound vertex.
+        keys = self._csrs[0].keys
+        for j in plan.anti[depth]:
+            mask &= ~bulk_contains_sorted(keys, front[owner, j] * n + cand)
         if self._labels is not None:
-            mask &= self._labels[cand] == self._depth_labels[depth]
+            mask &= self._labels[cand] == plan.labels[depth]
         return owner[mask], cand[mask], src
 
     # ------------------------------------------------------------------
@@ -780,9 +714,9 @@ class FrontierEngine:
         """Candidates surviving the innermost loop, summed over ``front``."""
         if len(front) == 0:
             return 0
-        if self._labels is None and not self._induced:
-            plan = self.plan
-            src = self._chain_source(front, self._deps[depth], prev)
+        plan = self.plan
+        if self._labels is None and not plan.anti[depth]:
+            src = self._chain_source(front, plan.deps[depth], prev)
             obs_metrics.FRONTIER_INTERSECTIONS.labels(
                 kernel="direct" if src is None else "pooled"
             ).inc()
@@ -790,7 +724,7 @@ class FrontierEngine:
                 front, self._refs[depth], plan.lower[depth], plan.upper[depth], src
             )
             return int(counts.sum())
-        # Labeled/induced masks need the candidates materialised; the
+        # Label and anti-edge masks need the candidates materialised; the
         # arrays are small (label/anti filters prune hard) and the
         # extension pipeline already applies every mask.
         _, cand, _ = self._extend(front, depth, prev)
@@ -928,7 +862,7 @@ class FrontierEngine:
         """``roots`` as int64 ids, filtered to the first depth's label."""
         roots = np.asarray(roots, dtype=np.int64)
         if self._labels is not None:
-            roots = roots[self._labels[roots] == self._depth_labels[0]]
+            roots = roots[self._labels[roots] == self.plan.labels[0]]
         return roots
 
     def _root_chunks(self, roots: np.ndarray, first: int | None = None) -> Iterator[np.ndarray]:
@@ -1080,14 +1014,7 @@ def frontier_engine_for(
     """The frontier engine for a match context — shared by
     :class:`VectorisedBackend` and the distributed task counter
     (:func:`repro.runtime.distributed.make_task_counter`)."""
-    return FrontierEngine(
-        ctx.graph,
-        ctx.plan,
-        root_chunk=root_chunk,
-        aux=aux,
-        lpattern=ctx.lpattern if ctx.mode == "labeled" else None,
-        induced=ctx.mode == "induced",
-    )
+    return FrontierEngine(ctx.graph, ctx.plan, root_chunk=root_chunk, aux=aux)
 
 
 @register_backend
@@ -1116,7 +1043,7 @@ class VectorisedBackend(ExecutionBackend):
         self.aux = aux
 
     def supports(self, ctx: MatchContext) -> bool:
-        return frontier_gap(ctx.plan, ctx.mode) is None
+        return frontier_gap(ctx.plan) is None
 
     def count(self, ctx: MatchContext) -> int:
         self._require(ctx)

@@ -49,10 +49,10 @@ from repro.core.backend import (
     BackendCapabilities,
     ExecutionBackend,
     MatchContext,
-    make_engine,
     make_prefix_counter,
     register_backend,
 )
+from repro.core.engine import Engine
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.runtime.cluster import SimulationResult, scaling_curve
@@ -154,12 +154,12 @@ def make_task_counter(
     * ``"compiled"`` — the generated depth-1 prefix kernel, summed per
       root (plain :class:`~repro.core.config.ExecutionPlan` with at
       least two loops); otherwise
-    * the interpreter engine family's ``count_prefix`` (every mode).
+    * the interpreter engine's ``count_prefix`` (every mode).
 
     Returns ``(counter, effective)`` where ``effective`` names the
     strategy actually built, post-fallback.  Counters return **raw**
     (pre-IEP-division) counts so partial sums add; apply
-    ``make_engine(ctx).finalize_count`` to the total.
+    ``Engine(ctx.graph, ctx.plan).finalize_count`` to the total.
     """
     _check_inner(inner)
     from repro.core.vectorised import VectorisedBackend, frontier_engine_for
@@ -204,7 +204,7 @@ def distributed_count_ctx(
         raise ValueError("node_counts must name at least one node count")
     if n_tasks is not None and n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
-    engine = make_engine(ctx)
+    engine = Engine(ctx.graph, ctx.plan)
     roots = [prefix[0] for prefix in engine.iter_prefixes(1)]
     n_roots = len(roots)
     if n_tasks is None:

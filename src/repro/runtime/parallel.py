@@ -26,8 +26,9 @@ import multiprocessing as mp
 import os
 from dataclasses import dataclass, replace
 
-from repro.core.backend import MatchContext, make_engine, make_prefix_counter, plain_context
+from repro.core.backend import MatchContext, make_prefix_counter, plain_context
 from repro.core.config import Configuration, ExecutionPlan
+from repro.core.engine import Engine
 from repro.graph.csr import Graph
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -72,7 +73,7 @@ def parallel_count_ctx(
     applied once at the end — the same aggregation the distributed
     implementation performs.
     """
-    engine = make_engine(ctx)
+    engine = Engine(ctx.graph, ctx.plan)
     depth = split_depth if split_depth is not None else choose_split_depth(ctx.plan)
     workers = n_workers or max(1, (os.cpu_count() or 2))
     # Built once for the fallback name even on the pool path: what the
@@ -154,7 +155,7 @@ def measure_task_costs(
     import time
 
     ctx = plain_context(graph, plan_or_config)
-    engine = make_engine(ctx)
+    engine = Engine(ctx.graph, ctx.plan)
     depth = split_depth if split_depth is not None else choose_split_depth(ctx.plan)
     costs: list[float] = []
     for i, task in enumerate(generate_tasks(engine, depth)):

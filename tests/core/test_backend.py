@@ -29,7 +29,7 @@ from repro.core.backend import (
     register_backend,
     select_backend,
 )
-from repro.core.config import Configuration
+from repro.core.config import Configuration, compile_plan
 from repro.core.directed import DirectedMatcher
 from repro.core.induced import induced_count
 from repro.core.labeled import LabeledMatcher, labeled_bruteforce_count
@@ -50,10 +50,10 @@ BUILTIN = ("interpreter", "compiled", "parallel", "vectorised")
 CATALOG = [triangle(), rectangle(), house(), pentagon(), clique(5)]
 
 
-def make_plan(pattern, iep_k=0):
+def make_plan(pattern, iep_k=0, **facts):
     s = generate_schedules(pattern)[0]
     rs = generate_restriction_sets(pattern)[0]
-    return Configuration(pattern, s, rs).compile(iep_k=iep_k)
+    return compile_plan(Configuration(pattern, s, rs), iep_k=iep_k, **facts)
 
 
 class TestRegistry:
@@ -116,9 +116,39 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown mode"):
             MatchContext(graph=er_small, plan=make_plan(triangle()), mode="quantum")
 
-    def test_labeled_context_needs_lpattern(self, er_small):
-        with pytest.raises(ValueError, match="labeled"):
-            MatchContext(graph=er_small, plan=make_plan(triangle()), mode="labeled")
+    def test_labeled_context_needs_labeled_plan(self, er_small):
+        lg = assign_random_labels(er_small, 2, seed=7)
+        with pytest.raises(ValueError, match="plan lowered for labeled"):
+            MatchContext(graph=lg, plan=make_plan(triangle()), mode="labeled")
+
+    @pytest.mark.parametrize("name", backend_names())
+    @pytest.mark.parametrize(
+        "case", ["digraph-plain", "graph-directed", "graph-labeled"]
+    )
+    def test_graph_kind_must_match_mode(self, er_small, name, case):
+        # Executed, a mismatched context miscounts or fails differently
+        # per backend (a plain triangle plan reads only a digraph's
+        # out-rows: 68 triangles where the undirected view has 372), so
+        # the context refuses it up front, naming the graph kind and
+        # the mode.
+        dg = random_digraph(40, 0.2, seed=1)
+        graph, plan, mode, kind = {
+            "digraph-plain": (dg, make_plan(triangle()), "plain", "DiGraph"),
+            "graph-directed": (
+                er_small,
+                DirectedMatcher(transitive_triangle()).plan(dg).plan,
+                "directed",
+                "Graph",
+            ),
+            "graph-labeled": (
+                er_small, make_plan(triangle(), labels=(0, 0, 1)), "labeled", "Graph"
+            ),
+        }[case]
+        backend = get_backend(name)
+        with pytest.raises(TypeError) as err:
+            backend.count(MatchContext(graph=graph, plan=plan, mode=mode))
+        message = str(err.value)
+        assert f"a {mode} context cannot run on a {kind}:" in message
 
     def test_plain_context_rejects_garbage(self, er_small):
         with pytest.raises(TypeError):
@@ -174,7 +204,7 @@ class TestSelection:
         assert chosen.name == "interpreter"
 
     def test_directed_stays_on_compiled(self, er_small):
-        # Directed kernels are first-class now: an IEP-free DirectedPlan
+        # Directed kernels are first-class now: an IEP-free directed plan
         # runs on the compiled backend, no interpreter fallback.
         dg = random_digraph(20, 0.2, seed=1)
         plan = DirectedMatcher(transitive_triangle()).plan(dg).plan
@@ -194,12 +224,13 @@ class TestSelection:
     def test_induced_and_labeled_stay_on_compiled(self, er_small):
         # The anti-edge and label-filter kernels serve these modes now:
         # no interpreter fallback for IEP-free plans.
-        ctx = MatchContext(graph=er_small, plan=make_plan(house()), mode="induced")
+        ctx = MatchContext(
+            graph=er_small, plan=make_plan(house(), induced=True), mode="induced"
+        )
         assert select_backend(ctx, "compiled").name == "compiled"
         lg = assign_random_labels(er_small, 2, seed=7)
-        lp = LabeledPattern(triangle(), (0, 0, 1))
         lctx = MatchContext(
-            graph=lg, plan=make_plan(triangle()), mode="labeled", lpattern=lp
+            graph=lg, plan=make_plan(triangle(), labels=(0, 0, 1)), mode="labeled"
         )
         assert select_backend(lctx, "compiled").name == "compiled"
 
@@ -214,20 +245,18 @@ class TestSelection:
             get_backend("compiled").enumerate_embeddings(ctx)
 
     def test_require_raises_for_wrong_mode(self, er_small):
-        # A directed context must carry a DirectedPlan; an undirected
-        # ExecutionPlan mislabeled as directed is refused, not executed.
-        ctx = MatchContext(graph=er_small, plan=make_plan(triangle()), mode="directed")
-        with pytest.raises(BackendUnsupportedError):
-            get_backend("compiled").count(ctx)
+        # A directed context must carry a plan lowered with the pattern's
+        # arcs; an undirected plan mislabeled as directed is refused, not
+        # executed.
+        with pytest.raises(ValueError, match="plan lowered for directed"):
+            MatchContext(graph=er_small, plan=make_plan(triangle()), mode="directed")
 
     def test_require_raises_for_induced_iep_plan(self, er_small):
-        # IEP arithmetic assumes edge semantics; an IEP-suffix plan in an
-        # induced context must be refused, not silently miscounted.
-        ctx = MatchContext(
-            graph=er_small, plan=make_plan(house(), iep_k=2), mode="induced"
-        )
-        with pytest.raises(BackendUnsupportedError):
-            get_backend("compiled").count(ctx)
+        # IEP arithmetic assumes edge semantics: an induced plan with an
+        # IEP suffix is refused when it is lowered, not silently
+        # miscounted by any backend.
+        with pytest.raises(ValueError, match="iep_k=0"):
+            make_plan(house(), iep_k=2, induced=True)
 
 
 class TestCrossBackendEquivalence:
@@ -313,10 +342,12 @@ class TestParallelWorkers:
             assert compiled(prefix) == interp(prefix), prefix
 
     def test_nonplain_context_falls_back_to_interpreter_workers(self, er_small):
-        ctx = MatchContext(graph=er_small, plan=make_plan(house()), mode="induced")
+        ctx = MatchContext(
+            graph=er_small, plan=make_plan(house(), induced=True), mode="induced"
+        )
         counter, effective = make_prefix_counter(ctx, 1, "compiled")
         assert effective == "interpreter"
-        # bound method of an InducedEngine, not a compiled closure
+        # bound method of an interpreter Engine, not a compiled closure
         assert getattr(counter, "__self__", None) is not None
 
     def test_parallel_reports_worker_backend(self, er_small):

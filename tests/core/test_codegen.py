@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.codegen import compile_plan_function, generate_source
-from repro.core.config import Configuration
+from repro.core.config import Configuration, compile_plan
 from repro.core.engine import Engine
 from repro.core.restrictions import generate_restriction_sets
 from repro.core.schedule import generate_schedules
@@ -180,12 +180,13 @@ class TestPrefixKernels:
 
 
 class TestModeKernels:
-    """The labeled and induced kernel variants."""
+    """The labeled and induced kernels: the one generator reading the
+    plan's label and anti columns."""
 
     def test_induced_source_uses_difference(self):
         from repro.core.codegen import compile_induced_function
 
-        plan = plans_for(rectangle(), 1, 1)[0]
+        plan = compile_plan(plans_for(rectangle(), 1, 1)[0].config, induced=True)
         gen = compile_induced_function(plan)
         assert gen.mode == "induced"
         assert "difference(" in gen.source
@@ -193,11 +194,9 @@ class TestModeKernels:
 
     def test_labeled_source_filters_by_label(self):
         from repro.core.codegen import compile_labeled_function
-        from repro.pattern.labeled import LabeledPattern
 
-        plan = plans_for(triangle(), 1, 1)[0]
-        lp = LabeledPattern(triangle(), (0, 0, 1))
-        gen = compile_labeled_function(plan, lp)
+        plan = compile_plan(plans_for(triangle(), 1, 1)[0].config, labels=(0, 0, 1))
+        gen = compile_labeled_function(plan)
         assert gen.mode == "labeled"
         assert "labels = graph.labels" in gen.source
         assert "labels[" in gen.source
@@ -216,7 +215,7 @@ class TestModeKernels:
         g = erdos_renyi(35, 0.25, seed=23)
         expected = bruteforce_induced_count(g, pattern)
         for plan in plans_for(pattern, max_schedules=2, max_sets=2):
-            gen = compile_induced_function(plan)
+            gen = compile_induced_function(compile_plan(plan.config, induced=True))
             assert gen(g) == expected, plan.config.describe()
 
     @pytest.mark.parametrize(
@@ -237,24 +236,21 @@ class TestModeKernels:
         from repro.core.labeled import LabeledMatcher
 
         plan = LabeledMatcher(lp).plan(lg, use_iep=False).plan
-        gen = compile_labeled_function(plan, lp)
+        gen = compile_labeled_function(plan)
         assert gen(lg) == expected, plan.config.describe()
 
     def test_variants_reject_iep_plans(self):
-        from repro.core.codegen import (
-            compile_induced_function,
-            compile_labeled_function,
-        )
-        from repro.pattern.labeled import LabeledPattern
+        from repro.core.codegen import compile_labeled_function
 
-        plan = plans_for(house(), 1, 1, iep_k=2)[0]
+        config = plans_for(house(), 1, 1, iep_k=2)[0].config
+        # an induced plan cannot carry an IEP suffix at all
+        with pytest.raises(ValueError, match="iep_k=0"):
+            compile_plan(config, iep_k=1, induced=True)
+        labeled = compile_plan(config, iep_k=1, labels=(0, 1, 0, 1, 0))
         with pytest.raises(ValueError, match="IEP-free"):
-            compile_induced_function(plan)
-        lp = LabeledPattern(house(), (0, 1, 0, 1, 0))
-        with pytest.raises(ValueError, match="IEP-free"):
-            compile_labeled_function(plan, lp)
+            compile_labeled_function(labeled)
 
     def test_labeled_induced_combination_rejected(self):
-        plan = plans_for(triangle(), 1, 1)[0]
+        config = plans_for(triangle(), 1, 1)[0].config
         with pytest.raises(ValueError, match="not supported"):
-            generate_source(plan, depth_labels=(0, 0, 1), antideps=((), (), ()))
+            compile_plan(config, labels=(0, 0, 1), induced=True)

@@ -13,7 +13,11 @@ Three reductions of the other modes to plain matching must hold exactly:
   has no anti-edge).
 
 Each identity is checked on the default path, which must be the
-vectorised frontier engine, and on the interpreter, with IEP on and off.
+vectorised frontier engine, and on the interpreter, with IEP on and off,
+and on the generated kernels of the compiled backend for every IEP-free
+plan (its IEP expansion is plain-mode only).  All three read the one
+plan's per-depth refs, labels and anti columns, so a lowering slip in
+any mode shows up on each.
 """
 
 from __future__ import annotations
@@ -84,6 +88,22 @@ CASES = [
     ids=[f"{m}-{p}-{'iep' if i else 'no-iep'}" for m, p, i in CASES],
 )
 def test_mode_reduces_to_plain_count(mode, pname, use_iep, gname, backend):
+    _check_reduces_to_plain(mode, pname, use_iep, gname, backend)
+
+
+#: the IEP-free cases, which every mode's generated kernel executes
+IEP_FREE = [case for case in CASES if not case[2]]
+
+
+@pytest.mark.parametrize("gname", sorted(GRAPHS))
+@pytest.mark.parametrize(
+    "mode,pname,use_iep", IEP_FREE, ids=[f"{m}-{p}" for m, p, _ in IEP_FREE]
+)
+def test_mode_reduces_to_plain_count_on_compiled(mode, pname, use_iep, gname):
+    _check_reduces_to_plain(mode, pname, use_iep, gname, "compiled")
+
+
+def _check_reduces_to_plain(mode, pname, use_iep, gname, backend):
     graph, pattern = _as_mode(mode, gname, pname)
     semantics = "induced" if mode == "induced" else "edge"
     query = MatchQuery(pattern, semantics=semantics, use_iep=use_iep)

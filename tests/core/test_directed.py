@@ -5,19 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.bruteforce import bruteforce_directed_count
+from repro.core.config import IN, OUT, Configuration, compile_plan
 from repro.core.directed import (
-    DirectedEngine,
     DirectedMatcher,
-    compile_directed_plan,
     count_directed,
     generate_directed_restriction_sets,
     generate_directed_schedules,
     match_directed,
 )
+from repro.core.engine import Engine
 from repro.core.restrictions import surviving_permutations
 from repro.graph.digraph import DiGraph, digraph_from_edges, price_citation_graph, random_digraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.stats import triangle_count
+from repro.pattern.catalog import house, triangle
 from repro.pattern.directed import (
     DiPattern,
     bi_fan,
@@ -38,6 +39,12 @@ DIPATTERNS = [
     bi_fan(),
     DiPattern(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], name="chorded-dicycle"),
 ]
+
+
+def compile_directed_plan(pattern: DiPattern, schedule, restrictions, **kwargs):
+    """The one plan type, lowered from a configuration on the skeleton."""
+    config = Configuration(pattern.skeleton(), tuple(schedule), frozenset(restrictions))
+    return compile_plan(config, dipattern=pattern, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -120,18 +127,51 @@ class TestCompile:
         # out-neighbours of the value bound to 0.
         p = directed_path(2)
         plan = compile_directed_plan(p, (0, 1), frozenset())
-        assert plan.out_deps == ((), (0,))
-        assert plan.in_deps == ((), ())
+        assert plan.mode == "directed"
+        assert plan.refs == ((), ((0, OUT),))
+        assert plan.deps == ((), (0,))
         # reversed schedule: candidate for 0 comes from in-neighbours of 1's value
         plan = compile_directed_plan(p, (1, 0), frozenset())
-        assert plan.out_deps == ((), ())
-        assert plan.in_deps == ((), (0,))
+        assert plan.refs == ((), ((0, IN),))
 
     def test_antiparallel_pair_in_both(self):
         p = DiPattern(2, [(0, 1), (1, 0)])
         plan = compile_directed_plan(p, (0, 1), frozenset())
-        assert plan.out_deps[1] == (0,)
-        assert plan.in_deps[1] == (0,)
+        assert plan.refs[1] == ((0, OUT), (0, IN))
+        assert plan.deps[1] == (0,)
+
+    HOUSE_REFS = ((), ((0, OUT),), ((0, OUT),), ((1, OUT), (2, OUT)), ((0, OUT), (1, OUT)))
+
+    @pytest.mark.parametrize(
+        "mode,pattern,facts,refs,labels,anti",
+        [
+            # plain: one out-ref per pattern edge to an earlier depth
+            (
+                "plain", triangle(), {},
+                ((), ((0, OUT),), ((0, OUT), (1, OUT))),
+                (None,) * 3, ((),) * 3,
+            ),
+            # labeled house: the label of the vertex each depth binds
+            (
+                "labeled", house(), {"labels": (0, 1, 0, 1, 2)},
+                HOUSE_REFS, (0, 1, 0, 1, 2), ((),) * 5,
+            ),
+            # induced house: the earlier depths the pattern does not touch
+            (
+                "induced", house(), {"induced": True},
+                HOUSE_REFS, (None,) * 5, ((), (), (1,), (0,), (2, 3)),
+            ),
+        ],
+        ids=["plain-triangle", "labeled-house", "induced-house"],
+    )
+    def test_lowered_ops(self, mode, pattern, facts, refs, labels, anti):
+        config = Configuration(pattern, tuple(range(pattern.n_vertices)), frozenset())
+        plan = compile_plan(config, **facts)
+        assert plan.mode == mode
+        assert plan.refs == refs
+        assert plan.deps == tuple(tuple(j for j, _ in r) for r in refs)
+        assert plan.labels == labels
+        assert plan.anti == anti
 
     def test_restriction_bounds(self):
         p = directed_cycle(3)
@@ -185,7 +225,7 @@ class TestCounting:
         for s in generate_directed_schedules(p):
             for rs in generate_directed_restriction_sets(p, max_sets=64):
                 plan = compile_directed_plan(p, s, rs)
-                assert DirectedEngine(dig_small, plan).count() == expected
+                assert Engine(dig_small, plan).count() == expected
 
     def test_pattern_larger_than_graph(self):
         g = digraph_from_edges([(0, 1)])
@@ -264,7 +304,7 @@ class TestPrefixTasks:
         p = directed_cycle(3)
         m = DirectedMatcher(p)
         rep = m.plan(dig_small)
-        engine = DirectedEngine(dig_small, rep.plan)
+        engine = Engine(dig_small, rep.plan)
         total = engine.count()
         for depth in (1, 2):
             raw = sum(engine.count_prefix(pre) for pre in engine.iter_prefixes(depth))
@@ -274,7 +314,7 @@ class TestPrefixTasks:
         p = directed_cycle(4)
         m = DirectedMatcher(p)
         rep = m.plan(dig_small)
-        engine = DirectedEngine(dig_small, rep.plan)
+        engine = Engine(dig_small, rep.plan)
         for pre in engine.iter_prefixes(2):
             assert len(pre) == 2
             assert len(set(pre)) == 2
@@ -282,7 +322,7 @@ class TestPrefixTasks:
     def test_bad_split_depth(self, dig_small):
         p = directed_cycle(3)
         rep = DirectedMatcher(p).plan(dig_small)
-        engine = DirectedEngine(dig_small, rep.plan)
+        engine = Engine(dig_small, rep.plan)
         with pytest.raises(ValueError):
             list(engine.iter_prefixes(0))
         with pytest.raises(ValueError):
@@ -295,7 +335,7 @@ class TestPrefixTasks:
         # IndexError inside the prefix walk).
         plan = compile_directed_plan(out_star(2), (0, 1, 2), frozenset(), iep_k=2)
         assert plan.n_loops == 1
-        engine = DirectedEngine(dig_small, plan)
+        engine = Engine(dig_small, plan)
         with pytest.raises(ValueError, match="at least two executed loops"):
             list(engine.iter_prefixes(1))
 
@@ -335,7 +375,7 @@ class TestDirectedIEP:
         if rep.plan.iep_k == 0:
             pytest.skip("no IEP suffix realised")
         with pytest.raises(ValueError, match="iep_k=0"):
-            DirectedEngine(dig_small, rep.plan).enumerate_embeddings()
+            Engine(dig_small, rep.plan).enumerate_embeddings()
 
     def test_match_rejects_iep_report(self, dig_small):
         # match(report=...) used to silently re-plan and drop the passed
@@ -365,7 +405,7 @@ class TestDirectedIEP:
         rep = m.plan(dig_small, use_iep=True)
         if rep.plan.iep_k == 0 or rep.plan.n_loops < 2:
             pytest.skip("no splittable IEP plan here")
-        engine = DirectedEngine(dig_small, rep.plan)
+        engine = Engine(dig_small, rep.plan)
         raw = sum(engine.count_prefix(pre) for pre in engine.iter_prefixes(1))
         assert engine.finalize_count(raw) == bruteforce_directed_count(
             dig_small, bi_fan()

@@ -5,8 +5,8 @@ Three layers under test, all new in the directed-first-class change:
 * :class:`~repro.core.vectorised.FrontierEngine` on a digraph — per-depth
   candidate pools drawn from the digraph's out-/in-CSR rows (antiparallel
   dependencies intersect both), restriction windows unchanged;
-* directed generated kernels (`generate_directed_source` /
-  `compile_directed_function`) plus the backend capability flags and the
+* directed generated kernels (`generate_source` reading a directed
+  plan's out-/in-refs) plus the backend capability flags and the
   session's kernel memoisation that route directed plans onto them;
 * the XMiner skeleton-sharing reduction for batched directed queries
   (:func:`repro.core.reduction.reduce_directed_batch` and
@@ -22,8 +22,9 @@ import pytest
 
 from repro.baselines.bruteforce import bruteforce_directed_count
 from repro.core.backend import MatchContext, get_backend
-from repro.core.codegen import compile_directed_function, generate_directed_source
-from repro.core.directed import DirectedMatcher, compile_directed_plan
+from repro.core.codegen import compile_directed_function, generate_source
+from repro.core.config import Configuration, compile_plan
+from repro.core.directed import DirectedMatcher
 from repro.core.query import MatchQuery
 from repro.core.reduction import (
     MAX_DIGRAPH_VERTICES,
@@ -65,6 +66,11 @@ def dig():
 @pytest.fixture(scope="module")
 def citation():
     return price_citation_graph(120, out_degree=4, seed=7)
+
+
+def compile_directed_plan(pattern: DiPattern, schedule, restrictions):
+    config = Configuration(pattern.skeleton(), tuple(schedule), frozenset(restrictions))
+    return compile_plan(config, dipattern=pattern)
 
 
 def directed_ctx(graph, pattern, **plan_kwargs):
@@ -134,7 +140,7 @@ class TestDirectedFrontierEngine:
         # Schedule bi-fan as (0, 1, 2, 3): vertices 0 and 1 are the two
         # sources, mutually non-adjacent, so depth 1 has no dependency.
         plan = compile_directed_plan(bi_fan(), (0, 1, 2, 3), frozenset())
-        assert not plan.out_deps[1] and not plan.in_deps[1]
+        assert not plan.refs[1]
         with pytest.raises(ValueError, match="connected"):
             FrontierEngine(dig, plan)
 
@@ -162,15 +168,16 @@ class TestDirectedKernels:
         plan = compile_directed_plan(
             DiPattern(2, [(0, 1), (1, 0)], name="dcycle-2"), (0, 1), frozenset()
         )
-        src = generate_directed_source(plan)
+        src = generate_source(plan)
         assert "out_indptr" in src and "in_indptr" in src
+        assert "c1 = intersect_many([ob0, ib0])" in src
 
     def test_source_rejects_iep(self, dig):
         rep = DirectedMatcher(bi_fan()).plan(dig, use_iep=True)
         if rep.plan.iep_k == 0:
             pytest.skip("no IEP suffix realised")
         with pytest.raises(ValueError):
-            generate_directed_source(rep.plan)
+            generate_source(rep.plan)
 
     def test_compiled_backend_counts_directed(self, dig):
         p = transitive_triangle()

@@ -4,7 +4,7 @@ Every directed catalogue pattern, and every orientation (antiparallel
 arcs included, one per isomorphism class) of every connected skeleton of
 at most five vertices whose schedule realises an independent suffix of
 ``k >= 2``, must count exactly what the IEP-free interpreter
-:class:`~repro.core.directed.DirectedEngine` and a brute-force oracle
+:class:`~repro.core.engine.Engine` and a brute-force oracle
 count — on random digraphs with reciprocal arcs, an isolated id in the
 middle of the id range, and an empty digraph.  ``count_roots`` must
 return raw partial sums that add over any root partition before the one
@@ -23,11 +23,9 @@ import pytest
 from repro.baselines.bruteforce import bruteforce_directed_count
 from repro.core import vectorised
 from repro.core.backend import available_backends, get_backend
-from repro.core.directed import (
-    DirectedEngine,
-    compile_directed_plan,
-    generate_directed_restriction_sets,
-)
+from repro.core.config import Configuration, compile_plan
+from repro.core.directed import generate_directed_restriction_sets
+from repro.core.engine import Engine
 from repro.core.iep import apply_overcount
 from repro.core.query import MatchQuery
 from repro.core.restrictions import NonUniformOvercountError
@@ -104,13 +102,14 @@ def _suffix_plans(pattern: DiPattern, schedule=None, auts=None) -> tuple:
         auts = directed_automorphisms(pattern)
     res = generate_directed_restriction_sets(pattern, max_sets=1, auts=auts)[0]
     k = intersection_free_suffix_length(skeleton, schedule)
+    config = Configuration(skeleton, schedule, res)
     while True:
         try:
-            plan = compile_directed_plan(pattern, schedule, res, iep_k=k, auts=auts)
+            plan = compile_plan(config, iep_k=k, auts=auts, dipattern=pattern)
             break
         except NonUniformOvercountError:
             k -= 1
-    return plan, compile_directed_plan(pattern, schedule, res, auts=auts)
+    return plan, compile_plan(config, dipattern=pattern)
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +211,7 @@ def test_every_orientation_matches_interpreter_and_bruteforce(skeleton):
         bulk += plan.iep_k >= 2
         got = FrontierEngine(graph, plan).count()
         expected = _oracle("recip-isolated-mid", skeleton, pattern, len(auts))
-        assert got == DirectedEngine(graph, free).count() == expected, (
+        assert got == Engine(graph, free).count() == expected, (
             pattern.arcs, plan.schedule, plan.iep_k, got, expected
         )
         assert FrontierEngine(empty, plan).count() == 0
@@ -234,7 +233,7 @@ def test_catalogue_matches_interpreter_and_bruteforce(graph_name, name):
     expected = _expected(graph_name, name)
     plan, free = _catalogue_plans(name)
     got = FrontierEngine(graph, plan).count()
-    assert got == DirectedEngine(graph, free).count() == expected, (plan.iep_k, got)
+    assert got == Engine(graph, free).count() == expected, (plan.iep_k, got)
     assert FrontierEngine(graph, plan, root_chunk=3).count() == expected
     # the session's own default plan (IEP on) runs on the frontier engine
     session = MatchSession(graph)

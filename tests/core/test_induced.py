@@ -6,9 +6,8 @@ import pytest
 
 from repro.baselines.bruteforce import bruteforce_count, bruteforce_induced_count
 from repro.core.api import count_pattern
-from repro.core.config import Configuration
+from repro.core.config import Configuration, compile_plan
 from repro.core.induced import (
-    InducedEngine,
     induced_count,
     induced_count_engine,
     induced_count_via_moebius,
@@ -164,7 +163,7 @@ def test_induced_engine_rejects_iep_plan(er_small):
     if rep.plan.iep_k == 0:
         pytest.skip("model did not choose IEP here")
     with pytest.raises(ValueError, match="iep_k=0"):
-        InducedEngine(er_small, rep.plan)
+        compile_plan(rep.chosen.config, iep_k=rep.plan.iep_k, induced=True)
 
 
 def test_induced_enumerate_yields_distinct_induced_embeddings(er_small):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.labeled import (
-    LabeledEngine,
     LabeledMatcher,
     labeled_bruteforce_count,
     labeled_count,

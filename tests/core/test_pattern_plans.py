@@ -24,11 +24,10 @@ from repro.core.session import (
     PlanReport,
     clear_sessions,
     get_session,
-    plan_plain,
+    plan_query,
 )
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import erdos_renyi
-from repro.graph.stats import GraphStats
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.pattern.catalog import get_pattern
@@ -47,14 +46,9 @@ def _fresh_registry():
 
 
 def fresh_plan(query: MatchQuery, graph) -> PlanReport:
-    return plan_plain(
-        query.pattern,
-        GraphStats.of(graph),
-        use_iep=query.resolved_use_iep,
-        max_restriction_sets=query.max_restriction_sets,
-        dedup_schedules=query.dedup_schedules,
-        codegen=False,
-    )
+    """The plan a private, from-scratch planning of ``query`` picks (an
+    induced query's winner is lowered with its anti columns)."""
+    return plan_query(query, graph)
 
 
 def assert_same_plan(report: PlanReport, fresh: PlanReport) -> None:

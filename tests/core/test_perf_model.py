@@ -328,7 +328,7 @@ class TestOneCompilePerPlan:
             lp = LabeledPattern(get_pattern("P3"), (0, 0, 1, 1, 0, 0))
             query = MatchQuery(lp, use_iep=use_iep)
         elif mode == "directed":
-            owner, name = directed_mod, "compile_directed_plan"
+            owner = directed_mod
             graph = random_digraph(60, 0.08, seed=5)
             query = MatchQuery(get_directed_pattern("dcycle-5"), use_iep=use_iep)
         elif mode == "induced":

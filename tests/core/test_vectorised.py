@@ -35,7 +35,7 @@ from repro.core.backend import (
     plain_context,
     select_backend,
 )
-from repro.core.config import Configuration
+from repro.core.config import Configuration, compile_plan
 from repro.core.induced import induced_count
 from repro.core.query import MatchQuery
 from repro.core.restrictions import generate_restriction_sets
@@ -62,10 +62,10 @@ def dataset_graph():
     return load_dataset("wiki-vote", scale=0.12, seed=7)
 
 
-def make_plan(pattern, iep_k=0):
+def make_plan(pattern, iep_k=0, **facts):
     s = generate_schedules(pattern)[0]
     rs = generate_restriction_sets(pattern)[0]
-    return Configuration(pattern, s, rs).compile(iep_k=iep_k)
+    return compile_plan(Configuration(pattern, s, rs), iep_k=iep_k, **facts)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +251,14 @@ class TestFallbacks:
         assert select_backend(ctx, None).name == "vectorised"
 
     def test_iep_context_not_supported(self, er_small):
-        # Bulk IEP assumes plain edge semantics: an induced context
-        # carrying an IEP-suffix plan still bounces to the interpreter.
+        # Bulk IEP has no label masks: a labeled context carrying an
+        # IEP-suffix plan still bounces to the interpreter.
+        from repro.graph.labeled import assign_random_labels
+
         ctx = MatchContext(
-            graph=er_small, plan=make_plan(pentagon(), iep_k=1), mode="induced"
+            graph=assign_random_labels(er_small, 2, seed=7),
+            plan=make_plan(pentagon(), iep_k=1, labels=(0,) * 5),
+            mode="labeled",
         )
         backend = get_backend("vectorised")
         assert not backend.supports(ctx)
@@ -270,7 +274,7 @@ class TestFallbacks:
         # The anti-edge masks made induced contexts first-class: no
         # interpreter fallback for an IEP-free plan.
         ctx = MatchContext(
-            graph=er_small, plan=make_plan(rectangle()), mode="induced"
+            graph=er_small, plan=make_plan(rectangle(), induced=True), mode="induced"
         )
         backend = get_backend("vectorised")
         assert backend.supports(ctx)
@@ -278,10 +282,13 @@ class TestFallbacks:
         assert backend.count(ctx) == bruteforce_induced_count(er_small, rectangle())
 
     def test_frontier_engine_rejects_iep_plans(self, er_small):
-        # ... outside plain edge semantics; plain IEP plans are counted.
+        # ... of labeled plans; plain IEP plans are counted.
+        from repro.graph.labeled import assign_random_labels
+
+        labeled = make_plan(pentagon(), iep_k=1, labels=(0,) * 5)
+        with pytest.raises(ValueError, match="IEP suffixes of unlabeled plans"):
+            FrontierEngine(assign_random_labels(er_small, 2, seed=7), labeled)
         plan = make_plan(pentagon(), iep_k=1)
-        with pytest.raises(ValueError, match="plain edge semantics"):
-            FrontierEngine(er_small, plan, induced=True)
         assert FrontierEngine(er_small, plan).count() == bruteforce_count(
             er_small, pentagon()
         )
@@ -405,20 +412,13 @@ class TestLabeledInducedFrontier:
             assert got == expected, (aux, pattern.name)
 
     def test_labeled_engine_requires_labeled_graph(self, er_small):
-        from repro.pattern.labeled import LabeledPattern
-
-        lp = LabeledPattern(triangle(), (0, 0, 1))
-        plan = make_plan(triangle())
+        plan = make_plan(triangle(), labels=(0, 0, 1))
         with pytest.raises(TypeError, match="LabeledGraph"):
-            FrontierEngine(er_small, plan, lpattern=lp)
+            MatchContext(graph=er_small, plan=plan, mode="labeled")
 
-    def test_labeled_induced_combination_rejected(self, labeled_graph):
-        from repro.pattern.labeled import LabeledPattern
-
-        lp = LabeledPattern(triangle(), (0, 0, 1))
-        plan = make_plan(triangle())
+    def test_labeled_induced_combination_rejected(self):
         with pytest.raises(ValueError, match="not supported"):
-            FrontierEngine(labeled_graph, plan, lpattern=lp, induced=True)
+            make_plan(triangle(), labels=(0, 0, 1), induced=True)
 
 
 # ---------------------------------------------------------------------------

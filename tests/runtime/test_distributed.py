@@ -27,9 +27,9 @@ from repro.core.backend import (
     BackendUnsupportedError,
     MatchContext,
     get_backend,
-    make_engine,
 )
-from repro.core.config import Configuration
+from repro.core.config import Configuration, compile_plan
+from repro.core.engine import Engine
 from repro.core.query import MatchQuery
 from repro.core.session import MatchSession, get_session
 from repro.pattern.automorphism import automorphisms
@@ -214,7 +214,7 @@ class TestTaskCounter:
         counter, effective = make_task_counter(ctx, "vectorised")
         assert effective == "vectorised"
         raw = counter(list(range(er_small.n_vertices)))
-        assert make_engine(ctx).finalize_count(raw) == bruteforce_count(
+        assert Engine(ctx.graph, ctx.plan).finalize_count(raw) == bruteforce_count(
             er_small, house()
         )
 
@@ -226,7 +226,7 @@ class TestTaskCounter:
         counter, effective = make_task_counter(ctx, "vectorised")
         assert effective == "compiled"
         raw = counter(list(range(er_small.n_vertices)))
-        assert make_engine(ctx).finalize_count(raw) == bruteforce_count(
+        assert Engine(ctx.graph, ctx.plan).finalize_count(raw) == bruteforce_count(
             er_small, rectangle()
         ) * len(automorphisms(rectangle()))
 
@@ -238,7 +238,8 @@ class TestTaskCounter:
         from repro.core.backend import MatchContext
 
         plain = plan_ctx(er_small, house())
-        ctx = MatchContext(graph=er_small, plan=plain.plan, mode="induced")
+        induced = compile_plan(plain.plan.config, induced=True)
+        ctx = MatchContext(graph=er_small, plan=induced, mode="induced")
         counter, effective = make_task_counter(ctx, "vectorised")
         assert effective == "vectorised"
         total = counter(list(range(er_small.n_vertices)))
@@ -317,13 +318,17 @@ class TestCapabilityFallbacks:
                 get_backend(name).enumerate_embeddings(ctx)
 
     def test_unsupported_mode_raises_naming_the_backend(self, er_small):
-        # The compiled backend serves directed DirectedPlans now; a
-        # directed context carrying an undirected ExecutionPlan is the
-        # remaining mismatch it must refuse by name.
+        # The compiled backend serves IEP-free directed plans; a directed
+        # plan with an IEP suffix is the mismatch it must refuse by name.
         from repro.core.backend import MatchContext
+        from repro.core.directed import DirectedMatcher
+        from repro.graph.digraph import random_digraph
+        from repro.pattern.directed import out_star
 
-        plain = plan_ctx(er_small, triangle())
-        directed = MatchContext(graph=er_small, plan=plain.plan, mode="directed")
+        dg = random_digraph(20, 0.2, seed=1)
+        plan = DirectedMatcher(out_star(3)).plan(dg, use_iep=True).plan
+        assert plan.iep_k > 0
+        directed = MatchContext(graph=dg, plan=plan, mode="directed")
         with pytest.raises(BackendUnsupportedError, match="compiled"):
             get_backend("compiled").count(directed)
 
