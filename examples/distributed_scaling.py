@@ -3,8 +3,10 @@
 
 Demonstrates all three runtime layers:
 
-1. sequential master/worker task partitioning (reference),
-2. real multiprocessing across local cores,
+1. sequential master/worker task partitioning on the interpreter
+   (the reference, at split depth 2),
+2. real multiprocessing across local cores: worker processes count
+   root-range tasks on the frontier engine,
 3. the event-driven cluster simulator replaying *measured* task costs
    at Tianhe-2A scale (24 threads/node, MPI-style work stealing) — the
    machinery behind the Figure 12 reproduction,
@@ -46,9 +48,10 @@ def main() -> None:
           "(power-law degrees -> imbalanced tasks, the §IV-E motivation)\n")
 
     # 2. Real multiprocessing.
-    result = parallel_count(graph, plan, n_workers=2, split_depth=2)
+    result = parallel_count(graph, plan, n_workers=2)
     assert result.count == total
-    print(f"multiprocessing ({result.n_workers} workers): count={result.count}\n")
+    print(f"multiprocessing ({result.n_workers} workers, {result.n_tasks} root tasks "
+          f"on {result.executor}): count={result.count}\n")
 
     # 3. Simulated cluster at paper scale.
     costs = np.asarray(measure_task_costs(graph, plan, split_depth=2))
@@ -70,8 +73,8 @@ def main() -> None:
     print("\nNear-linear until per-node work runs out — the Figure 12 shape.")
 
     # 4. The same study through the unified backend seam: the session
-    #    plans for the backend's capabilities, an inner executor counts
-    #    root-range tasks for real, and the measured costs replay
+    #    plans for the backend's capabilities, the same root-range
+    #    tasks are counted for real in process, and the measured costs replay
     #    through the simulator — one call, count + profile.
     backend = get_backend(
         "distributed", node_counts=(1, 4, 16, 64), threads_per_node=4

@@ -13,8 +13,7 @@ count    count embeddings of a pattern in a dataset/edge-list file
          MatchQuery/MatchSession facade with its plan cache.
          --backend distributed additionally prints the simulated
          multi-node scaling table: --nodes 1,4,16 picks the simulated
-         node counts, --tasks the root-range task granularity and
-         --inner the per-task executor)
+         node counts and --tasks the root-range task granularity)
 plan     show the preprocessing decisions (restrictions, schedule, model)
 motifs   run a k-motif census (--induced converts the census; the whole
          census shares one MatchSession, so plans are reused)
@@ -48,7 +47,7 @@ import time
 # Module level holds only what building the parser needs; each command
 # imports the subsystems it runs, so a cold ``repro count`` loads no
 # serving, streaming, mining or approx code.
-from repro.core.backend import INNER_BACKENDS, available_backends, backend_names, get_backend
+from repro.core.backend import available_backends, backend_names, get_backend
 from repro.utils.tables import Table, format_seconds
 
 
@@ -120,9 +119,6 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
                              "(comma-separated, e.g. 1,4,16,64)")
     parser.add_argument("--tasks", type=int, default=None, metavar="N",
                         help="root-range task count for --backend distributed")
-    parser.add_argument("--inner", default=None, choices=list(INNER_BACKENDS),
-                        help="inner per-task executor for --backend "
-                             "distributed (default vectorised)")
 
 
 def _parse_nodes(spec: str) -> list[int]:
@@ -143,8 +139,7 @@ def _resolve_backend(args, *, count_report: bool = True):
     ``simulate=False`` so no cost replay runs for a report nobody sees.
     """
     if args.backend != "distributed":
-        for flag, value in (("--nodes", args.nodes), ("--tasks", args.tasks),
-                            ("--inner", args.inner)):
+        for flag, value in (("--nodes", args.nodes), ("--tasks", args.tasks)):
             if value is not None:
                 # Silently dropping a scaling-study flag would hand the
                 # user a plain count they believe is a multi-node run.
@@ -154,15 +149,16 @@ def _resolve_backend(args, *, count_report: bool = True):
     if args.backend is None:
         return None
     if args.backend == "parallel":
-        return get_backend("parallel", n_workers=args.workers)
+        try:
+            return get_backend("parallel", n_workers=args.workers)
+        except ValueError as exc:  # --workers 0
+            raise UsageError(f"--workers must be >= 1, got {args.workers}") from exc
     if args.backend == "distributed":
         options = {}
         if args.nodes is not None:
             options["node_counts"] = _parse_nodes(args.nodes)
         if args.tasks is not None:
             options["n_tasks"] = args.tasks
-        if args.inner is not None:
-            options["inner"] = args.inner
         if not count_report:
             if args.nodes is not None:
                 raise UsageError(

@@ -4,7 +4,7 @@ GraphPi's core move (§IV-C) is choosing among *candidate configurations*
 by a cost model instead of a fixed rule.  This module promotes that idea
 one level up, from schedule selection to whole-backend selection: the
 system now has several conformance-tested execution backends plus knobs
-(IEP, auxiliary-pruning mode, inner executors, task granularity), and
+(IEP, auxiliary-pruning mode, worker and task counts), and
 which combination wins depends on the workload — frontier execution
 dominates on dense patterns over skewed graphs, generated scalar code on
 tiny IEP-friendly patterns, the interpreter on 1-loop plans.
@@ -676,14 +676,7 @@ def default_choice_grid(*, heavy: bool = False) -> list[ProfileChoice]:
     if heavy:
         grid += [
             ProfileChoice.make("parallel", {"n_workers": 2}, use_iep=True),
-            ProfileChoice.make(
-                "distributed", {"simulate": False, "inner": "vectorised"},
-                use_iep=False,
-            ),
-            ProfileChoice.make(
-                "distributed", {"simulate": False, "inner": "compiled"},
-                use_iep=True,
-            ),
+            ProfileChoice.make("distributed", {"simulate": False}, use_iep=False),
         ]
     return grid
 

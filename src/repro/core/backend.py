@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.core.config import Configuration, ExecutionPlan
+from repro.core.config import ExecutionPlan
 from repro.core.engine import Engine
 from repro.graph.csr import Graph
 from repro.graph.digraph import DiGraph
@@ -114,30 +114,6 @@ class MatchContext:
         if self.mode != "labeled" and isinstance(self.graph, LabeledGraph):
             # plain and induced matching read the structure only
             object.__setattr__(self, "graph", self.graph.graph)
-
-
-def make_prefix_counter(
-    ctx: MatchContext, split_depth: int, worker_backend: str
-) -> tuple[Any, str]:
-    """Build a worker-side ``prefix -> raw count`` callable via the registry.
-
-    ``worker_backend="compiled"`` gets a generated kernel when the
-    context supports one (plain mode, valid split) and falls back to
-    the interpreter engine otherwise.  Returns ``(counter, effective)``
-    where ``effective`` names what the counter actually is (post-
-    fallback), so callers report it rather than re-deriving the policy.
-    """
-    if (
-        worker_backend == "compiled"
-        and ctx.mode == "plain"
-        and 1 <= split_depth < ctx.plan.n_loops
-    ):
-        from repro.core.codegen import compile_prefix_function
-
-        kernel = compile_prefix_function(ctx.plan, split_depth)
-        graph = ctx.graph
-        return (lambda prefix: kernel(graph, prefix)), "compiled"
-    return Engine(ctx.graph, ctx.plan).count_prefix, "interpreter"
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +335,6 @@ def resolve_backend(spec: "str | ExecutionBackend | None") -> ExecutionBackend |
 #: counting-only ``compiled``.
 DEFAULT_ORDER = ("vectorised", "compiled", "interpreter")
 
-#: the per-task executors the ``distributed`` backend can build (its
-#: ``inner`` option); other registered backends (parallel, distributed
-#: itself) have no per-task entry point and would silently demote to the
-#: interpreter.  Kept here so the CLI offers them without loading the
-#: distributed runtime.
-INNER_BACKENDS = ("vectorised", "compiled", "interpreter")
-
-
 def _serves(
     backend: ExecutionBackend, ctx: MatchContext, for_enumeration: bool
 ) -> bool:
@@ -485,65 +453,37 @@ class CompiledBackend(ExecutionBackend):
 
 @register_backend
 class ParallelBackend(ExecutionBackend):
-    """Multiprocess master/worker execution; workers run compiled kernels.
+    """Multiprocess root-range tasks; workers run the frontier engine.
 
-    Constructor options: ``n_workers``, ``split_depth``, ``chunksize``
-    and ``worker_backend`` ("compiled" default, "interpreter" to force
-    interpreted workers) — all forwarded to
-    :func:`repro.runtime.parallel.parallel_count_ctx`.
+    Constructor option: ``n_workers`` (default: the host's CPU count),
+    forwarded to :func:`repro.runtime.parallel.parallel_count_ctx`.
+    Each worker counts its tasks with
+    :func:`repro.runtime.tasks.task_counter`, which falls back to the
+    interpreter for plans the frontier engine does not serve.
     """
 
     name = "parallel"
-    # generated_kernels stays False: workers compile their own *prefix*
-    # kernels (make_prefix_counter); a whole-plan kernel shipped in the
-    # context is never executed, so planning one would be pure waste.
-    # Prefix workers are interpreter engines outside plain mode, which
-    # run an IEP suffix in every mode but the induced one.
+    # generated_kernels stays False: no worker runs a whole-plan kernel
+    # shipped in the context, so planning one would be pure waste.  The
+    # interpreter task counter runs an IEP suffix in every mode but the
+    # induced one.
     capabilities = BackendCapabilities(modes=frozenset(MODES), iep_modes=IEP_MODES)
 
-    def __init__(
-        self,
-        *,
-        n_workers: int | None = None,
-        split_depth: int | None = None,
-        chunksize: int = 8,
-        worker_backend: str = "compiled",
-    ):
+    def __init__(self, *, n_workers: int | None = None):
+        if n_workers is not None and n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self.split_depth = split_depth
-        self.chunksize = chunksize
-        self.worker_backend = worker_backend
 
     def supports(self, ctx: MatchContext) -> bool:
-        # The interpreter implements the prefix-task protocol in every
-        # mode; a 1-loop plan has no outer loop to split on, so fall back.
+        # Tasks split the outermost loop; a 1-loop plan has no inner
+        # loops to hand the workers, so fall back.
         return ctx.mode in MODES and ctx.plan.n_loops >= 2
 
     def count(self, ctx: MatchContext) -> int:
         self._require(ctx)
         from repro.runtime.parallel import parallel_count_ctx
 
-        return parallel_count_ctx(
-            ctx,
-            n_workers=self.n_workers,
-            split_depth=self.split_depth,
-            chunksize=self.chunksize,
-            worker_backend=self.worker_backend,
-        ).count
-
-
-def plain_context(graph, plan_or_config, generated: GeneratedCounter | None = None
-                  ) -> MatchContext:
-    """Convenience: wrap a plan/configuration as a plain-mode context."""
-    if isinstance(plan_or_config, Configuration):
-        plan = plan_or_config.compile()
-    elif isinstance(plan_or_config, ExecutionPlan):
-        plan = plan_or_config
-    else:
-        raise TypeError(
-            f"expected ExecutionPlan or Configuration, got {type(plan_or_config)!r}"
-        )
-    return MatchContext(graph=graph, plan=plan, generated=generated)
+        return parallel_count_ctx(ctx, n_workers=self.n_workers).count
 
 
 # Registering the vectorised frontier backend requires this module to be

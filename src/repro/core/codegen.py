@@ -59,26 +59,6 @@ class GeneratedCounter:
         return self.function(graph)
 
 
-@dataclass(frozen=True)
-class GeneratedPrefixCounter:
-    """A compiled worker-side kernel: inner loops under an outer prefix.
-
-    The contract matches :meth:`repro.core.engine.Engine.count_prefix`:
-    the prefix binds the outermost ``split_depth`` loop values (already
-    restriction-checked by the master), and the returned count is *raw*
-    (no IEP overcount division) so task partials can be summed before a
-    single final division.
-    """
-
-    plan: ExecutionPlan
-    split_depth: int
-    source: str
-    function: Callable[[Graph, tuple], int]
-
-    def __call__(self, graph: Graph, prefix: tuple) -> int:
-        return self.function(graph, prefix)
-
-
 def _bounds_expr(plan: ExecutionPlan, depth: int, base: str) -> tuple[str | None, str]:
     """Return (slice_stmt, var) applying depth's restriction bounds."""
     lo_terms = [f"v{j}" for j in plan.lower[depth]]
@@ -115,23 +95,10 @@ def _row_var(plan: ExecutionPlan, j: int, way: int) -> str:
     return f"ob{j}" if plan.mode == "directed" else f"nb{j}"
 
 
-def generate_source(
-    plan: ExecutionPlan,
-    func_name: str = "generated_count",
-    *,
-    split_depth: int = 0,
-) -> str:
+def generate_source(plan: ExecutionPlan, func_name: str = "generated_count") -> str:
     """Emit the specialised counting function's Python source.
 
-    With ``split_depth == 0`` (default) the function takes ``(graph)``
-    and counts the whole loop nest.  With ``split_depth = s > 0`` the
-    function takes ``(graph, prefix)``: the outermost ``s`` loop values
-    come pre-bound from the prefix (the master already applied their
-    restrictions, exactly :meth:`Engine.iter_prefixes`'s contract) and
-    only the remaining inner loops are executed.  Prefix functions
-    return the *raw* count — the IEP overcount divisor is applied once
-    by the aggregator, mirroring ``Engine.count_prefix``.
-
+    The function takes ``(graph)`` and counts the whole loop nest.
     Every mode is read off the plan's operations: each depth's raw
     candidates intersect the rows its refs name (``nb{j}`` on an
     undirected graph, ``ob{j}``/``ib{j}`` for the out-/in-CSR rows of a
@@ -143,10 +110,6 @@ def generate_source(
     """
     n = plan.n
     n_loops = plan.n_loops
-    if not 0 <= split_depth < n_loops:
-        raise ValueError(
-            f"split_depth must be in [0, {n_loops - 1}], got {split_depth}"
-        )
     if plan.iep_k > 0 and plan.mode != "plain":
         raise ValueError(
             f"{plan.mode} kernels require an IEP-free plan (iep_k == 0)"
@@ -156,11 +119,8 @@ def generate_source(
     lines: list[str] = []
     emit = lines.append
 
-    args = "graph" if split_depth == 0 else "graph, prefix"
-    emit(f"def {func_name}({args}):")
+    emit(f"def {func_name}(graph):")
     emit(f'    """Generated for {plan.config.describe()}')
-    if split_depth:
-        emit(f"    Worker kernel: outermost {split_depth} loops bound by prefix.")
     if plan.mode == "labeled":
         emit(f"    Labeled kernel: per-depth labels {plan.labels}.")
     if plan.mode == "induced":
@@ -187,24 +147,22 @@ def generate_source(
     emit(f"    if nv < {n}:")
     emit("        return 0")
     emit("    total = 0")
-    if any(not plan.refs[d] for d in range(split_depth, n)):
+    if any(not plan.refs[d] for d in range(n)):
         emit(f"    all_vertices = np.arange(nv, dtype={csr[OUT][1]}.dtype)")
 
     # ------------------------------------------------------------------
     # hoisting plan
     # ------------------------------------------------------------------
     # The row of v{j} in direction `way` is bound once v{j} is, if a ref
-    # or an anti column of an *executed* depth (>= split_depth; prefix
-    # depths have no candidates) reads it.
-    rows_needed = {
-        ref for d in range(split_depth, n) for ref in plan.refs[d]
-    } | {(j, OUT) for d in range(split_depth, n) for j in plan.anti[d]}
+    # or an anti column of any depth reads it.
+    rows_needed = {ref for d in range(n) for ref in plan.refs[d]} | {
+        (j, OUT) for d in range(n) for j in plan.anti[d]
+    }
     # Raw candidate var per executed/inner depth: all_vertices / one row /
-    # hoisted c{d}.  A multi-ref intersection whose operands are all
-    # prefix-bound hoists into the preamble.
+    # hoisted c{d}.
     raw_var: dict[int, str] = {}
     hoist_at: dict[int, list[int]] = {}
-    for d in range(split_depth, n):
+    for d in range(n):
         refs = plan.refs[d]
         if not refs:
             raw_var[d] = "all_vertices"
@@ -228,17 +186,10 @@ def generate_source(
             emit(f"{pad}c{d} = intersect_many([{args}])")
 
     # ------------------------------------------------------------------
-    # prefix preamble (worker kernels only)
-    # ------------------------------------------------------------------
-    for j in range(split_depth):
-        emit(f"    v{j} = prefix[{j}]")
-        emit_loop_body_setup(j, indent)
-
-    # ------------------------------------------------------------------
     # outer loops
     # ------------------------------------------------------------------
-    for depth in range(split_depth, n_loops - 1):
-        pad = indent * (depth - split_depth + 1)
+    for depth in range(n_loops - 1):
+        pad = indent * (depth + 1)
         stmts, cand = _candidate_stmts(plan, depth, raw_var[depth])
         for stmt in stmts:
             emit(f"{pad}{stmt}")
@@ -246,7 +197,7 @@ def generate_source(
         # than boxing numpy scalars, and downstream indexing/compares
         # stay in the fast int path.
         emit(f"{pad}for v{depth} in {cand}.tolist():")
-        body = indent * (depth - split_depth + 2)
+        body = indent * (depth + 2)
         distinct = [f"v{depth} != v{j}" for j in range(depth)]
         if distinct:
             emit(f"{body}if not ({' and '.join(distinct)}):")
@@ -257,7 +208,7 @@ def generate_source(
     # innermost executed loop
     # ------------------------------------------------------------------
     last = n_loops - 1
-    pad = indent * (last - split_depth + 1)
+    pad = indent * (last + 1)
     stmts, cand = _candidate_stmts(plan, last, raw_var[last])
     for stmt in stmts:
         emit(f"{pad}{stmt}")
@@ -277,7 +228,7 @@ def generate_source(
         emit_loop_body_setup(last, body)
         _emit_iep(plan, emit, body, raw_var)
 
-    if split_depth or plan.iep_overcount == 1:
+    if plan.iep_overcount == 1:
         emit("    return total")
     else:
         emit(f"    return total // {plan.iep_overcount}")
@@ -406,19 +357,3 @@ def compile_directed_function(plan: ExecutionPlan) -> GeneratedCounter:
     """:func:`compile_plan_function` of a directed plan; the kernel takes
     a :class:`~repro.graph.digraph.DiGraph`."""
     return _compile_mode(plan, "directed")
-
-
-def compile_prefix_function(plan: ExecutionPlan, split_depth: int) -> GeneratedPrefixCounter:
-    """Generate, ``exec`` and wrap the worker-side prefix kernel.
-
-    Pairs with :meth:`repro.core.engine.Engine.iter_prefixes`: the master
-    enumerates prefixes (interpreted — outer loops are a vanishing
-    fraction of the work), workers run this specialised kernel per task.
-    """
-    source = generate_source(
-        plan, func_name="generated_count_prefix", split_depth=split_depth
-    )
-    function = _exec_generated(source, plan, "generated_count_prefix")
-    return GeneratedPrefixCounter(
-        plan=plan, split_depth=split_depth, source=source, function=function
-    )

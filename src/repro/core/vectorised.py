@@ -1013,7 +1013,7 @@ def frontier_engine_for(
 ) -> FrontierEngine:
     """The frontier engine for a match context — shared by
     :class:`VectorisedBackend` and the distributed task counter
-    (:func:`repro.runtime.distributed.make_task_counter`)."""
+    (:func:`repro.runtime.tasks.task_counter`)."""
     return FrontierEngine(ctx.graph, ctx.plan, root_chunk=root_chunk, aux=aux)
 
 

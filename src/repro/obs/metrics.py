@@ -419,8 +419,8 @@ DISTRIBUTED_TASKS = REGISTRY.counter(
 )
 PARALLEL_TASKS = REGISTRY.counter(
     "repro_parallel_tasks_total",
-    "Prefix tasks claimed by parallel-backend pool workers "
-    "(imap_unordered steals, counted master-side).",
+    "Root-range tasks counted by the parallel backend "
+    "(pool workers pull them one at a time; counted master-side).",
 )
 TRACES_COLLECTED = REGISTRY.counter(
     "repro_traces_collected_total",

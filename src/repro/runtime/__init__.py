@@ -1,9 +1,10 @@
 """Distributed/parallel runtime: tasks, work stealing, cluster simulation.
 
-Mirrors §IV-E: fine-grained prefix tasks from a master, worker execution
-of inner loops, and MPI-style work stealing between per-node queues.
-``parallel`` runs for real on local cores; ``cluster`` replays measured
-task costs through a deterministic event simulation at any node count.
+Mirrors §IV-E: root-range tasks from a master, worker execution of the
+inner loops, and MPI-style work stealing between per-node queues.
+``parallel`` runs the tasks for real on local cores, ``distributed``
+runs the same tasks in process, and ``cluster`` replays measured task
+costs through a deterministic event simulation at any node count.
 """
 
 from repro.runtime.tasks import (
@@ -11,7 +12,9 @@ from repro.runtime.tasks import (
     choose_split_depth,
     execute_task,
     generate_tasks,
+    root_tasks,
     run_partitioned,
+    task_counter,
 )
 from repro.runtime.worksteal import StealPolicy, VictimSelector, initial_distribution
 from repro.runtime.cluster import (
@@ -27,7 +30,9 @@ __all__ = [
     "choose_split_depth",
     "execute_task",
     "generate_tasks",
+    "root_tasks",
     "run_partitioned",
+    "task_counter",
     "StealPolicy",
     "VictimSelector",
     "initial_distribution",

@@ -4,13 +4,16 @@ GraphPi's headline scaling result is near-linear speedup to 1 024
 Tianhe-2A nodes (24 576 cores, Figure 12).  We cannot run MPI here, but
 the quantities the figure depends on are all available:
 
-1. the **exact count** — the master enumerates the viable root vertices
-   (``Engine.iter_prefixes(1)``, §IV-E's outer loop), partitions them
-   into contiguous task ranges with the same
+1. the **exact count** — the root-range tasks of
+   :mod:`repro.runtime.tasks`, the same ones the ``parallel`` backend
+   hands its worker processes, are counted in this process: the master
+   enumerates the viable root vertices (§IV-E's outer loop) and deals
+   them into task ranges with the
    :func:`~repro.runtime.worksteal.initial_distribution` the cluster
-   uses for node queues, and an *inner* executor counts each range for
-   real (default: one bulk :class:`~repro.core.vectorised.FrontierEngine`
-   sweep per range);
+   uses for node queues, and :func:`~repro.runtime.tasks.task_counter`
+   counts each range for real (one bulk
+   :class:`~repro.core.vectorised.FrontierEngine` sweep per range when
+   the frontier engine serves the plan, the interpreter otherwise);
 2. the **per-task cost distribution** — each task's wall-clock seconds
    are measured while computing those real counts; power-law degree skew
    shows up here exactly as it does on the real cluster;
@@ -38,25 +41,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.backend import (
     IEP_MODES,
-    INNER_BACKENDS,
     MODES,
     BackendCapabilities,
     ExecutionBackend,
     MatchContext,
-    make_prefix_counter,
     register_backend,
 )
 from repro.core.engine import Engine
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.runtime.cluster import SimulationResult, scaling_curve
-from repro.runtime.worksteal import StealPolicy, initial_distribution
+from repro.runtime.tasks import root_tasks, task_counter
+from repro.runtime.worksteal import StealPolicy
 
 #: node counts simulated per call unless overridden (Fig. 12's x-axis,
 #: trimmed so a default ``backend="distributed"`` count stays snappy).
@@ -64,14 +66,6 @@ DEFAULT_NODE_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 
 #: granularity cap: at most this many root-range tasks by default.
 DEFAULT_MAX_TASKS = 1024
-
-
-def _check_inner(inner: str) -> None:
-    if inner not in INNER_BACKENDS:
-        raise ValueError(
-            f"unsupported inner backend {inner!r}: the distributed "
-            f"backend's per-task executors are {INNER_BACKENDS}"
-        )
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,6 @@ class DistributedReport:
     n_tasks: int
     inner_backend: str
     distribution: str
-    split_depth: int
     threads_per_node: int
     node_counts: tuple[int, ...]
     results: tuple[SimulationResult, ...]
@@ -130,49 +123,9 @@ class DistributedReport:
         )
         return (
             f"{self.n_tasks} tasks over {self.n_roots} roots "
-            f"(inner={self.inner_backend}, {self.distribution}); "
+            f"(executor={self.inner_backend}, {self.distribution}); "
             f"speedup [{curve}]"
         )
-
-
-def make_task_counter(
-    ctx: MatchContext, inner: str = "vectorised"
-) -> tuple[Callable[[Sequence[int]], int], str]:
-    """Build the per-task ``roots -> raw count`` executor via the registry.
-
-    The distributed analogue of :func:`~repro.core.backend.
-    make_prefix_counter`: ``inner`` (one of :data:`INNER_BACKENDS`)
-    names the executor that should do the real counting inside each
-    root-range task, with a fallback chain applied where the preferred
-    strategy cannot serve the context:
-
-    * ``"vectorised"`` — one bulk frontier sweep per range
-      (:meth:`~repro.core.vectorised.FrontierEngine.count_roots`, the
-      same engine in every mode: plain and directed plans with or
-      without an IEP suffix; labeled or induced IEP-free plans;
-      connected-prefix schedules); otherwise falls through to
-    * ``"compiled"`` — the generated depth-1 prefix kernel, summed per
-      root (plain :class:`~repro.core.config.ExecutionPlan` with at
-      least two loops); otherwise
-    * the interpreter engine's ``count_prefix`` (every mode).
-
-    Returns ``(counter, effective)`` where ``effective`` names the
-    strategy actually built, post-fallback.  Counters return **raw**
-    (pre-IEP-division) counts so partial sums add; apply
-    ``Engine(ctx.graph, ctx.plan).finalize_count`` to the total.
-    """
-    _check_inner(inner)
-    from repro.core.vectorised import VectorisedBackend, frontier_engine_for
-
-    # Eligibility is the vectorised backend's own supports() predicate,
-    # the same one the frontier engine's constructor enforces.
-    if inner == "vectorised" and VectorisedBackend().supports(ctx):
-        return frontier_engine_for(ctx).count_roots, "vectorised"
-    worker = "compiled" if inner in ("vectorised", "compiled") else "interpreter"
-    prefix_counter, effective = make_prefix_counter(ctx, 1, worker)
-    return (
-        lambda roots: sum(prefix_counter((int(r),)) for r in roots)
-    ), effective
 
 
 def distributed_count_ctx(
@@ -185,7 +138,6 @@ def distributed_count_ctx(
     dispatch_overhead: float = 1e-6,
     policy: StealPolicy | None = None,
     distribution: str = "block",
-    inner: str = "vectorised",
     seed: int = 2020,
     record_tasks: bool = False,
     simulate: bool = True,
@@ -194,8 +146,8 @@ def distributed_count_ctx(
 
     The master enumerates viable root vertices (restrictions at depth 0
     already applied), partitions them into ``n_tasks`` ranges with
-    :func:`~repro.runtime.worksteal.initial_distribution`, executes each
-    range through the ``inner`` executor while measuring wall-clock cost,
+    :func:`~repro.runtime.tasks.root_tasks`, counts each range with
+    :func:`~repro.runtime.tasks.task_counter` while measuring wall-clock cost,
     then replays those costs through the cluster simulator at every node
     count in ``node_counts``.  ``simulate=False`` skips the replay
     (``results`` comes back empty) — the counting-only path.
@@ -205,21 +157,8 @@ def distributed_count_ctx(
     if n_tasks is not None and n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     engine = Engine(ctx.graph, ctx.plan)
-    roots = [prefix[0] for prefix in engine.iter_prefixes(1)]
-    n_roots = len(roots)
-    if n_tasks is None:
-        n_tasks = min(n_roots, DEFAULT_MAX_TASKS) or 1
-    n_tasks = min(n_tasks, max(n_roots, 1))
-
-    counter, effective = make_task_counter(ctx, inner)
-
-    # Reuse the cluster's distribution policy for root -> task ranges:
-    # each "queue" is one task's root list ("block" = contiguous ranges).
-    task_lists = [
-        [roots[i] for i in queue]
-        for queue in initial_distribution(n_roots, n_tasks, mode=distribution)
-    ]
-    task_lists = [t for t in task_lists if t]
+    task_lists = root_tasks(engine, n_tasks or DEFAULT_MAX_TASKS, distribution)
+    counter, executor = task_counter(ctx)
 
     raw = 0
     task_seconds: list[float] = []
@@ -250,11 +189,10 @@ def distributed_count_ctx(
 
     return DistributedReport(
         count=count,
-        n_roots=n_roots,
+        n_roots=sum(len(t) for t in task_lists),
         n_tasks=len(task_lists),
-        inner_backend=effective,
+        inner_backend=executor,
         distribution=distribution,
-        split_depth=1,
         threads_per_node=threads_per_node,
         node_counts=tuple(int(n) for n in node_counts),
         results=tuple(results),
@@ -272,13 +210,12 @@ class DistributedBackend(ExecutionBackend):
     ``node_counts`` (the simulated x-axis), ``n_tasks``,
     ``threads_per_node``, ``steal_latency``, ``policy``
     (:class:`~repro.runtime.worksteal.StealPolicy`), ``distribution``
-    (``"block"``/``"cyclic"``), ``inner`` (the per-task executor, one
-    of :data:`INNER_BACKENDS`, default ``"vectorised"``), ``seed``,
-    ``record_tasks`` and ``simulate`` (``False`` skips the cost replay
-    on every entry point — for callers that only want exact counts
-    through the distributed partitioning).
+    (``"block"``/``"cyclic"``), ``seed``, ``record_tasks`` and
+    ``simulate`` (``False`` skips the cost replay on every entry point —
+    for callers that only want exact counts through the distributed
+    partitioning).
 
-    Every inner executor runs IEP-suffix plans: each root-range task
+    Both task executors run IEP-suffix plans: each root-range task
     returns a raw partial sum and the master applies the single final
     overcount division — the paper's distributed aggregation.
     """
@@ -299,17 +236,12 @@ class DistributedBackend(ExecutionBackend):
         dispatch_overhead: float = 1e-6,
         policy: StealPolicy | None = None,
         distribution: str = "block",
-        inner: str = "vectorised",
         seed: int = 2020,
         record_tasks: bool = False,
         simulate: bool = True,
     ):
         # Validate up front so misconfiguration fails at construction
-        # (the CLI's error path), not mid-count: a typo ("vectorized")
-        # or an executor with no per-task entry point ("parallel")
-        # would otherwise silently demote every task to the interpreter
-        # and skew the measured cost profile.
-        _check_inner(inner)
+        # (the CLI's error path), not mid-count.
         if n_tasks is not None and n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if not node_counts or any(int(n) < 1 for n in node_counts):
@@ -323,7 +255,6 @@ class DistributedBackend(ExecutionBackend):
         self.dispatch_overhead = dispatch_overhead
         self.policy = policy
         self.distribution = distribution
-        self.inner = inner
         self.seed = seed
         self.record_tasks = record_tasks
         self.simulate = simulate
@@ -349,7 +280,6 @@ class DistributedBackend(ExecutionBackend):
             dispatch_overhead=self.dispatch_overhead,
             policy=self.policy,
             distribution=self.distribution,
-            inner=self.inner,
             seed=self.seed,
             record_tasks=self.record_tasks,
             simulate=simulate,

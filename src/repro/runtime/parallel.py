@@ -2,17 +2,11 @@
 
 GraphPi runs 1 MPI process × 24 OpenMP threads per node.  The Python
 analogue for one node is a ``multiprocessing`` pool of workers pulling
-prefix tasks from the master.  The graph and plan are shipped once per
-worker (fork/initializer), not per task; tasks are tiny tuples.
-
-Workers build their execution path through the backend registry
-(:func:`repro.core.backend.make_prefix_counter`): by default each
-worker compiles the specialised inner-loop kernel for its plan
-(``worker_backend="compiled"``) and falls back to the interpreter
-engine for contexts code generation does not cover (induced, labeled,
-directed).  The master always interprets the outer loops — they are a
-vanishing fraction of the work, and :meth:`Engine.iter_prefixes` already
-applies outer restrictions so workers receive only viable prefixes.
+root-range tasks from the master (:mod:`repro.runtime.tasks`, the same
+tasks the ``distributed`` backend counts in process).  The graph and
+plan are shipped once per worker (fork/initializer), which builds its
+:func:`~repro.runtime.tasks.task_counter` there; tasks are root lists.
+The task count follows from the worker count alone.
 
 Python-specific honesty note: processes, not threads (the GIL would
 serialise CPU-bound matching), and speedups are bounded by the host's
@@ -25,28 +19,38 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, replace
+from typing import Sequence
 
-from repro.core.backend import MatchContext, make_prefix_counter, plain_context
-from repro.core.config import Configuration, ExecutionPlan
-from repro.core.engine import Engine
+from repro.core.backend import MatchContext
+from repro.core.engine import Engine, _as_plan
 from repro.graph.csr import Graph
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.runtime.tasks import Task, choose_split_depth, generate_tasks
+from repro.runtime.tasks import (
+    choose_split_depth,
+    generate_tasks,
+    root_tasks,
+    task_counter,
+    task_executor,
+)
 
-# Worker-global prefix counter, installed by the pool initializer so
-# that tasks only carry their prefix tuples.
+#: root-range tasks per worker, dealt round-robin so that each task
+#: mixes cheap and expensive roots; workers pull them one at a time.
+TASKS_PER_WORKER = 8
+
+# Worker-global task counter, installed by the pool initializer so that
+# tasks only carry their root lists.
 _worker_counter = None
 
 
-def _init_worker(ctx: MatchContext, split_depth: int, worker_backend: str) -> None:
+def _init_worker(ctx: MatchContext) -> None:
     global _worker_counter
-    _worker_counter, _ = make_prefix_counter(ctx, split_depth, worker_backend)
+    _worker_counter, _ = task_counter(ctx)
 
 
-def _run_task(prefix: tuple[int, ...]) -> int:
+def _run_task(roots: Sequence[int]) -> int:
     assert _worker_counter is not None, "worker pool not initialised"
-    return _worker_counter(prefix)
+    return _worker_counter(roots)
 
 
 @dataclass(frozen=True)
@@ -54,72 +58,42 @@ class ParallelResult:
     count: int
     n_tasks: int
     n_workers: int
-    split_depth: int
-    worker_backend: str = "interpreter"
+    #: what counted each task: ``"vectorised"`` or ``"interpreter"``.
+    executor: str
 
 
-def parallel_count_ctx(
-    ctx: MatchContext,
-    *,
-    n_workers: int | None = None,
-    split_depth: int | None = None,
-    chunksize: int = 8,
-    worker_backend: str = "compiled",
-) -> ParallelResult:
+def parallel_count_ctx(ctx: MatchContext, *, n_workers: int | None = None) -> ParallelResult:
     """Count a :class:`MatchContext` with a pool of worker processes.
 
-    The master (this process) enumerates prefix tasks lazily and streams
-    them to the pool; partial raw counts are summed and the IEP divisor
-    applied once at the end — the same aggregation the distributed
-    implementation performs.
+    ``n_workers`` defaults to the host's CPU count.  Partial raw counts
+    are summed and the IEP divisor applied once at the end — the same
+    aggregation the distributed implementation performs.
     """
+    workers = n_workers if n_workers is not None else os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {workers}")
     engine = Engine(ctx.graph, ctx.plan)
-    depth = split_depth if split_depth is not None else choose_split_depth(ctx.plan)
-    workers = n_workers or max(1, (os.cpu_count() or 2))
-    # Built once for the fallback name even on the pool path: what the
-    # workers will actually run, post-fallback.
-    counter, effective = make_prefix_counter(ctx, depth, worker_backend)
-
-    tasks = (t.prefix for t in generate_tasks(engine, depth))
-    if workers == 1:
-        raw = 0
-        n_tasks = 0
-        with span("pool", workers=1, split_depth=depth) as sp:
-            for p in tasks:
-                raw += counter(p)
-                n_tasks += 1
-            sp.set(tasks=n_tasks)
-        obs_metrics.PARALLEL_TASKS.inc(n_tasks)
-        return ParallelResult(engine.finalize_count(raw), n_tasks, 1, depth, effective)
-
-    mp_ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
-    n_tasks = 0
-    raw = 0
-    # A pre-generated kernel is an exec() product and does not pickle
-    # under spawn; workers re-derive their own kernel anyway.
-    ship = replace(ctx, generated=None)
+    tasks = root_tasks(engine, TASKS_PER_WORKER * workers, "cyclic")
+    executor = task_executor(ctx)
     # Master-side span only: spans opened inside pool workers live in
     # other processes and cannot attach to this trace.
-    with span("pool", workers=workers, split_depth=depth) as sp:
-        with mp_ctx.Pool(
-            workers, initializer=_init_worker, initargs=(ship, depth, worker_backend)
-        ) as pool:
-            for sub in pool.imap_unordered(_run_task, tasks, chunksize=chunksize):
-                raw += sub
-                n_tasks += 1
-        sp.set(tasks=n_tasks)
-    obs_metrics.PARALLEL_TASKS.inc(n_tasks)
-    return ParallelResult(engine.finalize_count(raw), n_tasks, workers, depth, effective)
+    with span("pool", workers=workers, tasks=len(tasks), executor=executor):
+        if workers == 1:
+            counter, _ = task_counter(ctx)
+            raw = sum(counter(roots) for roots in tasks)
+        else:
+            mp_ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
+            # A pre-generated kernel is an exec() product and does not
+            # pickle under spawn; the workers never run it.
+            ship = replace(ctx, generated=None)
+            with mp_ctx.Pool(workers, initializer=_init_worker, initargs=(ship,)) as pool:
+                raw = sum(pool.imap_unordered(_run_task, tasks))
+    obs_metrics.PARALLEL_TASKS.inc(len(tasks))
+    return ParallelResult(engine.finalize_count(raw), len(tasks), workers, executor)
 
 
 def parallel_count(
-    graph: Graph,
-    plan_or_config,
-    *,
-    n_workers: int | None = None,
-    split_depth: int | None = None,
-    chunksize: int = 8,
-    worker_backend: str = "compiled",
+    graph: Graph, plan_or_config, *, n_workers: int | None = None
 ) -> ParallelResult:
     """Count embeddings of a plain (undirected, unlabeled) plan in parallel.
 
@@ -127,15 +101,8 @@ def parallel_count(
     :func:`parallel_count_ctx` for the general entry point the
     ``parallel`` backend uses.
     """
-    if not isinstance(plan_or_config, (ExecutionPlan, Configuration)):
-        raise TypeError("parallel_count expects an ExecutionPlan or Configuration")
-    return parallel_count_ctx(
-        plain_context(graph, plan_or_config),
-        n_workers=n_workers,
-        split_depth=split_depth,
-        chunksize=chunksize,
-        worker_backend=worker_backend,
-    )
+    ctx = MatchContext(graph=graph, plan=_as_plan(plan_or_config))
+    return parallel_count_ctx(ctx, n_workers=n_workers)
 
 
 def measure_task_costs(
@@ -149,14 +116,15 @@ def measure_task_costs(
 
     ``limit`` caps how many tasks are timed (the scaling benchmark uses
     a cap plus cost-model extrapolation for very large task sets).
-    Measured on the interpreter engine: the cluster simulator models the
-    distributed implementation's relative task skew, not kernel speed.
+    Measured on the interpreter engine at ``split_depth``: the cluster
+    simulator models the distributed implementation's relative task
+    skew, not kernel speed.
     """
     import time
 
-    ctx = plain_context(graph, plan_or_config)
-    engine = Engine(ctx.graph, ctx.plan)
-    depth = split_depth if split_depth is not None else choose_split_depth(ctx.plan)
+    plan = _as_plan(plan_or_config)
+    engine = Engine(graph, plan)
+    depth = split_depth if split_depth is not None else choose_split_depth(plan)
     costs: list[float] = []
     for i, task in enumerate(generate_tasks(engine, depth)):
         if limit is not None and i >= limit:

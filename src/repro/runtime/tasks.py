@@ -1,32 +1,80 @@
-"""Fine-grained task partitioning (§IV-E).
+"""Task partitioning (§IV-E): the one task layer under ``parallel`` and
+``distributed``.
 
 *"The master thread executes the outer loops and packs the values of the
 outer loops into a task.  Worker threads unpack tasks and continue
 executing the remaining inner loops."*
 
-A task is the tuple of data vertices bound by the outermost
-``split_depth`` loops.  Because real-world degree distributions are
-power-law, per-task cost is wildly skewed — which is the entire reason
-the paper needs fine-grained partitioning plus work stealing.  The
-``split_depth`` choice trades master-side enumeration cost against
-granularity; ``choose_split_depth`` implements the paper's guidance
-("the number of outer loops executed by the master depends on the
-complexity of the pattern").
+Both execution backends split the outermost loop.  The master
+enumerates the viable roots (:meth:`Engine.iter_prefixes` at depth 1, so
+the depth-0 restrictions are already applied) and :func:`root_tasks`
+deals them into ranges with
+:func:`~repro.runtime.worksteal.initial_distribution`, the policy the
+cluster simulator uses for node queues.  A worker counts a range with
+the callable :func:`task_counter` builds once per process: one bulk
+:meth:`~repro.core.vectorised.FrontierEngine.count_roots` sweep when the
+frontier engine serves the plan, the interpreter's
+:meth:`Engine.count_prefix` summed over the roots otherwise (a labeled
+IEP plan, or a schedule whose prefix is not connected).  The plan makes
+that choice; no option does.  Counts are raw (before the IEP overcount
+division), so partial sums add and the master divides once.
+
+Deeper prefixes remain for the interpreter reference: a :class:`Task`
+binds the outermost ``split_depth`` loops, :func:`choose_split_depth`
+follows the paper's guidance ("the number of outer loops executed by the
+master depends on the complexity of the pattern") and
+:func:`run_partitioned` runs them sequentially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
+from repro.core.backend import MatchContext
 from repro.core.config import ExecutionPlan
 from repro.core.engine import Engine
+from repro.core.vectorised import VectorisedBackend, frontier_engine_for
 from repro.graph.csr import Graph
+from repro.runtime.worksteal import initial_distribution
+
+
+def root_tasks(
+    engine: Engine, n_tasks: int, distribution: str = "block"
+) -> list[list[int]]:
+    """The viable roots dealt into at most ``n_tasks`` non-empty tasks.
+
+    ``distribution`` is :func:`initial_distribution`'s mode: ``"block"``
+    gives contiguous root ranges, ``"cyclic"`` deals them round-robin.
+    Every viable root lands in exactly one task.
+    """
+    roots = [prefix[0] for prefix in engine.iter_prefixes(1)]
+    n_tasks = max(1, min(n_tasks, len(roots)))
+    queues = initial_distribution(len(roots), n_tasks, mode=distribution)
+    return [[roots[i] for i in queue] for queue in queues if queue]
+
+
+def task_executor(ctx: MatchContext) -> str:
+    """The executor :func:`task_counter` builds for ``ctx``."""
+    return "vectorised" if VectorisedBackend().supports(ctx) else "interpreter"
+
+
+def task_counter(ctx: MatchContext) -> tuple[Callable[[Sequence[int]], int], str]:
+    """``(roots -> raw count, executor name)`` for one process.
+
+    Apply ``Engine(ctx.graph, ctx.plan).finalize_count`` to the sum of
+    the raw task counts.
+    """
+    executor = task_executor(ctx)
+    if executor == "vectorised":
+        return frontier_engine_for(ctx).count_roots, executor
+    engine = Engine(ctx.graph, ctx.plan)
+    return (lambda roots: sum(engine.count_prefix((int(r),)) for r in roots)), executor
 
 
 @dataclass(frozen=True)
 class Task:
-    """One unit of distributable work: an outer-loop prefix."""
+    """One interpreter task: an outer-loop prefix."""
 
     prefix: tuple[int, ...]
 
@@ -62,24 +110,18 @@ def generate_tasks(engine: Engine, split_depth: int) -> Iterator[Task]:
         yield Task(prefix)
 
 
-def execute_task(counter, task: Task) -> int:
+def execute_task(engine: Engine, task: Task) -> int:
     """Worker-side: finish the inner loops under the task's prefix.
 
-    ``counter`` is anything the backend registry hands a worker — an
-    engine exposing ``count_prefix`` (interpreter family) or a bare
-    ``prefix -> raw count`` callable (a compiled kernel from
-    :func:`repro.core.backend.make_prefix_counter`).  Returns the raw
-    (pre-IEP-division) count so partial results sum.
+    Returns the raw (pre-IEP-division) count so partial results sum.
     """
-    if hasattr(counter, "count_prefix"):
-        return counter.count_prefix(task.prefix)
-    return counter(task.prefix)
+    return engine.count_prefix(task.prefix)
 
 
 def run_partitioned(graph: Graph, plan: ExecutionPlan, *, split_depth: int | None = None
                     ) -> tuple[int, list[tuple[Task, int]]]:
-    """Sequential master/worker execution: the reference for the parallel
-    and simulated backends (they must produce the same partial sums).
+    """Sequential master/worker execution on the interpreter: the
+    reference partial sums at any split depth.
 
     Returns ``(final_count, [(task, raw_subcount), ...])``.
     """

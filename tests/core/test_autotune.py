@@ -417,6 +417,42 @@ class TestAutoSelection:
         )
         assert auto_embeddings == plain and auto_embeddings
 
+    def test_retired_option_choice_skipped(self, g):
+        # a profile stored when `distributed` took an `inner` executor
+        # option still loads; that choice no longer constructs and is
+        # skipped for the next ranked one.
+        psig = ("plain", 3, 3)
+        gsig = graph_signature(g)
+        profile = CalibrationProfile(
+            entries={
+                (psig, gsig): autotune.BucketEntry(
+                    pattern_sig=psig,
+                    graph_sig=gsig,
+                    timings=(
+                        (
+                            ProfileChoice.make(
+                                "distributed",
+                                {"simulate": False, "inner": "compiled"},
+                                use_iep=False,
+                            ),
+                            0.001,
+                        ),
+                        (ProfileChoice.make("interpreter"), 0.002),
+                    ),
+                )
+            },
+            backends=tuple(sorted(backend_names())),
+            n_workloads=1,
+        )
+        set_active_profile(profile)
+        result = MatchSession(g).count(
+            MatchQuery(get_pattern("triangle"), backend="auto")
+        )
+        assert result.backend == "auto:interpreter"
+        assert result.count == MatchSession(g).count(
+            MatchQuery(get_pattern("triangle")), backend="interpreter"
+        ).count
+
     def test_unknown_profile_backend_skipped(self, g):
         # a profile naming a backend that no longer exists must not
         # crash the decision; the next ranked choice (or static) serves.
@@ -480,9 +516,7 @@ class TestReportPlumbing:
                     timings=(
                         (
                             ProfileChoice.make(
-                                "distributed",
-                                {"simulate": False, "inner": "vectorised"},
-                                use_iep=False,
+                                "distributed", {"simulate": False}, use_iep=False
                             ),
                             0.001,
                         ),

@@ -24,8 +24,6 @@ from repro.core.backend import (
     available_backends,
     backend_names,
     get_backend,
-    make_prefix_counter,
-    plain_context,
     register_backend,
     select_backend,
 )
@@ -84,9 +82,13 @@ class TestRegistry:
             get_backend("no-such-backend")
 
     def test_get_backend_forwards_options(self):
-        b = get_backend("parallel", n_workers=3, worker_backend="interpreter")
-        assert b.n_workers == 3
-        assert b.worker_backend == "interpreter"
+        assert get_backend("parallel", n_workers=3).n_workers == 3
+
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_parallel_rejects_non_positive_workers(self, n_workers):
+        # Checked at construction, so no pool is ever started.
+        with pytest.raises(ValueError, match="n_workers must be >= 1"):
+            get_backend("parallel", n_workers=n_workers)
 
     def test_register_custom_backend(self, er_small):
         @register_backend
@@ -150,9 +152,9 @@ class TestRegistry:
         message = str(err.value)
         assert f"a {mode} context cannot run on a {kind}:" in message
 
-    def test_plain_context_rejects_garbage(self, er_small):
-        with pytest.raises(TypeError):
-            plain_context(er_small, 42)
+    def test_context_rejects_garbage_plan(self, er_small):
+        with pytest.raises(ValueError, match="plan lowered for plain"):
+            MatchContext(graph=er_small, plan=42)
 
 
 class TestSelection:
@@ -160,7 +162,7 @@ class TestSelection:
         # With and without an IEP suffix: the frontier engine counts
         # both, so no preference lands on it first.
         for iep_k in (0, 1):
-            ctx = plain_context(er_small, make_plan(house(), iep_k=iep_k))
+            ctx = MatchContext(graph=er_small, plan=make_plan(house(), iep_k=iep_k))
             assert select_backend(ctx, None).name == "vectorised"
             assert get_backend("vectorised").count(ctx) == get_backend(
                 "interpreter"
@@ -170,13 +172,13 @@ class TestSelection:
         # A disconnected-prefix schedule has no pivot for the frontier
         # engine; the generated kernel is next in the default order.
         plan = Configuration(rectangle(), (0, 2, 1, 3), frozenset()).compile()
-        ctx = plain_context(er_small, plan)
+        ctx = MatchContext(graph=er_small, plan=plan)
         assert not get_backend("vectorised").supports(ctx)
         assert select_backend(ctx, None).name == "compiled"
         assert DEFAULT_ORDER == ("vectorised", "compiled", "interpreter")
 
     def test_default_enumeration_is_vectorised(self, er_small):
-        ctx = plain_context(er_small, make_plan(house()))
+        ctx = MatchContext(graph=er_small, plan=make_plan(house()))
         assert select_backend(ctx, None, for_enumeration=True).name == "vectorised"
 
     def test_fallbacks_are_counted(self, er_small):
@@ -184,7 +186,7 @@ class TestSelection:
         sample = (
             'repro_backend_fallbacks_total{requested="compiled",ran="interpreter"}'
         )
-        ctx = plain_context(er_small, make_plan(house()))
+        ctx = MatchContext(graph=er_small, plan=make_plan(house()))
         before = registry.snapshot()
         assert select_backend(ctx, "compiled", for_enumeration=True).name == "interpreter"
         assert registry.delta(before) == {sample: 1.0}
@@ -199,7 +201,7 @@ class TestSelection:
         )
 
     def test_enumeration_falls_back_to_interpreter(self, er_small):
-        ctx = plain_context(er_small, make_plan(house()))
+        ctx = MatchContext(graph=er_small, plan=make_plan(house()))
         chosen = select_backend(ctx, "compiled", for_enumeration=True)
         assert chosen.name == "interpreter"
 
@@ -235,12 +237,12 @@ class TestSelection:
         assert select_backend(lctx, "compiled").name == "compiled"
 
     def test_explicit_instance_is_honoured(self, er_small):
-        ctx = plain_context(er_small, make_plan(house()))
+        ctx = MatchContext(graph=er_small, plan=make_plan(house()))
         inst = get_backend("interpreter")
         assert select_backend(ctx, inst) is inst
 
     def test_counting_only_backend_refuses_enumeration(self, er_small):
-        ctx = plain_context(er_small, make_plan(triangle()))
+        ctx = MatchContext(graph=er_small, plan=make_plan(triangle()))
         with pytest.raises(BackendUnsupportedError):
             get_backend("compiled").enumerate_embeddings(ctx)
 
@@ -329,35 +331,68 @@ class TestCrossBackendEquivalence:
         assert got == bruteforce_count(er_small, triangle())
 
 
-class TestParallelWorkers:
-    def test_compiled_worker_kernel_matches_interpreter(self, er_small):
-        plan = make_plan(house(), iep_k=0)
-        ctx = plain_context(er_small, plan)
-        compiled, compiled_kind = make_prefix_counter(ctx, 1, "compiled")
-        interp, interp_kind = make_prefix_counter(ctx, 1, "interpreter")
-        assert (compiled_kind, interp_kind) == ("compiled", "interpreter")
-        from repro.core.engine import Engine
+class TestRootTaskExecutors:
+    """``parallel`` and ``distributed`` share one root partition and one
+    task counter, whose executor the plan chooses."""
 
-        for prefix in Engine(er_small, plan).iter_prefixes(1):
-            assert compiled(prefix) == interp(prefix), prefix
+    @staticmethod
+    def contexts():
+        g = erdos_renyi(30, 0.3, seed=4)
+        lg = assign_random_labels(g, 2, seed=7)
+        dg = random_digraph(25, 0.2, seed=1)
+        labeled_iep = LabeledMatcher(LabeledPattern(house(), (0, 0, 1, 1, 0)))
+        labeled_iep = labeled_iep.plan(lg, use_iep=True).plan
+        assert labeled_iep.iep_k > 0
+        return [
+            (MatchContext(graph=g, plan=make_plan(house())), "vectorised"),
+            (MatchContext(graph=g, plan=make_plan(house(), iep_k=2)), "vectorised"),
+            (
+                MatchContext(
+                    graph=g, plan=make_plan(house(), induced=True), mode="induced"
+                ),
+                "vectorised",
+            ),
+            (
+                MatchContext(
+                    graph=lg,
+                    plan=make_plan(triangle(), labels=(0, 0, 1)),
+                    mode="labeled",
+                ),
+                "vectorised",
+            ),
+            (
+                MatchContext(
+                    graph=dg,
+                    plan=DirectedMatcher(transitive_triangle()).plan(dg).plan,
+                    mode="directed",
+                ),
+                "vectorised",
+            ),
+            # the frontier engine serves neither of these: the
+            # interpreter counts the tasks
+            (MatchContext(graph=lg, plan=labeled_iep, mode="labeled"), "interpreter"),
+            (
+                MatchContext(
+                    graph=g,
+                    plan=Configuration(rectangle(), (0, 2, 1, 3), frozenset()).compile(),
+                ),
+                "interpreter",
+            ),
+        ]
 
-    def test_nonplain_context_falls_back_to_interpreter_workers(self, er_small):
-        ctx = MatchContext(
-            graph=er_small, plan=make_plan(house(), induced=True), mode="induced"
-        )
-        counter, effective = make_prefix_counter(ctx, 1, "compiled")
-        assert effective == "interpreter"
-        # bound method of an interpreter Engine, not a compiled closure
-        assert getattr(counter, "__self__", None) is not None
+    def test_parallel_and_distributed_equal_the_interpreter(self):
+        from repro.runtime.distributed import distributed_count_ctx
+        from repro.runtime.parallel import parallel_count_ctx
 
-    def test_parallel_reports_worker_backend(self, er_small):
-        from repro.runtime.parallel import parallel_count
-
-        plan = make_plan(house())
-        res = parallel_count(er_small, plan, n_workers=2)
-        assert res.worker_backend == "compiled"
-        res_i = parallel_count(
-            er_small, plan, n_workers=2, worker_backend="interpreter"
-        )
-        assert res_i.worker_backend == "interpreter"
-        assert res.count == res_i.count
+        for ctx, executor in self.contexts():
+            expected = get_backend("interpreter").count(ctx)
+            assert expected > 0, ctx.plan.config.describe()
+            for n_workers in (1, 2):
+                res = parallel_count_ctx(ctx, n_workers=n_workers)
+                assert (res.count, res.executor) == (expected, executor), (
+                    ctx.mode, n_workers
+                )
+                assert res.n_workers == n_workers
+                assert 1 < res.n_tasks <= 8 * n_workers
+            report = distributed_count_ctx(ctx, simulate=False)
+            assert (report.count, report.inner_backend) == (expected, executor)

@@ -119,66 +119,6 @@ class TestGeneratedPerformanceShape:
         assert t_gen <= t_engine * 1.5
 
 
-class TestPrefixKernels:
-    """generate_source(split_depth=s): the worker-side entry point."""
-
-    def test_prefix_source_shape(self):
-        cfg = Configuration(house(), (0, 1, 2, 3, 4), frozenset({(0, 1)}))
-        from repro.core.codegen import generate_source as gen_src
-
-        src = gen_src(cfg.compile(), func_name="generated_count_prefix",
-                      split_depth=1)
-        assert "def generated_count_prefix(graph, prefix):" in src
-        assert "v0 = prefix[0]" in src
-        assert "for v0" not in src  # the prefix loop is gone
-        assert "for v1" in src  # the next loop is executed
-
-    def test_split_depth_out_of_range(self):
-        plan = plans_for(triangle(), 1, 1)[0]
-        from repro.core.codegen import generate_source as gen_src
-
-        with pytest.raises(ValueError):
-            gen_src(plan, split_depth=plan.n_loops)
-        with pytest.raises(ValueError):
-            gen_src(plan, split_depth=-1)
-
-    @pytest.mark.parametrize(
-        "pattern", [triangle(), rectangle(), house(), pentagon()],
-        ids=lambda p: p.name,
-    )
-    def test_prefix_sums_match_full_count(self, pattern):
-        from repro.core.codegen import compile_prefix_function
-
-        g = erdos_renyi(40, 0.25, seed=17)
-        for plan in plans_for(pattern, max_schedules=2, max_sets=2):
-            engine = Engine(g, plan)
-            full = engine.count()
-            for sd in range(1, plan.n_loops):
-                kernel = compile_prefix_function(plan, sd)
-                raw = sum(kernel(g, p) for p in engine.iter_prefixes(sd))
-                assert engine.finalize_count(raw) == full, (plan.config.describe(), sd)
-
-    def test_prefix_sums_match_with_iep(self):
-        from repro.core.codegen import compile_prefix_function
-
-        g = erdos_renyi(40, 0.25, seed=19)
-        for plan in plans_for(cycle_6_tri(), max_schedules=1, max_sets=1, iep_k=3):
-            engine = Engine(g, plan)
-            full = engine.count()
-            kernel = compile_prefix_function(plan, 1)
-            raw = sum(kernel(g, p) for p in engine.iter_prefixes(1))
-            assert engine.finalize_count(raw) == full
-
-    def test_prefix_counter_wrapper_fields(self, er_small):
-        from repro.core.codegen import compile_prefix_function
-
-        plan = plans_for(house(), 1, 1)[0]
-        kernel = compile_prefix_function(plan, 1)
-        assert kernel.split_depth == 1
-        assert kernel.plan is plan
-        assert "Worker kernel" in kernel.source
-
-
 class TestModeKernels:
     """The labeled and induced kernels: the one generator reading the
     plan's label and anti columns."""

@@ -32,7 +32,6 @@ from repro.core.backend import (
     backend_names,
     capabilities_of,
     get_backend,
-    plain_context,
     select_backend,
 )
 from repro.core.config import Configuration, compile_plan
@@ -245,7 +244,7 @@ class TestFallbacks:
         result = session.count(query)
         assert result.backend == "vectorised"
         assert result.count == bruteforce_count(er_small, house())
-        ctx = plain_context(er_small, make_plan(pentagon(), iep_k=1))
+        ctx = MatchContext(graph=er_small, plan=make_plan(pentagon(), iep_k=1))
         assert get_backend("vectorised").supports(ctx)
         assert select_backend(ctx, "vectorised").name == "vectorised"
         assert select_backend(ctx, None).name == "vectorised"

@@ -4,8 +4,8 @@ Three pillars:
 
 * **count invariance** — the exact count must not depend on any
   simulation/partition parameter (`n_nodes`, seed, `StealPolicy`,
-  distribution mode, task granularity, inner executor); only the
-  *simulated timing* may change;
+  distribution mode, task granularity); only the *simulated timing*
+  may change;
 * **scheduling properties** — every viable root belongs to exactly one
   task, and on uniform cost distributions the simulated makespan is
   monotone non-increasing as nodes grow;
@@ -40,8 +40,8 @@ from repro.runtime.distributed import (
     DEFAULT_NODE_COUNTS,
     DistributedBackend,
     distributed_count_ctx,
-    make_task_counter,
 )
+from repro.runtime.tasks import task_counter
 from repro.runtime.worksteal import StealPolicy
 
 
@@ -85,10 +85,9 @@ class TestCountInvariance:
     @given(
         n_tasks=st.integers(min_value=1, max_value=60),
         distribution=st.sampled_from(["block", "cyclic"]),
-        inner=st.sampled_from(["vectorised", "compiled", "interpreter"]),
     )
-    def test_invariant_under_partitioning(self, n_tasks, distribution, inner):
-        """Any task granularity x distribution x inner executor counts alike."""
+    def test_invariant_under_partitioning(self, n_tasks, distribution):
+        """Any task granularity x distribution counts alike."""
         from repro.graph.generators import erdos_renyi
 
         graph = erdos_renyi(40, 0.25, seed=101)  # == er_small (fn-scope for hypothesis)
@@ -97,20 +96,18 @@ class TestCountInvariance:
             ctx,
             n_tasks=n_tasks,
             distribution=distribution,
-            inner=inner,
             node_counts=(1,),
         )
         assert report.count == 153  # pinned in the conformance goldens
 
     def test_iep_plan_counts_exactly(self, er_small):
-        """Every inner executor: raw partial sums + one final division."""
+        """Raw partial sums + one final division."""
         ctx = plan_ctx(er_small, house(), use_iep=True)
         assert ctx.plan.iep_k > 0
         expected = bruteforce_count(er_small, house())
-        for inner in ("vectorised", "compiled", "interpreter"):
-            report = distributed_count_ctx(ctx, node_counts=(1,), inner=inner)
-            assert report.count == expected, inner
-            assert report.inner_backend == inner
+        report = distributed_count_ctx(ctx, node_counts=(1,))
+        assert report.count == expected
+        assert report.inner_backend == "vectorised"
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +195,12 @@ class TestScheduling:
 
 
 # ---------------------------------------------------------------------------
-# the inner-executor factory
+# the task counter
 # ---------------------------------------------------------------------------
 class TestTaskCounter:
     def test_vectorised_bulk_path(self, er_small):
         ctx = plan_ctx(er_small, house())
-        counter, effective = make_task_counter(ctx, "vectorised")
+        counter, effective = task_counter(ctx)
         assert effective == "vectorised"
         total = counter(list(range(er_small.n_vertices)))
         assert total == bruteforce_count(er_small, house())
@@ -211,20 +208,20 @@ class TestTaskCounter:
     def test_iep_plan_stays_on_the_bulk_path(self, er_small):
         ctx = plan_ctx(er_small, house(), use_iep=True)
         assert ctx.plan.iep_k > 0
-        counter, effective = make_task_counter(ctx, "vectorised")
+        counter, effective = task_counter(ctx)
         assert effective == "vectorised"
         raw = counter(list(range(er_small.n_vertices)))
         assert Engine(ctx.graph, ctx.plan).finalize_count(raw) == bruteforce_count(
             er_small, house()
         )
 
-    def test_iep_plan_falls_back_to_prefix_kernel(self, er_small):
+    def test_disconnected_prefix_falls_back_to_interpreter(self, er_small):
         # Only a plan the frontier engine cannot pivot (a disconnected
-        # prefix) drops to the generated prefix kernel.
+        # prefix) drops to the interpreter's per-root count_prefix.
         plan = Configuration(rectangle(), (0, 2, 1, 3), frozenset()).compile(iep_k=2)
         ctx = MatchContext(graph=er_small, plan=plan)
-        counter, effective = make_task_counter(ctx, "vectorised")
-        assert effective == "compiled"
+        counter, effective = task_counter(ctx)
+        assert effective == "interpreter"
         raw = counter(list(range(er_small.n_vertices)))
         assert Engine(ctx.graph, ctx.plan).finalize_count(raw) == bruteforce_count(
             er_small, rectangle()
@@ -240,7 +237,7 @@ class TestTaskCounter:
         plain = plan_ctx(er_small, house())
         induced = compile_plan(plain.plan.config, induced=True)
         ctx = MatchContext(graph=er_small, plan=induced, mode="induced")
-        counter, effective = make_task_counter(ctx, "vectorised")
+        counter, effective = task_counter(ctx)
         assert effective == "vectorised"
         total = counter(list(range(er_small.n_vertices)))
         assert total == bruteforce_induced_count(er_small, house())
@@ -255,14 +252,14 @@ class TestTaskCounter:
         matcher = DirectedMatcher(transitive_triangle())
         plan = matcher.plan(dg).plan
         ctx = MatchContext(graph=dg, plan=plan, mode="directed")
-        counter, effective = make_task_counter(ctx, "vectorised")
+        counter, effective = task_counter(ctx)
         assert effective == "vectorised"
         assert counter(list(range(dg.n_vertices))) == matcher.count(dg)
 
     def test_partial_sums_compose(self, er_small):
         """Splitting the root set anywhere preserves the total."""
         ctx = plan_ctx(er_small, triangle())
-        counter, _ = make_task_counter(ctx, "vectorised")
+        counter, _ = task_counter(ctx)
         whole = counter(list(range(er_small.n_vertices)))
         for cut in (1, 13, 39):
             parts = counter(list(range(cut))) + counter(
@@ -358,14 +355,12 @@ class TestCapabilityFallbacks:
         assert result.count == session.count(query, backend="interpreter").count
 
     def test_capability_aware_iep_resolution(self):
-        """Every inner executor runs IEP plans, so every channel keeps
+        """Both task executors run IEP plans, so every channel keeps
         the IEP suffix."""
         assert DistributedBackend.capabilities.iep_modes == IEP_MODES
         assert MatchQuery(house(), backend="distributed").resolved_use_iep is True
-        for inner in ("vectorised", "compiled", "interpreter"):
-            backend = DistributedBackend(inner=inner)
-            assert backend.capabilities.iep_modes == IEP_MODES
-            assert MatchQuery(house(), backend=backend).resolved_use_iep is True
+        backend = DistributedBackend()
+        assert MatchQuery(house(), backend=backend).resolved_use_iep is True
 
     def test_session_iep_plan_divides_once(self, er_small):
         """backend="distributed" on an IEP plan whose overcount is not 1:
@@ -410,12 +405,9 @@ class TestCapabilityFallbacks:
             distributed_count_ctx(ctx, node_counts=())
         with pytest.raises(ValueError, match="n_tasks"):
             distributed_count_ctx(ctx, n_tasks=0)
-        with pytest.raises(ValueError, match="vectorized"):
-            DistributedBackend(inner="vectorized")  # typo must not demote silently
-        with pytest.raises(ValueError, match="parallel"):
-            # registered, but has no per-task entry point: demoting it
-            # silently would skew the measured cost profile
-            DistributedBackend(inner="parallel")
+        with pytest.raises(TypeError, match="inner"):
+            # the plan picks the task executor; no option does
+            DistributedBackend(inner="vectorised")
         with pytest.raises(ValueError, match="n_tasks"):
             DistributedBackend(n_tasks=0)  # fails at construction, not mid-count
         with pytest.raises(ValueError, match="node_counts"):

@@ -23,7 +23,8 @@ class TestParallelCount:
         res = parallel_count(er_small, plan, n_workers=2)
         assert res.count == expected
         assert res.n_workers == 2
-        assert res.n_tasks > 0
+        assert res.n_tasks == 16  # TASKS_PER_WORKER root tasks per worker
+        assert res.executor == "vectorised"
 
     def test_single_worker_path(self, er_small):
         plan = make_plan(triangle())
@@ -34,7 +35,7 @@ class TestParallelCount:
     def test_iep_plan(self, er_small):
         plan = make_plan(house(), iep_k=2)
         expected = Engine(er_small, plan).count()
-        assert parallel_count(er_small, plan, n_workers=2, split_depth=1).count == expected
+        assert parallel_count(er_small, plan, n_workers=2).count == expected
 
     def test_accepts_configuration(self, er_small):
         cfg = Configuration(
@@ -46,6 +47,11 @@ class TestParallelCount:
     def test_rejects_garbage(self, er_small):
         with pytest.raises(TypeError):
             parallel_count(er_small, 42)
+
+    def test_rejects_non_positive_workers(self, er_small):
+        # Refused before the master enumerates a task or starts a pool.
+        with pytest.raises(ValueError, match="n_workers must be >= 1"):
+            parallel_count(er_small, make_plan(triangle()), n_workers=0)
 
 
 class TestMeasureTaskCosts:

@@ -332,6 +332,16 @@ class TestBackendFlags:
         assert rc == 2
         assert "--backend parallel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_parallel_rejects_non_positive_workers(self, capsys, workers):
+        # refused when the backend is built, before any pool starts
+        rc = main(["count", "--pattern", "triangle", "--dataset", "wiki-vote",
+                   "--scale", "0.05", "--backend", "parallel",
+                   "--workers", workers])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --workers must be >= 1")
+
     def test_approx_refuses_explicit_backend(self, capsys):
         for backend_args in (["--backend", "distributed", "--nodes", "1,4"],
                              ["--backend", "vectorised"]):
