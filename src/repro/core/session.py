@@ -145,6 +145,13 @@ class PlanReport:
         return self.chosen.predicted_cost
 
     @property
+    def n_tied(self) -> int:
+        """How many configurations the model priced exactly at the
+        winner's cost (the winner included): ties keep input order."""
+        cost = self.chosen.predicted_cost
+        return sum(1 for r in self.ranking if r.predicted_cost == cost)
+
+    @property
     def seconds_total(self) -> float:
         return (
             self.seconds_restrictions
@@ -160,6 +167,7 @@ class PlanReport:
             f"{len(self.restriction_sets)} restriction sets x "
             f"{self.n_schedules} schedules -> {len(self.ranking)} configurations; "
             f"chose {c.config.describe()} (predicted cost {c.predicted_cost:.3g}); "
+            f"{self.n_tied} tied at that cost; "
             f"preprocessing {self.seconds_total * 1e3:.1f} ms"
         )
 
@@ -399,7 +407,14 @@ def stats_signature(graph: Any, stats: GraphStats) -> tuple:
     kind-specific extras (label digest, arc count) that distinguish
     graphs the base stats cannot.
     """
-    base = (stats.n_vertices, stats.n_edges, stats.triangles, stats.max_degree)
+    base = (
+        stats.n_vertices,
+        stats.n_edges,
+        stats.triangles,
+        stats.max_degree,
+        stats.upper_degree_sum,
+        stats.lower_degree_sum,
+    )
     if isinstance(graph, LabeledGraph):
         import hashlib
 

@@ -6,10 +6,11 @@ feeding its cardinality estimator is a constant — and adds (§IV-C):
 incrementally."*  This module makes that sentence concrete:
 
 * :class:`DynamicGraph` — adjacency-set storage with ``add_edge`` /
-  ``remove_edge`` / ``add_vertex``, maintaining |E|, the triangle count
-  and the max degree incrementally (O(min-degree) per edge update for
-  triangles, O(1) amortised for the rest, with max-degree recomputed
-  lazily after deletions that lower the previous maximum);
+  ``remove_edge`` / ``add_vertex``, maintaining |E|, the triangle count,
+  the max degree and the edges' endpoint degree sums by id order
+  incrementally (O(min-degree) per edge update for triangles, O(1)
+  amortised for the rest, with max-degree recomputed lazily after
+  deletions that lower the previous maximum);
 * ``snapshot()`` — freeze into the immutable CSR :class:`Graph` the
   matching engine requires, memoised per mutation :attr:`version` so a
   quiescent graph never pays the O(|V|+|E|) rebuild twice (and the
@@ -52,6 +53,11 @@ class DynamicGraph:
         self._adj: list[set[int]] = [set() for _ in range(n_vertices)]
         self._n_edges = 0
         self._triangles = 0
+        #: per vertex, how many neighbours have a smaller id; with the
+        #: degrees it moves the endpoint degree sums in O(1) per update
+        self._below: list[int] = [0] * n_vertices
+        self._upper_degree_sum = 0
+        self._lower_degree_sum = 0
         self._version = 0
         self._snapshot_cache: tuple[int, str, Graph] | None = None
         # max degree is maintained as an upper bound; recomputed lazily
@@ -137,6 +143,7 @@ class DynamicGraph:
     def add_vertex(self) -> int:
         """Append an isolated vertex; returns its id."""
         self._adj.append(set())
+        self._below.append(0)
         self._mutated()
         return len(self._adj) - 1
 
@@ -155,8 +162,10 @@ class DynamicGraph:
         a, b = self._adj[u], self._adj[v]
         small, large = (a, b) if len(a) <= len(b) else (b, a)
         closed = sum(1 for w in small if w in large)
+        self._move_degree_sums(min(u, v), max(u, v), +1)
         a.add(v)
         b.add(u)
+        self._below[max(u, v)] += 1
         self._n_edges += 1
         self._triangles += closed
         new_deg = max(len(a), len(b))
@@ -174,6 +183,8 @@ class DynamicGraph:
         a, b = self._adj[u], self._adj[v]
         a.discard(v)
         b.discard(u)
+        self._below[max(u, v)] -= 1
+        self._move_degree_sums(min(u, v), max(u, v), -1)
         small, large = (a, b) if len(a) <= len(b) else (b, a)
         opened = sum(1 for w in small if w in large)
         self._n_edges -= 1
@@ -185,6 +196,17 @@ class DynamicGraph:
             self._max_degree_valid = False
         self._mutated()
         return opened
+
+    def _move_degree_sums(self, low: int, high: int, sign: int) -> None:
+        """Add (``sign`` = 1) or take away (-1) edge ``{low, high}``,
+        ``low < high``, from the endpoint degree sums, read while the
+        graph lacks it: the edge itself contributes both endpoints' new
+        degrees, and each endpoint's other edges gain one on the side
+        that endpoint is on."""
+        d_low, d_high = len(self._adj[low]), len(self._adj[high])
+        b_low, b_high = self._below[low], self._below[high]
+        self._upper_degree_sum += sign * (d_high + 1 + b_low + b_high)
+        self._lower_degree_sum += sign * (d_low + 1 + (d_low - b_low) + (d_high - b_high))
 
     # ------------------------------------------------------------------
     # freezing
@@ -226,6 +248,8 @@ class DynamicGraph:
             n_edges=self._n_edges,
             triangles=self._triangles,
             max_degree=self.max_degree,
+            upper_degree_sum=self._upper_degree_sum,
+            lower_degree_sum=self._lower_degree_sum,
         )
 
     @classmethod

@@ -7,6 +7,15 @@ graph: |V|, |E| and the triangle count, from which it derives
 * ``p2`` — probability that two random neighbours of a vertex are
   adjacent (i.e. that a wedge closes).
 
+The model here adds one more: how vertex ids order degrees.  Summed over
+the edges, the degree of each edge's higher-id endpoint and of its
+lower-id endpoint (``upper_degree_sum``, ``lower_degree_sum``).  A
+restriction ``id(a) > id(b)`` over a pattern edge picks the higher-id
+endpoint of a data edge, so on a graph whose ids ascend with degree it
+picks the longer row.  :attr:`GraphStats.degree_order_exponent` fits one
+exponent to the two sums (see there); with ids uncorrelated with degree
+it is about 0 and the model is the paper's.
+
 ``tri_cnt`` in the paper's formulas is the number of *triangle
 embeddings* (ordered, as an unrestricted matcher would count them), i.e.
 6x the number of distinct triangles; ``GraphStats`` stores the distinct
@@ -39,7 +48,12 @@ _WEDGE_CHUNK = 1 << 20
 
 
 def triangle_count(graph: Graph) -> int:
-    """Number of distinct triangles (unordered vertex triples).
+    """Number of distinct triangles (unordered vertex triples)."""
+    return _oriented_pass(graph)[0]
+
+
+def _oriented_pass(graph: Graph) -> tuple[int, int, int]:
+    """``(triangles, upper_degree_sum, lower_degree_sum)`` in one pass.
 
     Every edge is oriented from lower to higher (degree, id) rank, so each
     triangle closes exactly one oriented wedge — a pair of out-neighbours
@@ -48,13 +62,21 @@ def triangle_count(graph: Graph) -> int:
     formed in chunks of about ``_WEDGE_CHUNK`` and each chunk's closing
     edges are checked with one :func:`bulk_contains_sorted` probe of the
     CSR's naturally sorted ``u * n + v`` keys (no sort of the graph).
+    The degree sums read the same per-entry source ids: over the CSR
+    entries ``u -> v`` with ``u < v`` (each edge once), the degree of
+    ``v``, and the rest of Σ deg².
     """
     if graph.n_edges == 0:
-        return 0
+        return 0, 0, 0
     n, degrees, indices = graph.n_vertices, graph.degrees, graph.indices
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(degrees, kind="stable")] = np.arange(n)
     src = np.repeat(np.arange(n), degrees)
+    wide = degrees.astype(np.int64)
+    # each edge once, as its entry in the lower-id endpoint's row; the
+    # two endpoints' degrees sum to Σ deg² over all edges
+    upper = int(np.dot(src < indices, wide[indices]))
+    lower = int(np.dot(wide, wide)) - upper
     keep = rank[src] < rank[indices]
     # Out-rows keep the CSR's ascending id order, so a wedge (v, w) taken
     # from an out-row has v < w and its key v * n + w is a CSR key.
@@ -75,7 +97,7 @@ def triangle_count(graph: Graph) -> int:
         probes = np.sort(out[lo + owner] * n + second)
         total += int(np.count_nonzero(bulk_contains_sorted(keys, probes)))
         lo = hi
-    return total
+    return total, upper, lower
 
 
 def _triangle_count_merge(graph: Graph) -> int:
@@ -186,23 +208,33 @@ def graph_memo(graph) -> "dict[str, object]":
 
 @dataclass(frozen=True)
 class GraphStats:
-    """The structural summary consumed by the performance model."""
+    """The structural summary consumed by the performance model.
+
+    ``upper_degree_sum`` and ``lower_degree_sum`` sum, over the edges,
+    the degree of the higher-id and of the lower-id endpoint (see the
+    module docstring).
+    """
 
     n_vertices: int
     n_edges: int
     triangles: int
     max_degree: int
+    upper_degree_sum: int
+    lower_degree_sum: int
 
     @classmethod
     def of(cls, graph: Graph) -> "GraphStats":
         known = _MEMOS.get(id(graph), {}).get("stats")
         if known is not None:
             return known
+        triangles, upper, lower = _oriented_pass(graph)
         return cls(
             n_vertices=graph.n_vertices,
             n_edges=graph.n_edges,
-            triangles=triangle_count(graph),
+            triangles=triangles,
             max_degree=graph.max_degree,
+            upper_degree_sum=upper,
+            lower_degree_sum=lower,
         )
 
     def remember(self, graph: Graph) -> None:
@@ -249,9 +281,33 @@ class GraphStats:
             return float(self.n_vertices)
         return float(self.n_vertices) * self.p1 * self.p2 ** (n_neighborhoods - 1)
 
+    @property
+    def degree_order_exponent(self) -> float:
+        """γ with degree ∝ u^|γ| along the id order, ``u`` an edge
+        endpoint's quantile among all endpoints sorted by ascending id
+        (γ ≥ 0) or by descending id (γ < 0).
+
+        Under that law the higher-id endpoint of an edge (the larger of
+        two endpoint quantiles) has mean degree 2(1+γ)/(2+γ) times the
+        endpoint mean and the lower-id one 2/(2+γ) times, for γ ≥ 0:
+        their ratio is 1+γ, so γ = upper/lower - 1, and by the same
+        argument on the reversed order γ = -(lower/upper - 1) when the
+        lower-id endpoints have the larger sum.  Reversing the ids
+        negates γ exactly.  It is 0 when ids do not follow degree.
+        """
+        up, low = self.upper_degree_sum, self.lower_degree_sum
+        if min(up, low) == 0:
+            return 0.0
+        if up >= low:
+            return (up - low) / low
+        return -((low - up) / up)
+
     def describe(self) -> str:
+        e = self.n_edges or 1
         return (
             f"|V|={self.n_vertices} |E|={self.n_edges} triangles={self.triangles} "
             f"avg_deg={self.avg_degree:.2f} max_deg={self.max_degree} "
-            f"p1={self.p1:.3e} p2={self.p2:.3e}"
+            f"p1={self.p1:.3e} p2={self.p2:.3e} "
+            f"endpoint_deg(higher/lower id)={self.upper_degree_sum / e:.2f}/"
+            f"{self.lower_degree_sum / e:.2f}"
         )

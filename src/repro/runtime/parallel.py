@@ -65,15 +65,22 @@ class ParallelResult:
 def parallel_count_ctx(ctx: MatchContext, *, n_workers: int | None = None) -> ParallelResult:
     """Count a :class:`MatchContext` with a pool of worker processes.
 
-    ``n_workers`` defaults to the host's CPU count.  Partial raw counts
-    are summed and the IEP divisor applied once at the end — the same
-    aggregation the distributed implementation performs.
+    ``n_workers`` defaults to the host's CPU count.  Work that cannot
+    keep two processes busy (fewer than two non-empty root tasks, or a
+    pattern with more vertices than the graph) is counted in this
+    process, with no pool.  Partial raw counts are summed and the IEP
+    divisor applied once at the end — the same aggregation the
+    distributed implementation performs.
     """
     workers = n_workers if n_workers is not None else os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {workers}")
     engine = Engine(ctx.graph, ctx.plan)
     tasks = root_tasks(engine, TASKS_PER_WORKER * workers, "cyclic")
+    if len(tasks) < 2 or ctx.plan.n > ctx.graph.n_vertices:
+        # One task cannot be shared, and a pattern larger than the graph
+        # matches nothing: either way a pool would only cost its start-up.
+        workers = 1
     executor = task_executor(ctx)
     # Master-side span only: spans opened inside pool workers live in
     # other processes and cannot attach to this trace.

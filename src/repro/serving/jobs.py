@@ -121,12 +121,21 @@ class MatchRequest:
         return f"{self.kind} {self.query.describe()} @{self.graph}{lim}"
 
 
+#: the finished event of every job that ends inside ``submit`` (a memo
+#: hit): set once, shared, so such a job builds no event of its own.
+_FINISHED_AT_SUBMIT = threading.Event()
+_FINISHED_AT_SUBMIT.set()
+
+
 class Job:
     """Internal lifecycle record: one admitted request and its fate.
 
     Owned by the service; all state transitions go through
     :meth:`transition` / :meth:`finalize` under the service's lock.
-    Callers only ever see the :class:`JobHandle`.
+    Callers only ever see the :class:`JobHandle`.  ``runnable=False``
+    marks a job the service finishes before ``submit`` returns: it gets
+    the shared, already-set finished event and no ``cancel_event``
+    (``None``), since nothing can run, cancel or time it out.
     """
 
     __slots__ = (
@@ -167,6 +176,7 @@ class Job:
         memo_key: tuple | None = None,
         on_status: Callable[["JobHandle"], None] | None = None,
         on_result: Callable[[Any], None] | None = None,
+        runnable: bool = True,
     ):
         self.id = job_id
         self.request = request
@@ -184,13 +194,13 @@ class Job:
         #: the key a memoised primary resolves in the result memo when
         #: it finishes (None for memo hits, followers and unmemoised jobs)
         self.memo_key = memo_key
-        self.cancel_event = threading.Event()
+        self.cancel_event = threading.Event() if runnable else None
         #: deadline timer (service-managed), cancelled on finalisation.
         self.timer: threading.Timer | None = None
         #: True while the job occupies a queue slot (followers and
         #: memo hits never do — they must not release one on death).
         self.enqueued = False
-        self._finished = threading.Event()
+        self._finished = threading.Event() if runnable else _FINISHED_AT_SUBMIT
         self.on_status = on_status
         self.on_result = on_result
         #: handles of collapsed duplicate submissions (single-flight);

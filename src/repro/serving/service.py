@@ -317,6 +317,7 @@ class MatchService:
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"{self.name} is closed")
+            cached, value, primary = self._memo.lookup(key) if use_memo else (False, None, None)
             job = Job(
                 self._next_id,
                 request,
@@ -327,13 +328,13 @@ class MatchService:
                 version=version,
                 on_status=on_status,
                 on_result=on_result,
+                runnable=not cached,
             )
             self._next_id += 1
             self._seq += 1
             job.t_submit = time.perf_counter()
             handle = JobHandle(job, self)
             if use_memo:
-                cached, value, primary = self._memo.lookup(key)
                 if cached:
                     # served entirely from the memo: no slot, no worker.
                     self._submitted += 1

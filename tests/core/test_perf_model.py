@@ -7,6 +7,7 @@ from repro.core.perf_model import (
     ConfigurationSet,
     PerformanceModel,
     cost_breakdown,
+    degree_order_cost,
     estimate_cost,
     filter_probabilities,
     intersection_cost_estimates,
@@ -17,6 +18,15 @@ from repro.core.schedule import generate_schedules
 from repro.graph.generators import erdos_renyi
 from repro.graph.stats import GraphStats
 from repro.pattern.catalog import clique, house, pentagon, triangle
+
+
+def _degree_ordered(graph):
+    """``graph`` renumbered in ascending degree order."""
+    import numpy as np
+
+    from repro.graph.orientation import apply_order
+
+    return apply_order(graph, np.argsort(graph.degrees, kind="stable"))[0]
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +195,50 @@ class TestModelRanking:
         assert [r.plan for r in again] == [r.plan for r in fresh]
         assert len(compiled) == len(configs)
 
+    def test_degree_order_breaks_only_the_cheapest_tie(self):
+        """Configurations tied at the cheapest price come out ordered by
+        their degree-order price; everything else keeps the stable cost
+        order, and with ids that do not follow degree nothing moves."""
+        import dataclasses
+
+        pattern = house()
+        configs = enumerate_configurations(
+            pattern,
+            generate_schedules(pattern, dedup_automorphic=True),
+            generate_restriction_sets(pattern),
+        )
+        ordered = GraphStats.of(_degree_ordered(erdos_renyi(120, 0.08, seed=4)))
+        assert ordered.degree_order_exponent > 0.3
+        blind = dataclasses.replace(ordered, upper_degree_sum=1, lower_degree_sum=1)
+        assert blind.degree_order_exponent == 0.0
+        stable = PerformanceModel(blind).rank(configs, iep_k=2)
+        ranked = PerformanceModel(ordered).rank(configs, iep_k=2)
+        tied = sum(r.predicted_cost == stable[0].predicted_cost for r in stable)
+        assert tied > 1
+        assert ranked[tied:] == stable[tied:]
+        assert set(ranked[:tied]) == set(stable[:tied])
+        tie_costs = [degree_order_cost(r.plan, ordered) for r in ranked[:tied]]
+        assert tie_costs == sorted(tie_costs) and tie_costs[0] < tie_costs[-1]
+        assert [degree_order_cost(r.plan, blind) for r in stable[:tied]] == [
+            r.predicted_cost for r in stable[:tied]
+        ]
+
+    def test_one_model_ranks_many_sets_as_fresh_models_do(self):
+        """A model reused across configuration lists (each priced through
+        its own set) breaks every tie as a fresh model would."""
+        ordered = GraphStats.of(_degree_ordered(erdos_renyi(120, 0.08, seed=4)))
+        model = PerformanceModel(ordered)
+        for pattern in (house(), pentagon(), clique(4)):
+            configs = enumerate_configurations(
+                pattern,
+                generate_schedules(pattern, dedup_automorphic=True),
+                generate_restriction_sets(pattern),
+            )
+            for iep_k in (0, 2):
+                assert [r.config for r in model.rank(configs, iep_k=iep_k)] == [
+                    r.config for r in PerformanceModel(ordered).rank(configs, iep_k=iep_k)
+                ]
+
     def test_model_prefers_selective_schedule_on_clustered_graph(self):
         """The model must use triangle information: on a triangle-free
         graph the intersection-of-2 estimate collapses to ~0."""
@@ -292,6 +346,78 @@ class TestPricingOracle:
                 ), r.config.describe()
                 # the mode's own compile lands on the same suffix
                 assert r.plan.iep_k == plan.iep_k
+
+    @pytest.mark.parametrize("case", _mode_cases(), ids=lambda c: c[0])
+    def test_degree_order_price_equals_the_compiled_plan(self, stats, case):
+        """The tie-break price worked out from a configuration's shape
+        is exactly :func:`degree_order_cost` of the plan it compiles to."""
+        from repro.core.schedule import independent_suffix_size
+        from repro.core.session import _plan_pattern
+
+        _, mode, pattern = case
+        pattern_plan = _plan_pattern(mode, pattern)
+        configs = pattern_plan.configurations
+        model = PerformanceModel(stats)
+        assert stats.degree_order_exponent != 0.0
+        for iep_k in sorted({0, independent_suffix_size(pattern_plan.skeleton)}):
+            for i, (config, shape) in enumerate(zip(configs, configs.shapes(iep_k))):
+                plan = configs.compile(config, iep_k)
+                assert model._degree_order_cost(configs, iep_k, i, shape, {}) == degree_order_cost(
+                    plan, stats
+                ), config.describe()
+
+
+class TestIepBoundsArePriced:
+    """An outer↔inner bound shrinks an IEP set, so it must lower the
+    price of an IEP plan, while a dropped inner↔inner pair must not.
+    Two mis-pricings each change some configuration's ``(k, cost)``:
+    pricing every restriction pair, and pricing only the outer↔outer
+    pairs."""
+
+    @staticmethod
+    def _priced(stats, pattern_plan, iep_k, mutate=None, monkeypatch=None):
+        """``{config: (k, cost)}``, with the kept restrictions replaced
+        by ``mutate(restrictions, inner vertices)`` when given."""
+        if mutate is not None:
+            real = ConfigurationSet._kept
+
+            def kept(self, config, k):
+                k = real(self, config, k)[0]
+                inner = set(config.schedule[len(config.schedule) - k :]) if k else set()
+                return k, frozenset(mutate(config.restrictions, inner))
+
+            monkeypatch.setattr(ConfigurationSet, "_kept", kept)
+        configs = ConfigurationSet(
+            pattern_plan.configurations.configurations,
+            auts=pattern_plan.configurations._auts,
+        )
+        ranked = PerformanceModel(stats).rank(configs, iep_k=iep_k)
+        if mutate is not None:
+            monkeypatch.undo()
+        return {r.config: (r.iep_k, r.predicted_cost) for r in ranked}
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda pairs, inner: pairs,
+            lambda pairs, inner: {p for p in pairs if not inner & set(p)},
+        ],
+        ids=["every-pair", "outer-outer-only"],
+    )
+    def test_mispricings_change_some_cost(self, stats, mutate, monkeypatch):
+        from repro.core.schedule import independent_suffix_size
+        from repro.core.session import _plan_pattern
+
+        changed = 0
+        for case_id, mode, pattern in _mode_cases():
+            if mode != "plain":
+                continue
+            pattern_plan = _plan_pattern(mode, pattern)
+            iep_k = independent_suffix_size(pattern_plan.skeleton)
+            real = self._priced(stats, pattern_plan, iep_k)
+            wrong = self._priced(stats, pattern_plan, iep_k, mutate, monkeypatch)
+            changed += sum(real[c] != wrong[c] for c in real)
+        assert changed > 0
 
 
 class TestOneCompilePerPlan:

@@ -144,7 +144,7 @@ class TestSnapshotAndStats:
         def no_recount(graph):
             raise AssertionError("a snapshot's triangles were recounted")
 
-        monkeypatch.setattr(stats_module, "triangle_count", no_recount)
+        monkeypatch.setattr(stats_module, "_oriented_pass", no_recount)
         session = MatchSession(snap)
         got = session.plan_for(MatchQuery(house()))
         assert session.stats == want_session.stats == dyn.stats()

@@ -54,6 +54,27 @@ class TestParallelCount:
             parallel_count(er_small, make_plan(triangle()), n_workers=0)
 
 
+    def test_trivial_work_is_counted_without_a_pool(self, monkeypatch):
+        """Three one-root tasks on a 3-vertex graph, and a 5-vertex
+        pattern: counted in process, and still reported as ``parallel``."""
+        import multiprocessing
+
+        from repro.core.backend import get_backend
+        from repro.core.query import MatchQuery
+        from repro.core.session import MatchSession
+        from repro.graph.builder import graph_from_edges
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        graph = graph_from_edges([(0, 1), (1, 2), (0, 2)])
+        query = MatchQuery(house(), backend=get_backend("parallel", n_workers=2))
+        result = MatchSession(graph).count(query)
+        assert result.count == 0
+        assert result.backend == "parallel"
+
+
 class TestMeasureTaskCosts:
     def test_costs_nonnegative_and_complete(self, er_small):
         plan = make_plan(triangle())

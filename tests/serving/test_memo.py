@@ -78,6 +78,23 @@ class TestServiceMemoisation:
             # zero further executions
             assert stats.completed == 2
 
+    def test_memo_hits_share_one_finished_event(self, triangle_graph, triangle):
+        """Jobs finished inside submit build no events of their own; a
+        job that runs gets its own finished and cancel events."""
+        with MatchService(n_workers=1) as svc:
+            svc.add_graph("default", triangle_graph)
+            miss = svc.count(triangle)
+            assert miss.result(timeout=30) == 1
+            hits = [svc.count(triangle) for _ in range(2)]
+            assert [h.result() for h in hits] == [1, 1]
+            assert all(h.wait(0) for h in hits)
+            first, second = (h._job for h in hits)
+            assert first._finished is second._finished
+            assert first.cancel_event is None and second.cancel_event is None
+            assert not hits[0].cancel()
+            assert miss._job._finished is not first._finished
+            assert miss._job.cancel_event is not None
+
     def test_memo_keys_distinguish_kind_and_limit(self, triangle_graph, triangle):
         with MatchService(n_workers=1) as svc:
             svc.add_graph("default", triangle_graph)
