@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
+import statistics
 import time
 from pathlib import Path
 
@@ -72,6 +74,28 @@ def time_call(fn, *args, **kwargs) -> tuple[float, object]:
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)
     return time.perf_counter() - t0, result
+
+
+def interleaved(calls: dict, reps: int) -> dict[str, tuple[float, float, object]]:
+    """Per name: ``(median seconds, interquartile range, last result)``
+    over ``reps`` rounds, each calling every ``calls[name]()`` once, so
+    host drift hits every variant alike.  Each round runs the names in
+    a fresh (seeded) random order, so no variant always runs right
+    after the same cache-thrashing neighbour.  A call returns
+    ``(seconds, result)``."""
+    names = list(calls)
+    samples: dict[str, list[float]] = {name: [] for name in names}
+    results: dict[str, object] = {}
+    rng = random.Random(BENCH_SEED)
+    for _ in range(reps):
+        for name in rng.sample(names, len(names)):
+            seconds, results[name] = calls[name]()
+            samples[name].append(seconds)
+    out = {}
+    for name, runs in samples.items():
+        q1, _, q3 = statistics.quantiles(runs, n=4)
+        out[name] = (statistics.median(runs), q3 - q1, results[name])
+    return out
 
 
 def geomean(values: list[float]) -> float:

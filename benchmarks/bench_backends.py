@@ -4,12 +4,15 @@ The tentpole claim of the unified execution-backend layer: routing every
 entry point through the compiled-first core is a *win*, not just a
 refactor.  This bench runs the Fig. 8-style overall workload (paper
 patterns on a scaled proxy, no IEP — matching the paper's Fig. 8 setup)
-once per registered counting backend and reports seconds plus speedup
-over the interpreter.
+on every registered counting backend, :data:`REPS` interleaved rounds
+per pattern (each round runs every backend once, so host drift hits
+all of them alike), and reports median seconds plus speedup over the
+interpreter.
 
 Outputs: an aligned table, a TSV under ``benchmarks/results/`` and a
 machine-readable ``BENCH_backends.json`` in the repo root with the
-per-pattern timings and the geometric-mean speedups.
+per-pattern medians and interquartile ranges and the geometric-mean
+speedups.
 
 Run directly (``python benchmarks/bench_backends.py``) or through
 pytest-benchmark like the other benches; both entry points assert the
@@ -19,12 +22,22 @@ geomean floors in :data:`SPEEDUP_FLOORS`.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 from repro.core.backend import MatchContext, get_backend
 from repro.pattern.catalog import paper_patterns
 from repro.utils.tables import Table, format_seconds, format_speedup
 
-from _common import QUICK, bench_graph, emit, emit_json, geomean, plan_report, time_call
+from _common import (
+    QUICK,
+    bench_graph,
+    emit,
+    emit_json,
+    geomean,
+    interleaved,
+    plan_report,
+    time_call,
+)
 
 DATASET = "wiki-vote"
 
@@ -35,6 +48,9 @@ BACKENDS = ["interpreter", "compiled", "parallel", "vectorised", "distributed"]
 #: the whole suite, so the micro-bench uses the first four patterns
 #: (two in the CI quick/smoke mode).
 PATTERN_LIMIT = 2 if QUICK else 4
+
+#: interleaved rounds per pattern; each backend's median is reported.
+REPS = 5
 
 #: geomean speedup over the interpreter each backend must exceed:
 #: generated code beats interpretation, and the process pool, whose
@@ -64,23 +80,23 @@ def run_backend_bench() -> dict:
         # same chosen configuration, so differences are purely execution.
         report = plan_report(graph, pattern, use_iep=False, max_restriction_sets=16)
         ctx = MatchContext(graph=graph, plan=report.plan, generated=report.generated)
+        calls = {
+            bname: partial(time_call, _backend_instance(bname).count, ctx)
+            for bname in BACKENDS
+        }
+        timings = interleaved(calls, REPS)
+        baseline, _, expected = timings[BACKENDS[0]]
         row: dict[str, dict] = {}
-        baseline = None
-        for bname in BACKENDS:
-            backend = _backend_instance(bname)
-            seconds, count = time_call(backend.count, ctx)
-            if baseline is None:
-                baseline = seconds
-                expected = count
-            else:
-                assert count == expected, (pname, bname, count, expected)
+        for bname, (seconds, iqr, count) in timings.items():
+            assert count == expected, (pname, bname, count, expected)
             row[bname] = {
                 "seconds": seconds,
+                "iqr_seconds": iqr,
                 "count": int(count),
                 "speedup_vs_interpreter": baseline / seconds if seconds else float("inf"),
             }
         records[pname] = row
-    return {"graph": repr(graph), "dataset": DATASET, "patterns": records}
+    return {"graph": repr(graph), "dataset": DATASET, "reps": REPS, "patterns": records}
 
 
 def _render(results: dict, capsys=None) -> None:

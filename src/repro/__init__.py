@@ -27,17 +27,6 @@ _EXPORTS = {
         "get_backend",
         "register_backend",
     ),
-    "repro.core.autotune": (
-        "AutoBackend",
-        "AutotuneReport",
-        "CalibrationProfile",
-        "CalibrationWorkload",
-        "ProfileChoice",
-        "ProfileWarning",
-        "load_profile",
-        "run_calibration",
-        "set_active_profile",
-    ),
     "repro.core.directed": ("DirectedMatcher", "count_directed", "match_directed"),
     "repro.core.reduction": ("ReductionReport", "reduce_directed_batch", "skeleton_key"),
     "repro.core.induced": ("induced_count",),
@@ -85,15 +74,6 @@ __all__ = [
     "capabilities_of",
     "get_backend",
     "register_backend",
-    "AutoBackend",
-    "AutotuneReport",
-    "CalibrationProfile",
-    "CalibrationWorkload",
-    "ProfileChoice",
-    "ProfileWarning",
-    "load_profile",
-    "run_calibration",
-    "set_active_profile",
     "DirectedMatcher",
     "ReductionReport",
     "count_directed",

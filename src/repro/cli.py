@@ -318,8 +318,6 @@ def cmd_count(args) -> int:
     print(f"time:    {format_seconds(elapsed)} "
           f"(preprocessing {format_seconds(result.seconds_plan)}"
           f"{', plan-cache hit' if result.cache_hit else ''})")
-    if result.autotune_report is not None:
-        print(f"autotune: {result.autotune_report.describe()}")
     if result.distributed_report is not None:
         _print_distributed_report(result.distributed_report)
     if want_trace and result.trace is None:
@@ -616,34 +614,6 @@ def cmd_backends(args) -> int:
             info.summary(),
         ])
     print(table.render())
-    if getattr(args, "profile", None):
-        from repro.core.autotune import load_profile
-
-        profile = load_profile(args.profile)
-        if profile is None:
-            # load_profile already warned with the specific reason.
-            print(f"\nprofile: {args.profile}: not usable; "
-                  "backend='auto' would fall back to static selection",
-                  file=sys.stderr)
-            return 1
-        print(f"\nprofile: {args.profile}: {profile.describe()}")
-        ptable = Table(
-            ["pattern bucket", "graph bucket", "best choice", "geomean", "runner-up"],
-            title="calibrated buckets (what backend='auto' will pick)",
-        )
-        for entry in profile.entries.values():
-            ranked = entry.ranked()
-            best_choice, best_secs = ranked[0]
-            runner_up = ranked[1][0].describe() if len(ranked) > 1 else "-"
-            mode, nv, ne = entry.pattern_sig
-            ptable.add_row([
-                f"{mode} {nv}v{ne}e",
-                "/".join(str(b) for b in entry.graph_sig),
-                best_choice.describe(),
-                format_seconds(best_secs),
-                runner_up,
-            ])
-        print(ptable.render())
     return 0
 
 
@@ -795,11 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(func=cmd_serve)
 
     p_backends = sub.add_parser("backends", help="list execution backends")
-    p_backends.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="also inspect a calibration profile (tools/calibrate.py "
-             "output): per-bucket winners backend='auto' would pick",
-    )
     p_backends.set_defaults(func=cmd_backends)
 
     p_metrics = sub.add_parser(

@@ -199,8 +199,8 @@ _REGISTRY: dict[str, type[ExecutionBackend] | None] = {}
 
 #: built-in backends registered by importing their defining module on
 #: first use, so loading the registry (every ``repro count``) does not
-#: load the distributed runtime or the autotuner.
-_DEFERRED = {"distributed": "repro.runtime.distributed", "auto": "repro.core.autotune"}
+#: load the distributed runtime.
+_DEFERRED = {"distributed": "repro.runtime.distributed"}
 
 
 def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
@@ -276,36 +276,6 @@ def capabilities_of(
     if isinstance(spec, type) and issubclass(spec, ExecutionBackend):
         return spec.capabilities
     return None
-
-
-def candidate_backends(
-    ctx: MatchContext, *, for_enumeration: bool = False
-) -> list[BackendInfo]:
-    """Registry entries whose *declared* capabilities cover a context.
-
-    Capability-aware pre-filtering for selectors (notably the ``auto``
-    backend's profile-choice walk): mode coverage, IEP-plan support in
-    the context's mode when the plan carries an IEP suffix, and
-    enumeration support when the caller needs embeddings.  Delegating
-    pseudo-backends (``is_meta``) are excluded — a selector must land on
-    a backend that executes.  The definitive per-plan answer remains
-    ``instance.supports(ctx)``; this filter only rules out what the
-    flags already rule out.
-    """
-    plan_iep = getattr(ctx.plan, "iep_k", 0) > 0
-    out: list[BackendInfo] = []
-    for info in available_backends().values():
-        if getattr(info.cls, "is_meta", False):
-            continue
-        caps = info.capabilities
-        if not caps.supports_mode(ctx.mode):
-            continue
-        if plan_iep and not caps.supports_iep(ctx.mode):
-            continue
-        if for_enumeration and not info.supports_enumeration:
-            continue
-        out.append(info)
-    return out
 
 
 def get_backend(name: str, **options) -> ExecutionBackend:

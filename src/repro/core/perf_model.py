@@ -471,9 +471,10 @@ class ConfigurationSet:
 
         k starts at the suffix the schedule realises and steps down
         while the inner↔inner restrictions it drops leave a non-uniform
-        overcount (k ≤ 1 drops nothing, so the ladder stops on a correct
-        plan); the kept set and its uniformity are memoised by the
-        restrictions and the suffix's vertices.
+        overcount; the kept set and its uniformity are memoised by the
+        restrictions and the suffix's vertices.  A k = 1 suffix drops
+        no restriction and has overcount 1, so it is the innermost loop:
+        the ladder ends on k = 0.
         """
         with self._lock:
             shape = self._schedule(config)
@@ -495,7 +496,7 @@ class ConfigurationSet:
                 if kept is not None:
                     return k, kept
                 k -= 1
-            return k, config.restrictions
+            return 0, config.restrictions
 
     def _is_uniform(self, pattern: Pattern, kept: frozenset) -> bool:
         try:

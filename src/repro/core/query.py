@@ -271,11 +271,6 @@ class MatchResult:
     #: backend implements ``count_with_report`` (the ``distributed``
     #: backend's :class:`~repro.runtime.distributed.DistributedReport`).
     distributed_report: Any = None
-    #: how ``backend="auto"`` decided, populated only for auto-selected
-    #: executions (an :class:`~repro.core.autotune.AutotuneReport` with
-    #: the chosen delegate, decision source and predicted-vs-actual
-    #: seconds; ``backend`` then reads ``"auto:<delegate>"``).
-    autotune_report: Any = None
     #: the span tree for this execution (a :class:`~repro.obs.trace.Trace`),
     #: populated only when tracing is enabled and the sampler admitted
     #: this call (``repro.obs.enable()`` / ``repro count --explain``).

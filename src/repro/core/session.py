@@ -557,51 +557,10 @@ class MatchSession:
         """
         query = as_query(query)
         graph = self._execution_graph(query)  # validates mode/graph pairing
-        query = self._apply_autotune(query)
         entry = self._lookup_or_plan(query)[0]
         if kernel and entry.generated is None:
             entry = self._memoise_kernel(entry, entry.context(graph))
         return entry
-
-    def _apply_autotune(self, query: MatchQuery) -> MatchQuery:
-        """Fold the calibration profile's plan-level knob into an auto query.
-
-        The profile's winning :class:`~repro.core.autotune.ProfileChoice`
-        carries a measured ``use_iep`` preference; applying it *before*
-        planning means ``backend="auto"`` plans the same plan its winner
-        was calibrated on (IEP-free for a vectorised winner, IEP-suffix
-        for a compiled one) — and the adjusted ``use_iep`` participates
-        in the fingerprint, so both variants cache independently.  Only
-        an undecided knob on a plain edge-semantics query is touched;
-        explicit ``use_iep`` always wins.
-        """
-        if query.use_iep is not None or query.backend is None:
-            return query
-        if query.mode != "plain" or query.semantics != "edge":
-            return query
-        from repro.core import autotune
-
-        if not autotune.is_auto_spec(query.backend):
-            return query
-        profile = autotune.profile_for_spec(query.backend)
-        if profile is None:
-            return query
-        # Memoised per (profile, graph) on the query object: the replace
-        # below re-runs query validation and invalidates the cached
-        # fingerprint, which would otherwise recur on every count() of a
-        # reused query — overhead the auto path exists to eliminate.
-        memo = query.__dict__.get("_autotune_fold")
-        key = (id(profile), id(self.graph))
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        folded = query
-        choice = autotune.plan_choice_for(
-            query, self._execution_graph(query), profile=profile
-        )
-        if choice is not None and choice.use_iep is not None:
-            folded = dataclasses.replace(query, use_iep=choice.use_iep)
-        object.__setattr__(query, "_autotune_fold", (key, folded))
-        return folded
 
     def _lookup_or_plan(self, query: MatchQuery) -> tuple[PlanEntry, bool]:
         """(entry, was cache hit) — the one key computation per call."""
@@ -736,7 +695,6 @@ class MatchSession:
         preference for this call only.
         """
         query = self._effective_query(as_query(query), backend)
-        query = self._apply_autotune(query)
         with collect(
             "match", mode=query.mode, semantics=query.semantics
         ) as trace:
@@ -752,9 +710,8 @@ class MatchSession:
             chosen = self._select(ctx, query, backend)
             ctx = self._ensure_kernel(entry, chosen, ctx)
             # Backends with a structured side-channel (the distributed
-            # backend's scaling profile, the auto backend's selection
-            # report) expose count_with_report; the tuple protocol keeps
-            # plain count() implementations untouched.
+            # backend's scaling profile) expose count_with_report; the
+            # tuple protocol keeps plain count() implementations untouched.
             runner = getattr(chosen, "count_with_report", None)
             with span("execute", backend=chosen.name) as sx:
                 with Timer() as t_exec:
@@ -766,22 +723,9 @@ class MatchSession:
         if trace is not None:
             obs_metrics.TRACES_COLLECTED.inc()
         obs_metrics.BACKEND_COUNTS.labels(backend=chosen.name).inc()
-        backend_name = chosen.name
-        autotune_report = None
-        if side_report is not None:
-            from repro.core.autotune import AutotuneReport
-
-            if isinstance(side_report, AutotuneReport):
-                autotune_report = dataclasses.replace(
-                    side_report, actual_seconds=t_exec.elapsed
-                )
-                backend_name = f"auto:{side_report.chosen}"
-                # the delegate's own side-channel (e.g. a distributed
-                # scaling profile) keeps its historical slot.
-                side_report = side_report.inner_report
         return MatchResult(
             count=n,
-            backend=backend_name,
+            backend=chosen.name,
             mode=query.mode,
             semantics=query.semantics,
             cache_hit=was_hit,
@@ -790,7 +734,6 @@ class MatchSession:
             provenance=entry.provenance,
             fingerprint=entry.key[0],
             distributed_report=side_report,
-            autotune_report=autotune_report,
             trace=trace,
         )
 

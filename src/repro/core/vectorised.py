@@ -112,7 +112,7 @@ or without auxiliary pools).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -469,17 +469,21 @@ class FrontierEngine:
         # The pool builders and their cost gate read the one undirected
         # CSR and its degrees, so a digraph takes the direct path.
         self.aux = aux if self._csrs[0] is self._csrs[1] else False
-        if self.aux is not False:
-            self._degrees = graph.degrees
-            self._dstats = degree_statistics(graph)
-        if plan.iep_k > 0:
-            signatures, self._iep_terms = _iep_layout(
-                plan.iep_k, (plan.refs, plan.lower, plan.upper)
-            )
-            self._iep_blocks = tuple(
-                (self._bind(refs), tuple(sorted({j for j, _ in refs})), lower, upper)
-                for refs, lower, upper in signatures
-            )
+        # The suffix the per-row counter evaluates: the IEP suffix, or
+        # the innermost loop as its one-block, one-term (+1) case.
+        signatures, self._suffix_terms = _iep_layout(
+            max(plan.iep_k, 1), (plan.refs, plan.lower, plan.upper)
+        )
+        self._suffix_blocks = tuple(
+            (self._bind(refs), tuple(sorted({j for j, _ in refs})), lower, upper)
+            for refs, lower, upper in signatures
+        )
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        """Vertex degrees, for the pool gates (read only past their
+        structural early exits)."""
+        return self.graph.degrees
 
     def _bind(self, refs) -> tuple[_Ref, ...]:
         """The plan's ``(column, direction)`` refs bound to keyed CSRs."""
@@ -587,7 +591,12 @@ class FrontierEngine:
             return None
         if len(deps) < 2:
             return None
-        if self.aux == "auto" and len(front) < AUX_MIN_ROWS:
+        if self.aux == "auto" and (
+            len(front) < AUX_MIN_ROWS or len(deps) == front.shape[1]
+        ):
+            # Too few rows to amortise, or dependencies covering every
+            # column: frontier rows are distinct, so the dedup would
+            # find no group to share and the gate below would decline.
             return None
         key = _encode_columns([front[:, j] for j in deps])
         if key is None:
@@ -617,7 +626,8 @@ class FrontierEngine:
                     float(self._degrees[front[:, j]].mean()) for j in deps
                 )
                 per_row = pivot_mean * (1.0 + AUX_CONTAINS_COST * (k - 1))
-                pooled_row = max(pivot_mean * self._dstats.p1 ** (k - 1), 1.0)
+                p1 = degree_statistics(self.graph).p1
+                pooled_row = max(pivot_mean * p1 ** (k - 1), 1.0)
                 saved = (n_rows - n_groups) * per_row
                 build = n_rows * pooled_row
                 build += AUX_SORT_COST * n_rows * math.log2(max(n_rows, 2))
@@ -708,28 +718,6 @@ class FrontierEngine:
     # ------------------------------------------------------------------
     # per-row candidate counts: the innermost loop and the IEP blocks
     # ------------------------------------------------------------------
-    def _count_last(
-        self, front: np.ndarray, depth: int, prev: _CandidateSource | None
-    ) -> int:
-        """Candidates surviving the innermost loop, summed over ``front``."""
-        if len(front) == 0:
-            return 0
-        plan = self.plan
-        if self._labels is None and not plan.anti[depth]:
-            src = self._chain_source(front, plan.deps[depth], prev)
-            obs_metrics.FRONTIER_INTERSECTIONS.labels(
-                kernel="direct" if src is None else "pooled"
-            ).inc()
-            counts = self._row_counts(
-                front, self._refs[depth], plan.lower[depth], plan.upper[depth], src
-            )
-            return int(counts.sum())
-        # Label and anti-edge masks need the candidates materialised; the
-        # arrays are small (label/anti filters prune hard) and the
-        # extension pipeline already applies every mask.
-        _, cand, _ = self._extend(front, depth, prev)
-        return len(cand)
-
     def _row_counts(
         self,
         front: np.ndarray,
@@ -825,18 +813,29 @@ class FrontierEngine:
             counts = counts - hit
         return counts
 
-    def _count_iep(self, front: np.ndarray, prev: _CandidateSource | None) -> int:
-        """The raw IEP suffix over a frontier of outer assignments.
+    def _count_suffix(self, front: np.ndarray, prev: _CandidateSource | None) -> int:
+        """The raw count of the plan's suffix over a frontier of outer
+        assignments: its IEP suffix, or its innermost loop.
 
         One :meth:`_row_counts` column per distinct block signature,
         combined exactly by the partition-lattice formula; the
-        ``iep_overcount`` division is left to :meth:`count`.  Signatures
+        ``iep_overcount`` division is left to :meth:`count`.  An
+        IEP-free plan's innermost loop is the one-block, one-term (+1)
+        case, so every last depth chooses its candidate source the same
+        way: a chained pool, a group pool, or the CSR rows.  Signatures
         run fewest refs first, so a pool materialised for a block
         (``N(a) ∩ N(b)`` per distinct ``(a, b)``) is chained into every
         larger block over the same columns, exactly as the loop depths
         chain theirs.
         """
-        blocks = self._iep_blocks
+        plan = self.plan
+        if not plan.iep_k and (self._labels is not None or plan.anti[-1]):
+            # Label and anti-edge masks need the candidates materialised;
+            # the arrays are small (label/anti filters prune hard) and
+            # the extension pipeline already applies every mask.
+            _, cand, _ = self._extend(front, plan.n - 1, prev)
+            return len(cand)
+        blocks = self._suffix_blocks
         pools = [prev] if prev is not None else []
         cards: list = [None] * len(blocks)
         for i in sorted(range(len(blocks)), key=lambda i: len(blocks[i][0])):
@@ -852,8 +851,9 @@ class FrontierEngine:
                 if src is not None:
                     pools.append(src)
             cards[i] = self._row_counts(front, refs, lower, upper, src)
-        obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel="iep").inc(len(cards))
-        return _iep_combine(cards, self._iep_terms)
+            kernel = "iep" if plan.iep_k else "direct" if src is None else "pooled"
+            obs_metrics.FRONTIER_INTERSECTIONS.labels(kernel=kernel).inc()
+        return _iep_combine(cards, self._suffix_terms)
 
     # ------------------------------------------------------------------
     # root chunks
@@ -902,17 +902,14 @@ class FrontierEngine:
         roots = self._rooted(roots)
         if plan.n == 1:
             return len(roots)
+        # the suffix span: the IEP block's, or the innermost loop's
+        first = plan.n - max(plan.iep_k, 1)
+        suffix = {"iep": plan.iep_k} if plan.iep_k else {"last": True}
         total = 0
         for chunk in self._root_chunks(roots):
             front = chunk[:, None]
             prev: _CandidateSource | None = None
-            for depth in range(1, plan.n_loops):
-                if depth == plan.n - 1:
-                    with span("depth", depth=depth, last=True) as sp:
-                        c = self._count_last(front, depth, prev)
-                        sp.set(rows=len(front), count=c)
-                    total += c
-                    break
+            for depth in range(1, first):
                 with span("depth", depth=depth) as sp:
                     owner, cand, src = self._extend(front, depth, prev)
                     sp.set(
@@ -925,10 +922,12 @@ class FrontierEngine:
                     break
                 front = np.concatenate([front[owner], cand[:, None]], axis=1)
                 prev = src.aligned(owner) if src.materialised else None
-            if plan.iep_k and len(front):
-                with span("depth", depth=plan.n_loops, iep=plan.iep_k) as sp:
-                    c = self._count_iep(front, prev)
-                    sp.set(rows=len(front), blocks=len(self._iep_blocks), count=c)
+            if len(front):
+                with span("depth", depth=first, **suffix) as sp:
+                    c = self._count_suffix(front, prev)
+                    sp.set(rows=len(front), count=c)
+                    if plan.iep_k:
+                        sp.set(blocks=len(self._suffix_blocks))
                 total += c
         return total
 

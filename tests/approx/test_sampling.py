@@ -137,11 +137,11 @@ def _plan(graph, pattern, *, use_iep):
 
 class TestPlanInteraction:
     def test_rejects_iep_plan(self, g_er):
-        rep = _plan(g_er, rectangle(), use_iep=True)
+        rep = _plan(g_er, house(), use_iep=True)
         if rep.plan.iep_k == 0:
             pytest.skip("model did not choose IEP here")
         with pytest.raises(ValueError, match="iep_k=0"):
-            NeighborhoodSampler(g_er, rectangle(), plan=rep.plan)
+            NeighborhoodSampler(g_er, house(), plan=rep.plan)
 
     def test_explicit_plan_used(self, g_er):
         rep = _plan(g_er, triangle(), use_iep=False)

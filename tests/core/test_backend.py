@@ -38,7 +38,7 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.labeled import assign_random_labels
 from repro.obs import metrics as obs_metrics
 from repro.pattern.catalog import clique, house, pentagon, rectangle, triangle
-from repro.pattern.directed import directed_cycle, transitive_triangle
+from repro.pattern.directed import directed_cycle, directed_path, transitive_triangle
 from repro.pattern.labeled import LabeledPattern
 
 BUILTIN = ("interpreter", "compiled", "parallel", "vectorised")
@@ -77,9 +77,11 @@ class TestRegistry:
         assert infos["vectorised"].capabilities.supports_iep("plain")  # bulk IEP
         assert not infos["compiled"].capabilities.supports_iep("directed")
 
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("no-such-backend")
+    @pytest.mark.parametrize("name", ["no-such-backend", "auto"])
+    def test_get_backend_unknown_name(self, name):
+        # "auto" included: the planner's default is the only selector.
+        with pytest.raises(ValueError, match="unknown backend .*'vectorised'"):
+            get_backend(name)
 
     def test_get_backend_forwards_options(self):
         assert get_backend("parallel", n_workers=3).n_workers == 3
@@ -217,7 +219,7 @@ class TestSelection:
         # The directed kernels are innermost-count variants; an
         # IEP-suffix directed plan must drop to the interpreter.
         dg = random_digraph(20, 0.2, seed=1)
-        plan = DirectedMatcher(transitive_triangle()).plan(dg, use_iep=True).plan
+        plan = DirectedMatcher(directed_path(4)).plan(dg, use_iep=True).plan
         if plan.iep_k == 0:
             pytest.skip("planner chose an IEP-free plan for this workload")
         ctx = MatchContext(graph=dg, plan=plan, mode="directed")

@@ -348,13 +348,28 @@ class TestDirectedIEP:
         m = DirectedMatcher(pattern)
         assert m.count(dig_small, use_iep=True) == m.count(dig_small, use_iep=False)
 
-    def test_iep_absorbs_suffix_for_bifan(self, dig_small):
-        """bi-fan's sinks {2,3} are non-adjacent: IEP should fire."""
+    def test_bifan_one_vertex_suffix_is_the_innermost_loop(self, dig_small):
+        """bi-fan's connected-prefix schedules end on an adjacent pair, so
+        their independent suffix is one vertex: the planner counts it as
+        the innermost loop, and a hand-built k = 1 plan counts alike."""
         m = DirectedMatcher(bi_fan())
         rep = m.plan(dig_small, use_iep=True)
-        assert rep.plan.iep_k >= 1
+        assert rep.plan.iep_k == 0
+        expected = bruteforce_directed_count(dig_small, bi_fan())
+        assert m.count(dig_small, report=rep) == expected
+        config = rep.plan.config
+        suffix = compile_directed_plan(bi_fan(), config.schedule, config.restrictions, iep_k=1)
+        assert suffix.iep_k == 1
+        assert Engine(dig_small, suffix).count() == expected
+
+    def test_iep_absorbs_suffix_for_dpath4(self, dig_small):
+        """dpath-4's middle arc comes first, so its two ends are a
+        non-adjacent suffix: IEP fires."""
+        m = DirectedMatcher(directed_path(4))
+        rep = m.plan(dig_small, use_iep=True)
+        assert rep.plan.iep_k == 2
         assert m.count(dig_small, report=rep) == bruteforce_directed_count(
-            dig_small, bi_fan()
+            dig_small, directed_path(4)
         )
 
     def test_iep_on_out_star(self, dig_small):
@@ -370,7 +385,7 @@ class TestDirectedIEP:
             assert rep.plan.iep_overcount > 1
 
     def test_enumeration_rejects_iep_plan(self, dig_small):
-        m = DirectedMatcher(bi_fan())
+        m = DirectedMatcher(directed_path(4))
         rep = m.plan(dig_small, use_iep=True)
         if rep.plan.iep_k == 0:
             pytest.skip("no IEP suffix realised")
@@ -381,7 +396,7 @@ class TestDirectedIEP:
         # match(report=...) used to silently re-plan and drop the passed
         # report when it carried an IEP suffix; it must refuse instead,
         # matching DirectedEngine.enumerate_embeddings.
-        m = DirectedMatcher(bi_fan())
+        m = DirectedMatcher(directed_path(4))
         rep = m.plan(dig_small, use_iep=True)
         if rep.plan.iep_k == 0:
             pytest.skip("no IEP suffix realised")
@@ -401,12 +416,12 @@ class TestDirectedIEP:
             compile_directed_plan(p, (0, 1, 2, 3), frozenset(), iep_k=3)
 
     def test_prefix_tasks_with_iep(self, dig_small):
-        m = DirectedMatcher(bi_fan())
+        m = DirectedMatcher(directed_path(4))
         rep = m.plan(dig_small, use_iep=True)
         if rep.plan.iep_k == 0 or rep.plan.n_loops < 2:
             pytest.skip("no splittable IEP plan here")
         engine = Engine(dig_small, rep.plan)
         raw = sum(engine.count_prefix(pre) for pre in engine.iter_prefixes(1))
         assert engine.finalize_count(raw) == bruteforce_directed_count(
-            dig_small, bi_fan()
+            dig_small, directed_path(4)
         )

@@ -129,12 +129,18 @@ class TestDirectedFrontierEngine:
         "pattern", [bi_fan(), directed_path(4), out_star(3)], ids=lambda p: p.name
     )
     def test_counts_iep_plan_exactly(self, dig, pattern):
-        # bifan realises k = 1 (the plain last loop), dpath-4 and the
-        # out-star k >= 2 (the bulk suffix, the star with a divisor).
+        # bifan realises a one-vertex suffix, planned as its last loop
+        # (k = 0) and hand-built here as a k = 1 block; dpath-4 and the
+        # out-star plan k >= 2 (the bulk suffix, the star with a divisor).
         plan = DirectedMatcher(pattern).plan(dig, use_iep=True).plan
-        assert plan.iep_k >= 1
-        engine = FrontierEngine(dig, plan)
-        assert engine.count() == bruteforce_directed_count(dig, pattern)
+        expected = bruteforce_directed_count(dig, pattern)
+        assert FrontierEngine(dig, plan).count() == expected
+        if pattern.name != "bi-fan":
+            assert plan.iep_k >= 2
+            return
+        assert plan.iep_k == 0
+        suffix = compile_plan(plan.config, dipattern=pattern, iep_k=1)
+        assert FrontierEngine(dig, suffix).count() == expected
 
     def test_rejects_disconnected_prefix(self, dig):
         # Schedule bi-fan as (0, 1, 2, 3): vertices 0 and 1 are the two
@@ -173,7 +179,7 @@ class TestDirectedKernels:
         assert "c1 = intersect_many([ob0, ib0])" in src
 
     def test_source_rejects_iep(self, dig):
-        rep = DirectedMatcher(bi_fan()).plan(dig, use_iep=True)
+        rep = DirectedMatcher(directed_path(4)).plan(dig, use_iep=True)
         if rep.plan.iep_k == 0:
             pytest.skip("no IEP suffix realised")
         with pytest.raises(ValueError):

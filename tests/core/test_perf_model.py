@@ -289,12 +289,13 @@ class TestModelAccuracy:
 # ---------------------------------------------------------------------------
 def _compiled_oracle(config, iep_k, group):
     """The largest feasible IEP plan ≤ ``iep_k``, found the slow way:
-    compile, and step k down while the overcount is not uniform."""
+    compile, and step k down while the overcount is not uniform.  A
+    k = 1 suffix is the innermost loop, so the ladder ends on k = 0."""
     from repro.core.restrictions import NonUniformOvercountError
     from repro.core.schedule import intersection_free_suffix_length
 
     k = min(iep_k, intersection_free_suffix_length(config.pattern, config.schedule))
-    while k > 0:
+    while k > 1:
         try:
             return compile_plan(config, iep_k=k, auts=group)
         except NonUniformOvercountError:
@@ -317,6 +318,21 @@ def _mode_cases():
     ]
     cases += [(f"directed.{n}", "directed", get_directed_pattern(n)) for n in DIRECTED]
     return cases
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in _mode_cases() if c[1] != "labeled"], ids=lambda c: c[0]
+)
+def test_plan_query_never_plans_a_one_vertex_suffix(stats, case):
+    """A k = 1 suffix is the innermost loop, so no plain or directed
+    plan of a catalogue pattern carries one, with or without IEP."""
+    from repro.core.query import MatchQuery
+    from repro.core.session import plan_query
+
+    _, _, pattern = case
+    for use_iep in (True, False):
+        plan = plan_query(MatchQuery(pattern, use_iep=use_iep), stats=stats).plan
+        assert plan.iep_k != 1, (use_iep, plan.config.describe())
 
 
 class TestPricingOracle:

@@ -364,6 +364,32 @@ class TestAuxiliaryPruning:
         with pytest.raises(ValueError, match="aux"):
             FrontierEngine(er_small, make_plan(triangle()), aux="always")
 
+    @pytest.mark.parametrize("pattern", [triangle(), clique(4)], ids=lambda p: p.name)
+    def test_auto_skips_a_dedup_of_distinct_rows(self, monkeypatch, dataset_graph, pattern):
+        """A clique's every depth depends on every frontier column, so
+        its rows are distinct and no group can be shared: ``aux="auto"``
+        declines before the dedup sort, while ``aux=True`` still builds
+        the pool (and both count alike)."""
+        from repro.core import vectorised
+
+        plan = MatchSession(dataset_graph).plan_for(MatchQuery(pattern)).plan
+        packed = vectorised._encode_columns
+        calls = []
+
+        def spy(cols):
+            calls.append(len(cols))
+            return packed(cols)
+
+        monkeypatch.setattr(vectorised, "_encode_columns", spy)
+        forced = FrontierEngine(dataset_graph, plan, aux=True).count()
+        assert calls, "aux=True built no pool"
+
+        def refuse(cols):
+            raise AssertionError("aux='auto' sorted a frontier of distinct rows")
+
+        monkeypatch.setattr(vectorised, "_encode_columns", refuse)
+        assert FrontierEngine(dataset_graph, plan, aux="auto").count() == forced
+
 
 # ---------------------------------------------------------------------------
 # labeled and induced frontier execution

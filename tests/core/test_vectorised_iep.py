@@ -128,6 +128,31 @@ def test_bulk_iep_matches_interpreter_and_bruteforce(graph_name, pattern):
         assert FrontierEngine(graph, plan, aux=True, root_chunk=5).count() == expected
 
 
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize(
+    "pattern", [p for p in PATTERNS if len(_plans(p.name)) > 1], ids=lambda p: p.name
+)
+def test_one_vertex_suffix_counts_as_the_innermost_loop(graph_name, pattern):
+    """A k = 1 suffix drops no restriction and has overcount 1, so a
+    hand-built ``iep_k=1`` plan counts what the loop-only plan counts on
+    the frontier, interpreter and compiled backends."""
+    from repro.core.codegen import compile_plan_function
+
+    graph = _graph(graph_name)
+    (k0, loop), (k1, suffix) = _plans(pattern.name)[:2]
+    assert (k0, k1, suffix.iep_overcount) == (0, 1, 1)
+    counts = {
+        (name, plan.iep_k): run(graph, plan)
+        for plan in (loop, suffix)
+        for name, run in (
+            ("frontier", lambda g, p: FrontierEngine(g, p).count()),
+            ("interpreter", lambda g, p: Engine(g, p).count()),
+            ("compiled", lambda g, p: compile_plan_function(p)(g)),
+        )
+    }
+    assert set(counts.values()) == {_oracle(graph_name, pattern.name)}, counts
+
+
 def test_pattern_larger_than_graph_counts_zero():
     graph = _graph("too-small")
     for pattern in (star(5), get_pattern("cycle-6-tri")):

@@ -42,12 +42,8 @@ def render_table() -> str:
     for name, info in available_backends().items():
         caps = info.capabilities
         role = info.summary().rstrip(".")
-        if getattr(info.cls, "is_meta", False):
-            name = f"`{name}`*"
-        else:
-            name = f"`{name}`"
         rows.append(
-            "| {} | {} | {} | {} | {} | {} | {} |".format(
+            "| `{}` | {} | {} | {} | {} | {} | {} |".format(
                 name,
                 ", ".join(sorted(caps.modes)),
                 ", ".join(sorted(caps.iep_modes)) or "none",
@@ -57,12 +53,6 @@ def render_table() -> str:
                 role,
             )
         )
-    rows.append("")
-    rows.append(
-        "\\* `auto` is a *meta* backend: it delegates to one of the others "
-        "and is never its own delegation candidate.  Its declared flags "
-        "keep every planner default available for the eventual delegate."
-    )
     rows.append("")
     rows.append(
         "*traced* marks backends that emit fine-grained spans (per-depth "
